@@ -10,6 +10,7 @@ from .coeffs import (
     Tabulated,
     coefficient_set,
     integrate_coefficients,
+    integrate_windows,
     window_scaling_exponents,
 )
 from .errors import (

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import kernels, sharp, solve, verification
+from . import coeffs, kernels, sharp, solve, verification
 from .config import COMMANDS, load_config, parse_p
 from .errors import ConfigError, DomainError
 from .solve import GridFunction, SolveSettings, SourceFunction
@@ -156,25 +156,23 @@ def cmd_kernel(cfg, threads):
     return header, _map_tasks(evaluate, tasks, threads)
 
 
-def cmd_coeffs(cfg, threads):
+def cmd_coeffs(cfg):
     req = cfg.request
     windows = req.get("windows")
     if not windows:
         raise ConfigError("request: coeffs needs a 'windows' list of [tau, t] pairs")
-    tasks = [(float(a), float(b)) for a, b in windows]
-
-    def evaluate(task):
-        tau, t = task
-        acc = cfg.coefficient_set.accumulated(tau, t, cfg.numerics.quad_tol)
-        upper = [acc.ia[i, j] for i in range(cfg.n) for j in range(i, cfg.n)]
-        return (
-            [tau, t]
-            + upper
-            + [float(v) for v in acc.ib]
-            + [float(v) for v in acc.ic.reshape(-1)]
-            + [acc.det_ia_sqrt, acc.quad_error]
-        )
-
+    cs = cfg.coefficient_set
+    spans = [(float(a), float(b)) for a, b in windows]
+    lengths = [coeffs.window_length(cs, tau, t) for tau, t in spans]
+    accs = cs.windows([t for _, t in spans], lengths)
+    rows = [
+        [tau, t]
+        + [acc.ia[i, j] for i in range(cfg.n) for j in range(i, cfg.n)]
+        + [float(v) for v in acc.ib]
+        + [float(v) for v in acc.ic.reshape(-1)]
+        + [acc.det_ia_sqrt, acc.quad_error]
+        for (tau, t), acc in zip(spans, accs)
+    ]
     header = (
         ["tau", "t"]
         + [f"ia_{i + 1}{j + 1}" for i in range(cfg.n) for j in range(i, cfg.n)]
@@ -182,7 +180,7 @@ def cmd_coeffs(cfg, threads):
         + [f"ic_{i + 1}{j + 1}" for i in range(cfg.m) for j in range(cfg.m)]
         + ["det_ia_sqrt", "quad_error"]
     )
-    return header, _map_tasks(evaluate, tasks, threads)
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +362,7 @@ def main(argv=None) -> int:
         elif args.command == "kernel":
             header, rows = cmd_kernel(cfg, threads)
         elif args.command == "coeffs":
-            header, rows = cmd_coeffs(cfg, threads)
+            header, rows = cmd_coeffs(cfg)
         elif args.command == "solve":
             header, rows = cmd_solve(cfg, threads)
         else:

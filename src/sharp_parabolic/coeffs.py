@@ -4,23 +4,40 @@ A coefficient set holds the diffusion matrix A(t), drift vector b(t) and
 coupling matrix C(t) on [0, T]. Everything downstream depends on them only
 through the window integrals ``int_F(t, tau) = integral of F over [tau, t]``
 and the SPD/exponential functions derived from those.
+
+Every preset integrates in closed form. A window is keyed by its end and
+length ``(t, w)``, so callers that think in window lengths (the source-time
+integrals, with ``w = sigma^2``) never round through ``tau = t - w``.
 """
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import matfun
 from .errors import DomainError, InconclusiveEstimate, NotPositiveDefinite
-from .quadrature import DEFAULT_TOL, adaptive_quadrature
+from .quadrature import DEFAULT_TOL
+from .quadrature import adaptive_quadrature  # noqa: F401  (wrapped by bench/tracer.py)
 
 # Fraction of T below which a window (t - tau) counts as degenerate.
 WINDOW_FLOOR = 1e-13
+# Windows kept per CoefficientSet; the least recently used one is dropped.
+WINDOW_CACHE_SIZE = 4096
+# quad_error is this many units of roundoff of w * sup|F| over the window:
+# it covers the few roundings of each closed form with a wide margin.
+_ROUNDING_ULPS = 64
 
 _SPD_PROBE_POINTS = 33
 _LADDER_WINDOWS = 8
+
+
+def _column(v, ndim):
+    """Reshape a (K,) array to broadcast against (K, *shape) of rank ndim."""
+    return np.reshape(v, v.shape + (1,) * (ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -37,6 +54,18 @@ class Constant:
     def span(self):
         return None
 
+    def integral(self, t, w):
+        """value * w over the windows [t - w, t]; arrays (K,) in, (K, *shape) out."""
+        return _column(w, 1 + self.value.ndim) * self.value
+
+    @cached_property
+    def _sup(self):
+        return float(np.max(np.abs(self.value)))
+
+    def bound(self, t):
+        """An upper bound of |entries| over [0, t]."""
+        return self._sup
+
 
 @dataclass(frozen=True)
 class Affine:
@@ -52,6 +81,39 @@ class Affine:
 
     def span(self):
         return None
+
+    def integral(self, t, w):
+        """w * (value0 + slope * (t - w/2)) over the windows [t - w, t]."""
+        ndim = 1 + self.value0.ndim
+        mid = _column(t - 0.5 * w, ndim)
+        return _column(w, ndim) * (self.value0 + mid * self.slope)
+
+    @cached_property
+    def _sups(self):
+        return float(np.max(np.abs(self.value0))), float(np.max(np.abs(self.slope)))
+
+    def bound(self, t):
+        return self._sups[0] + t * self._sups[1]
+
+
+def _taylor(c, h):
+    """Taylor coefficients d_0..d_3 at u = h of the cubics sum_k c_k u^(3-k)."""
+    c0, c1, c2, c3 = c
+    return np.stack([
+        ((c0 * h + c1) * h + c2) * h + c3,
+        (3.0 * c0 * h + 2.0 * c1) * h + c2,
+        3.0 * c0 * h + c1,
+        c0,
+    ])
+
+
+def _left_integral(d, w):
+    """Integral over [s - w, s] of the cubic with Taylor coefficients d at s.
+
+    ``sum_j (-1)^j d_j w^(j+1) / (j+1)`` in Horner form: no antiderivative
+    differences, so the relative error stays at roundoff for any w.
+    """
+    return w * (d[0] - w * (0.5 * d[1] - w * (d[2] / 3.0 - 0.25 * w * d[3])))
 
 
 class Tabulated:
@@ -73,6 +135,18 @@ class Tabulated:
         self.times = times
         self.values = values
         self._interp = PchipInterpolator(times, values, axis=0)
+        # per piece: the cubic's coefficients, highest power first, in
+        # u = s - times[i]; its Taylor coefficients at the right end; its
+        # whole integral; and a bound on its entries
+        self._cubics = self._interp.c
+        lengths = np.diff(times)
+        col = _column(lengths, values.ndim)
+        self._right = _taylor(self._cubics, col)
+        self._whole = _left_integral(self._right, col)
+        powers = col ** np.arange(3, -1, -1).reshape((4,) + (1,) * values.ndim)
+        sup = float(np.max(np.sum(np.abs(self._cubics) * powers, axis=0)))
+        # widened by the roundoff of summing up to every whole piece
+        self._sup = sup * (1.0 + lengths.size / _ROUNDING_ULPS)
 
     def __call__(self, t):
         lo, hi = self.times[0], self.times[-1]
@@ -84,6 +158,38 @@ class Tabulated:
 
     def span(self):
         return float(self.times[0]), float(self.times[-1])
+
+    def integral(self, t, w):
+        """Exact integrals of the interpolant over the windows [t - w, t].
+
+        The piece containing t is expanded about t; a window reaching below
+        that piece adds the whole pieces it covers and, expanded about its
+        right end, the piece where it starts.
+        """
+        x = self.times
+        ndim = self.values.ndim
+        last = x.size - 2
+        near = np.clip(np.searchsorted(x, t, side="left") - 1, 0, last)
+        gap = t - x[near]  # t minus the sample time at or below it
+        cross = w > gap
+        # the piece holding t - w; a start rounded across a sample time
+        # moves an ulp of the window between two pieces
+        far = np.searchsorted(x, t - w, side="right") - 1
+        far = np.where(cross, np.clip(far, 0, near - 1), near)
+
+        d = _taylor(self._cubics[:, near], _column(gap, ndim))
+        out = _left_integral(d, _column(np.where(cross, gap, w), ndim))
+        if np.any(cross):
+            rest = np.where(cross, w - (t - x[far + 1]), 0.0)
+            out = out + _left_integral(self._right[:, far], _column(rest, ndim))
+            for i, j in set(zip(far[cross].tolist(), near[cross].tolist())):
+                if j > i + 1:
+                    hit = cross & (far == i) & (near == j)
+                    out[hit] = out[hit] + self._whole[i + 1:j].sum(axis=0)
+        return out
+
+    def bound(self, t):
+        return self._sup
 
 
 def _as_preset(raw, shape):
@@ -106,6 +212,7 @@ class AccumulatedIntegrals:
     ``ia``/``ib``/``ic`` are the entrywise integrals; the remaining fields are
     the SPD square-root family of ``ia`` and the exponentials of ``ic`` and
     its transpose that the kernels and sharp constants are built from.
+    ``quad_error`` bounds the rounding error of the closed-form integrals.
     """
 
     tau: float
@@ -142,7 +249,7 @@ class CoefficientSet:
     A: object
     b: object
     C: object
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -172,16 +279,40 @@ class CoefficientSet:
                 )
 
     def accumulated(self, tau, t, tol=DEFAULT_TOL) -> AccumulatedIntegrals:
-        """Cached window integrals for [tau, t]; see integrate_coefficients."""
-        key = (float(tau), float(t), float(tol))
+        """Cached window integrals for [tau, t], keyed by (t, t - tau).
+
+        ``tol`` is accepted for compatibility and ignored: windows are exact.
+        """
+        return self.window(t, window_length(self, tau, t))
+
+    def window(self, t, w) -> AccumulatedIntegrals:
+        """Cached window integrals for [t - w, t]."""
+        return self.windows(t, (w,))[0]
+
+    def windows(self, t, w) -> list:
+        """Cached window integrals for [t - w, t], one per entry of ``w``.
+
+        ``t`` is a scalar or matches ``w``. Windows not in the cache are
+        computed in one batched call of integrate_windows.
+        """
+        w = np.asarray(w, dtype=float).reshape(-1)
+        t = np.broadcast_to(np.asarray(t, dtype=float), w.shape)
+        keys = list(zip(t.tolist(), w.tolist()))
         with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        acc = integrate_coefficients(self, tau, t, tol)
-        with self._lock:
-            self._cache.setdefault(key, acc)
-        return acc
+            found = {k: self._cache[k] for k in keys if k in self._cache}
+            for k in found:
+                self._cache.move_to_end(k)
+        missing = list(dict.fromkeys(k for k in keys if k not in found))
+        if missing:
+            mt, mw = np.array(missing).T
+            computed = integrate_windows(self, mt, mw)
+            with self._lock:
+                for k, acc in zip(missing, computed):
+                    found[k] = self._cache.setdefault(k, acc)
+                    self._cache.move_to_end(k)
+                while len(self._cache) > WINDOW_CACHE_SIZE:
+                    self._cache.popitem(last=False)
+        return [found[k] for k in keys]
 
 
 def coefficient_set(n=1, m=1, T=1.0, A=None, b=None, C=None) -> CoefficientSet:
@@ -208,62 +339,87 @@ def coefficient_set(n=1, m=1, T=1.0, A=None, b=None, C=None) -> CoefficientSet:
     return CoefficientSet(n=n, m=m, T=float(T), A=A, b=b, C=C)
 
 
-def _supremum_scale(preset, tau, t):
-    probe = np.linspace(tau, t, 9)
-    return max(float(np.max(np.abs(np.asarray(preset(s), dtype=float)))) for s in probe)
-
-
-def integrate_coefficients(cs, tau, t, tol=DEFAULT_TOL) -> AccumulatedIntegrals:
-    """Adaptive-quadrature window integrals of (A, b, C) over [tau, t].
-
-    Raises NotPositiveDefinite when the accumulated diffusion integral is
-    degenerate and DomainError when the window itself is (tau >= t or below
-    the window floor), or when tabulated data does not cover it.
-    """
+def window_length(cs, tau, t) -> float:
+    """t - tau for a window [tau, t], raising DomainError unless 0 <= tau < t <= T."""
     tau = float(tau)
     t = float(t)
     if tau < 0.0 or t > cs.T or not tau < t:
         raise DomainError(f"window [{tau:g}, {t:g}] must satisfy 0 <= tau < t <= T")
-    if t - tau < WINDOW_FLOOR * cs.T:
+    return t - tau
+
+
+def integrate_coefficients(cs, tau, t, tol=DEFAULT_TOL) -> AccumulatedIntegrals:
+    """Closed-form window integrals of (A, b, C) over [tau, t].
+
+    ``tol`` is accepted for compatibility and ignored. Raises the errors of
+    integrate_windows, and DomainError unless 0 <= tau < t <= T.
+    """
+    return integrate_windows(cs, float(t), [window_length(cs, tau, t)])[0]
+
+
+def integrate_windows(cs, t, w) -> list:
+    """Closed-form window integrals of (A, b, C) over [t - w, t], batched.
+
+    ``w`` is a sequence of window lengths and ``t`` a scalar or one end per
+    window. Every window of a batch is bit-identical to the same window
+    computed alone. Raises NotPositiveDefinite when an accumulated diffusion
+    integral is degenerate and DomainError when a window is not inside
+    [0, T] or is shorter than the window floor.
+    """
+    w = np.asarray(w, dtype=float).reshape(-1)
+    t = np.array(np.broadcast_to(np.asarray(t, dtype=float), w.shape))
+    floor = WINDOW_FLOOR * cs.T
+    bad = ~((t > 0.0) & (t <= cs.T) & (w <= t) & (w >= floor))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if 0.0 < t[k] <= cs.T and w[k] < floor:
+            raise DomainError(f"window {w[k]:g} is below the degeneracy floor {floor:g}")
         raise DomainError(
-            f"window {t - tau:g} is below the degeneracy floor {WINDOW_FLOOR * cs.T:g}"
+            f"window of length {w[k]:g} ending at t={t[k]:g} must lie in [0, {cs.T:g}]"
         )
 
-    quad_err = 0.0
-    parts = {}
-    for name, preset in (("A", cs.A), ("b", cs.b), ("C", cs.C)):
-        scale = tol * (t - tau) * (1.0 + _supremum_scale(preset, tau, t))
-        res = adaptive_quadrature(
-            lambda s, p=preset: np.asarray(p(s), dtype=float), tau, t, tol=scale
-        )
-        parts[name] = np.asarray(res.value, dtype=float)
-        quad_err = max(quad_err, res.error)
+    ia = cs.A.integral(t, w)
+    ia = 0.5 * (ia + np.swapaxes(ia, -1, -2))
+    ib = cs.b.integral(t, w)
+    ic = cs.C.integral(t, w)
+    scale = np.maximum(np.maximum(cs.A.bound(t), cs.b.bound(t)), cs.C.bound(t))
+    quad_err = _ROUNDING_ULPS * np.finfo(float).eps * w * scale
 
-    ia = matfun.symmetrize(parts["A"])
-    w, v = matfun.sym_eigen(ia)
-    floor = 1e-12 * max(1.0, abs(w[0]))
-    if w[-1] <= floor:
-        raise NotPositiveDefinite(w[-1], floor, "accumulated A integral is degenerate")
-    sqrt_w = np.sqrt(w)
-    ia_sqrt = matfun.symmetrize(v @ np.diag(sqrt_w) @ v.T)
-    ia_inv_sqrt = matfun.symmetrize(v @ np.diag(1.0 / sqrt_w) @ v.T)
-    ia_inv = matfun.symmetrize(v @ np.diag(1.0 / w) @ v.T)
-    ic = parts["C"]
-    return AccumulatedIntegrals(
-        tau=tau,
-        t=t,
-        ia=ia,
-        ib=parts["b"],
-        ic=ic,
-        ia_sqrt=ia_sqrt,
-        ia_inv_sqrt=ia_inv_sqrt,
-        ia_inv=ia_inv,
-        ia_eigenvalues=w,
-        det_ia_sqrt=float(np.prod(sqrt_w)),
-        exp_ic=matfun.matrix_exp(ic),
-        exp_ic_star=matfun.matrix_exp(ic.T),
-        quad_error=quad_err,
-    )
+    eig, vec = np.linalg.eigh(ia)
+    eig = eig[:, ::-1]
+    vec = vec[:, :, ::-1]
+    floors = 1e-12 * np.maximum(1.0, np.abs(eig[:, 0]))
+    if np.any(eig[:, -1] <= floors):
+        k = int(np.argmax(eig[:, -1] <= floors))
+        raise NotPositiveDefinite(
+            eig[k, -1], floors[k], "accumulated A integral is degenerate"
+        )
+    sqrt_eig = np.sqrt(eig)
+    # V diag(f(eig)) V^T for f = sqrt, 1/sqrt and 1/x in one pass
+    powers = np.stack([sqrt_eig, 1.0 / sqrt_eig, 1.0 / eig])
+    family = np.einsum("kij,skj,klj->skil", vec, powers, vec)
+    ia_sqrt, ia_inv_sqrt, ia_inv = 0.5 * (family + np.swapaxes(family, -1, -2))
+    det = np.prod(sqrt_eig, axis=1)
+    exp_ic = matfun.matrix_exp(ic)
+    # copies, so that a cached window does not keep its whole batch alive
+    return [
+        AccumulatedIntegrals(
+            tau=float(t[k] - w[k]),
+            t=float(t[k]),
+            ia=ia[k].copy(),
+            ib=ib[k].copy(),
+            ic=ic[k].copy(),
+            ia_sqrt=ia_sqrt[k].copy(),
+            ia_inv_sqrt=ia_inv_sqrt[k].copy(),
+            ia_inv=ia_inv[k].copy(),
+            ia_eigenvalues=eig[k].copy(),
+            det_ia_sqrt=float(det[k]),
+            exp_ic=exp_ic[k].copy(),
+            exp_ic_star=exp_ic[k].T.copy(),
+            quad_error=float(quad_err[k]),
+        )
+        for k in range(w.size)
+    ]
 
 
 def window_scaling_exponents(cs, t, tol=DEFAULT_TOL):
@@ -285,8 +441,7 @@ def window_scaling_exponents(cs, t, tol=DEFAULT_TOL):
     widths = t * 2.0 ** -(np.arange(_LADDER_WINDOWS) + 3.0)
     log_det = []
     log_grad = []
-    for h in widths:
-        acc = cs.accumulated(t - h, t, tol)
+    for acc in cs.windows(t, widths):
         norm_inv_sqrt = 1.0 / np.sqrt(acc.ia_eigenvalues[-1])
         log_det.append(np.log(acc.det_ia_sqrt))
         log_grad.append(np.log(norm_inv_sqrt))

@@ -156,12 +156,9 @@ def _slices(spec, endpoint_gap, sigma_slices, tol):
     if not lo < hi:
         raise DomainError("endpoint gap leaves an empty time window")
     d_sigma = (hi - lo) / sigma_slices
-    out = []
-    for k in range(sigma_slices):
-        sigma = lo + (k + 0.5) * d_sigma
-        acc = spec.cs.accumulated(spec.t - sigma * sigma, spec.t, tol)
-        out.append((2.0 * sigma * d_sigma, acc))
-    return out
+    sigmas = lo + (np.arange(sigma_slices) + 0.5) * d_sigma
+    accs = spec.cs.windows(spec.t, sigmas * sigmas)
+    return [(2.0 * sigma * d_sigma, acc) for sigma, acc in zip(sigmas.tolist(), accs)]
 
 
 def _collect(spec, resolution, sigma_slices, pp, endpoint_gap, tol):

@@ -394,7 +394,7 @@ def _window_tables(cs, t, pp, with_gradient, quad_tol) -> _WindowTables:
     lo, hi = _sigma_bounds(cs, t)
 
     def probe(sigma):
-        acc = cs.accumulated(t - sigma * sigma, t, quad_tol)
+        acc = cs.window(t, sigma * sigma)
         r = acc.det_ia_sqrt ** (1.0 - pp)
         r *= matfun.spectral_norm(acc.exp_ic_star)[0] ** pp
         if with_gradient:
@@ -405,15 +405,11 @@ def _window_tables(cs, t, pp, with_gradient, quad_tol) -> _WindowTables:
     tol = max(quad_tol, 1e-8) * max(1.0, abs(float(rough.value)))
     res = adaptive_quadrature(probe, lo, hi, tol=tol)
     sigmas, gl_weights = panel_nodes(res.panels)
-    weights = np.empty_like(sigmas)
-    exps = np.empty((sigmas.size, cs.m, cs.m))
-    inv_sqrts = np.empty((sigmas.size, cs.n, cs.n)) if with_gradient else None
-    for k, sigma in enumerate(sigmas):
-        acc = cs.accumulated(t - sigma * sigma, t, quad_tol)
-        weights[k] = gl_weights[k] * 2.0 * sigma * acc.det_ia_sqrt ** (1.0 - pp)
-        exps[k] = acc.exp_ic_star
-        if with_gradient:
-            inv_sqrts[k] = acc.ia_inv_sqrt
+    accs = cs.windows(t, sigmas * sigmas)
+    dets = np.array([acc.det_ia_sqrt for acc in accs])
+    weights = gl_weights * 2.0 * sigmas * dets ** (1.0 - pp)
+    exps = np.stack([acc.exp_ic_star for acc in accs])
+    inv_sqrts = np.stack([acc.ia_inv_sqrt for acc in accs]) if with_gradient else None
     return _WindowTables(sigmas, weights, exps, inv_sqrts)
 
 
@@ -467,7 +463,7 @@ def _tau_integral(cs, t, pp, quad_tol, z, ell=None):
     lo, hi = _sigma_bounds(cs, t)
 
     def integrand(sigma):
-        acc = cs.accumulated(t - sigma * sigma, t, quad_tol)
+        acc = cs.window(t, sigma * sigma)
         val = float(np.linalg.norm(acc.exp_ic_star @ z)) ** pp
         val *= acc.det_ia_sqrt ** (1.0 - pp)
         if ell is not None:

@@ -212,10 +212,9 @@ def _source_quadrature(cs, f, x, t, settings, tol, gradient_ell=None):
     d_sigma = math.sqrt(t) / slices
     x = np.asarray(x, dtype=float)
     total = np.zeros(cs.m)
-    for k in range(slices):
-        sigma = (k + 0.5) * d_sigma
+    sigmas = ((np.arange(slices) + 0.5) * d_sigma).tolist()
+    for sigma, acc in zip(sigmas, cs.windows(t, np.square(sigmas))):
         tau = t - sigma * sigma
-        acc = cs.accumulated(tau, t, tol)
         nodes, cell = _slice_grid(cs, acc, x, settings)
         u = (x - nodes) + acc.ib
         weight = kernels.gaussian_field(acc, u)
@@ -296,10 +295,9 @@ def spacetime_norm(cs, f: SourceFunction, x, t, p, settings=None, tol=DEFAULT_TO
     d_sigma = math.sqrt(t) / slices
     acc_p = 0.0
     sup = 0.0
-    for k in range(slices):
-        sigma = (k + 0.5) * d_sigma
+    sigmas = ((np.arange(slices) + 0.5) * d_sigma).tolist()
+    for sigma, acc in zip(sigmas, cs.windows(t, np.square(sigmas))):
         tau = t - sigma * sigma
-        acc = cs.accumulated(tau, t, tol)
         nodes, cell = _slice_grid(cs, acc, x, settings)
         mags = np.linalg.norm(f(nodes, tau), axis=-1)
         if math.isinf(p):
