@@ -270,7 +270,7 @@ class CoefficientSet:
                     f"tabulated samples for {name} cover [{span[0]:g}, {span[1]:g}] "
                     f"but must cover [0, {self.T:g}]"
                 )
-        for t in np.linspace(0.0, self.T, _SPD_PROBE_POINTS):
+        for t in _spd_check_times(self.A, self.T):
             a = matfun.symmetrize(self.A(t))
             w = np.linalg.eigvalsh(a)
             if w[0] <= 0.0:
@@ -313,6 +313,21 @@ class CoefficientSet:
                 while len(self._cache) > WINDOW_CACHE_SIZE:
                     self._cache.popitem(last=False)
         return [found[k] for k in keys]
+
+
+def _spd_check_times(A, T):
+    """Times at which A(t) is checked to be SPD at construction.
+
+    Constant A once. Affine A at both ends: the smallest eigenvalue of an
+    affine symmetric family is concave in t, so the ends decide [0, T].
+    Tabulated A at the probe grid and at every sample time in [0, T].
+    """
+    if A.is_constant:
+        return [0.0]
+    if isinstance(A, Affine):
+        return [0.0, T]
+    samples = A.times[(A.times >= 0.0) & (A.times <= T)]
+    return np.union1d(np.linspace(0.0, T, _SPD_PROBE_POINTS), samples)
 
 
 def coefficient_set(n=1, m=1, T=1.0, A=None, b=None, C=None) -> CoefficientSet:
@@ -385,21 +400,10 @@ def integrate_windows(cs, t, w) -> list:
     scale = np.maximum(np.maximum(cs.A.bound(t), cs.b.bound(t)), cs.C.bound(t))
     quad_err = _ROUNDING_ULPS * np.finfo(float).eps * w * scale
 
-    eig, vec = np.linalg.eigh(ia)
-    eig = eig[:, ::-1]
-    vec = vec[:, :, ::-1]
-    floors = 1e-12 * np.maximum(1.0, np.abs(eig[:, 0]))
-    if np.any(eig[:, -1] <= floors):
-        k = int(np.argmax(eig[:, -1] <= floors))
-        raise NotPositiveDefinite(
-            eig[k, -1], floors[k], "accumulated A integral is degenerate"
-        )
-    sqrt_eig = np.sqrt(eig)
-    # V diag(f(eig)) V^T for f = sqrt, 1/sqrt and 1/x in one pass
-    powers = np.stack([sqrt_eig, 1.0 / sqrt_eig, 1.0 / eig])
-    family = np.einsum("kij,skj,klj->skil", vec, powers, vec)
-    ia_sqrt, ia_inv_sqrt, ia_inv = 0.5 * (family + np.swapaxes(family, -1, -2))
-    det = np.prod(sqrt_eig, axis=1)
+    eig, ia_sqrt, ia_inv_sqrt, ia_inv = matfun.spd_roots(
+        ia, "accumulated A integral is degenerate"
+    )
+    det = np.prod(np.sqrt(eig), axis=1)
     exp_ic = matfun.matrix_exp(ic)
     # copies, so that a cached window does not keep its whole batch alive
     return [

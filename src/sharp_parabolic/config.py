@@ -66,10 +66,6 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
-def _upper_triangle_labels(n):
-    return [f"entry_{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
-
-
 def _read_table(path, expected_columns, context):
     if not os.path.exists(path):
         raise ConfigError(f"{context}: sample file {path!r} does not exist")
@@ -92,35 +88,21 @@ def _read_table(path, expected_columns, context):
     return data[:, 0], data[:, 1:]
 
 
-def _tabulated_A(path, n, context):
-    labels = ["t"] + _upper_triangle_labels(n)
-    times, flat = _read_table(path, labels, context)
-    mats = np.empty((times.size, n, n))
-    for k in range(times.size):
-        m = np.zeros((n, n))
-        pos = 0
-        for i in range(n):
-            for j in range(i, n):
-                m[i, j] = flat[k, pos]
-                m[j, i] = flat[k, pos]
-                pos += 1
-        mats[k] = m
-    return Tabulated(times, mats)
+def _tabulated(path, name, shape, context):
+    """Samples of A (row-major upper triangle, mirrored), b or C (full rows)."""
+    cells = [c for c in np.ndindex(*shape) if name != "A" or c[0] <= c[1]]
+    prefix = "b_" if name == "b" else "entry_"
+    labels = [prefix + "".join(str(i + 1) for i in c) for c in cells]
+    times, flat = _read_table(path, ["t"] + labels, context)
+    values = np.empty((times.size,) + shape)
+    for k, cell in enumerate(cells):
+        values[(slice(None),) + cell] = flat[:, k]
+        if name == "A":
+            values[(slice(None),) + cell[::-1]] = flat[:, k]
+    return Tabulated(times, values)
 
 
-def _tabulated_b(path, n, context):
-    labels = ["t"] + [f"b_{i + 1}" for i in range(n)]
-    times, flat = _read_table(path, labels, context)
-    return Tabulated(times, flat)
-
-
-def _tabulated_C(path, m, context):
-    labels = ["t"] + [f"entry_{i + 1}{j + 1}" for i in range(m) for j in range(m)]
-    times, flat = _read_table(path, labels, context)
-    return Tabulated(times, flat.reshape(times.size, m, m))
-
-
-def _parse_preset(block, name, shape, base_dir, n, m):
+def _parse_preset(block, name, shape, base_dir):
     context = f"coefficients.{name}"
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected an object with a 'preset' field")
@@ -141,11 +123,7 @@ def _parse_preset(block, name, shape, base_dir, n, m):
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         try:
-            if name == "A":
-                return _tabulated_A(path, n, context)
-            if name == "b":
-                return _tabulated_b(path, n, context)
-            return _tabulated_C(path, m, context)
+            return _tabulated(path, name, shape, context)
         except DomainError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
     raise ConfigError(f"{context}: unknown preset kind {kind!r}")
@@ -180,9 +158,7 @@ def load_config(path, command=None) -> RunConfig:
     presets = {}
     for name, shape in (("A", (n, n)), ("b", (n,)), ("C", (m, m))):
         if name in coeffs_block:
-            presets[name] = _parse_preset(
-                coeffs_block[name], name, shape, base_dir, n, m
-            )
+            presets[name] = _parse_preset(coeffs_block[name], name, shape, base_dir)
     try:
         cs = coefficient_set(
             n=n,

@@ -48,6 +48,41 @@ def directional_weight(acc, u, ell):
     return -0.5 * (u @ (acc.ia_inv @ np.asarray(ell, dtype=float)))
 
 
+def kernel_weight(acc, u, ell=None):
+    """Scalar kernel factor at displaced points ``u``, times the gradient
+    weight along ``ell`` when a direction is given."""
+    weight = gaussian_field(acc, u)
+    if ell is not None:
+        weight = weight * directional_weight(acc, u, ell)
+    return weight
+
+
+def cell_grid(center, radii, points):
+    """Cell midpoints of the box center +- radii with ``points`` cells per axis.
+
+    ``radii`` is a scalar or one radius per axis. Returns the nodes, shape
+    (points,)*n + (n,), and the per-axis spacings.
+    """
+    center = np.asarray(center, dtype=float)
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), center.shape)
+    spacings = 2.0 * radii / points
+    offsets = np.arange(points) + 0.5
+    axes = [center[i] - radii[i] + offsets * spacings[i] for i in range(center.size)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1), spacings
+
+
+def slice_grid(acc, x, truncation, points):
+    """Cell grid around the kernel peak x + int_b of one window.
+
+    Each axis reaches ``truncation`` marginal deviations sqrt(2 ia_ii), so
+    the spacing resolves the kernel equally well along every axis. Returns
+    the nodes, the spacings and the radii.
+    """
+    radii = truncation * np.sqrt(2.0 * np.diag(acc.ia))
+    nodes, spacings = cell_grid(np.asarray(x, dtype=float) + acc.ib, radii, points)
+    return nodes, spacings, radii
+
+
 def _kernel_value(acc, x):
     u = np.asarray(x, dtype=float) + acc.ib
     s = float(gaussian_field(acc, u))

@@ -13,6 +13,7 @@ __all__ = [
     "symmetrize",
     "as_real_matrix",
     "sym_eigen",
+    "spd_roots",
     "spd_sqrt",
     "spd_inv_sqrt",
     "spectral_norm",
@@ -68,25 +69,41 @@ def sym_eigen(m):
     return w[order], v[:, order]
 
 
-def _spd_eigen(m):
-    w, v = sym_eigen(m)
-    norm = max(abs(w[0]), abs(w[-1])) if w.size else 0.0
-    floor = 1e-12 * max(1.0, norm)
-    if w.size == 0 or w[-1] <= floor:
-        raise NotPositiveDefinite(w[-1] if w.size else 0.0, floor)
-    return w, v
+def spd_roots(m, message=None):
+    """SPD root family of a stack of symmetric matrices, shape (K, n, n).
+
+    Returns ``(eigenvalues, sqrt, inv_sqrt, inv)``: the eigenvalues in
+    descending order, shape (K, n), and ``V f(w) V^T`` for f = sqrt, 1/sqrt
+    and 1/x, each exactly symmetric. Raises NotPositiveDefinite (with
+    ``message``, if given) when a smallest eigenvalue is at or below
+    1e-12 * max(1, largest eigenvalue).
+    """
+    try:
+        eig, vec = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(np.max(np.abs(np.tril(m, -1)))) from exc
+    eig = eig[:, ::-1]
+    vec = vec[:, :, ::-1]
+    floors = 1e-12 * np.maximum(1.0, np.abs(eig[:, 0]))
+    if np.any(eig[:, -1] <= floors):
+        k = int(np.argmax(eig[:, -1] <= floors))
+        raise NotPositiveDefinite(eig[k, -1], floors[k], message)
+    sqrt_eig = np.sqrt(eig)
+    # V diag(f(eig)) V^T for f = sqrt, 1/sqrt and 1/x in one pass
+    powers = np.stack([sqrt_eig, 1.0 / sqrt_eig, 1.0 / eig])
+    family = np.einsum("kij,skj,klj->skil", vec, powers, vec)
+    root, inv_root, inv = 0.5 * (family + np.swapaxes(family, -1, -2))
+    return eig, root, inv_root, inv
 
 
 def spd_sqrt(m) -> np.ndarray:
     """Symmetric positive definite square root of an SPD matrix."""
-    w, v = _spd_eigen(m)
-    return symmetrize(v @ np.diag(np.sqrt(w)) @ v.T)
+    return spd_roots(symmetrize(m)[None])[1][0]
 
 
 def spd_inv_sqrt(m) -> np.ndarray:
     """Inverse of the SPD square root of an SPD matrix."""
-    w, v = _spd_eigen(m)
-    return symmetrize(v @ np.diag(1.0 / np.sqrt(w)) @ v.T)
+    return spd_roots(symmetrize(m)[None])[2][0]
 
 
 def spectral_norm(b):

@@ -88,28 +88,10 @@ class SaturationResult:
     refined_ratio: float | None
 
 
-def _slice_grid(spec, acc, resolution):
-    # Per-axis radii from the marginal deviations sqrt(2 ia_ii), so the
-    # spacing resolves the kernel equally well along every axis.
-    stds = np.sqrt(2.0 * np.diag(acc.ia))
-    center = spec.x + acc.ib
-    radii = spec.truncation_radius * stds
-    spacings = 2.0 * radii / resolution
-    axes = [
-        center[i] - radii[i] + (np.arange(resolution) + 0.5) * spacings[i]
-        for i in range(spec.cs.n)
-    ]
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return nodes, spacings, radii
-
-
 def _field_magnitude(spec, acc, nodes):
     """|scalar kernel factor| at grid nodes, including the gradient weight."""
-    u = (spec.x - nodes) + acc.ib
-    mag = kernels.gaussian_field(acc, u)
-    if spec.gradient:
-        mag = np.abs(kernels.directional_weight(acc, u, spec.ell)) * mag
-    return mag
+    ell = spec.ell if spec.gradient else None
+    return np.abs(kernels.kernel_weight(acc, (spec.x - nodes) + acc.ib, ell))
 
 
 def _boundary_max(mag):
@@ -126,19 +108,15 @@ def _boundary_max(mag):
 
 def _refined_sup(spec, acc, resolution, zoom_levels=3):
     """Supremum of the field magnitude: grid argmax plus local zooming."""
-    nodes, spacings, _ = _slice_grid(spec, acc, resolution)
+    nodes, spacings, _ = kernels.slice_grid(
+        acc, spec.x, spec.truncation_radius, resolution
+    )
     mag = _field_magnitude(spec, acc, nodes)
     best = float(np.max(mag))
     center = nodes.reshape(-1, spec.cs.n)[int(np.argmax(mag))]
     boundary = _boundary_max(mag)
     for _ in range(zoom_levels):
-        radii = 2.0 * spacings
-        spacings = 2.0 * radii / resolution
-        axes = [
-            center[i] - radii[i] + (np.arange(resolution) + 0.5) * spacings[i]
-            for i in range(spec.cs.n)
-        ]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        pts, spacings = kernels.cell_grid(center, 2.0 * spacings, resolution)
         mag = _field_magnitude(spec, acc, pts)
         local = float(np.max(mag))
         if local > best:
@@ -147,10 +125,10 @@ def _refined_sup(spec, acc, resolution, zoom_levels=3):
     return best, boundary
 
 
-def _slices(spec, endpoint_gap, sigma_slices, tol):
+def _slices(spec, endpoint_gap, sigma_slices):
     """(time weight, accumulated integrals) per quadrature slice."""
     if spec.kind in HOMOGENEOUS_KINDS:
-        return [(1.0, spec.cs.accumulated(0.0, spec.t, tol))]
+        return [(1.0, spec.cs.accumulated(0.0, spec.t))]
     lo = math.sqrt(endpoint_gap) if endpoint_gap > 0.0 else 0.0
     hi = math.sqrt(spec.t)
     if not lo < hi:
@@ -161,9 +139,9 @@ def _slices(spec, endpoint_gap, sigma_slices, tol):
     return [(2.0 * sigma * d_sigma, acc) for sigma, acc in zip(sigmas.tolist(), accs)]
 
 
-def _collect(spec, resolution, sigma_slices, pp, endpoint_gap, tol):
+def _collect(spec, resolution, sigma_slices, pp, endpoint_gap):
     """Per-slice quadrature of |field|^p' plus transposed coupling factors."""
-    slices = _slices(spec, endpoint_gap, sigma_slices, tol)
+    slices = _slices(spec, endpoint_gap, sigma_slices)
     weights = np.empty(len(slices))
     exps_t = np.empty((len(slices), spec.cs.m, spec.cs.m))
     tails = np.empty(len(slices))
@@ -173,7 +151,9 @@ def _collect(spec, resolution, sigma_slices, pp, endpoint_gap, tol):
             weights[k] = sup  # sup over y; combined by max across slices
             tails[k] = boundary
         else:
-            nodes, spacings, radii = _slice_grid(spec, acc, resolution)
+            nodes, spacings, radii = kernels.slice_grid(
+                acc, spec.x, spec.truncation_radius, resolution
+            )
             mag = _field_magnitude(spec, acc, nodes)
             cell = float(np.prod(spacings))
             weights[k] = time_w * cell * float(np.sum(mag**pp))
@@ -220,18 +200,18 @@ def opnorm_bruteforce(spec: IntegralOperatorSpec, endpoint_gap=0.0, rel_tol=1e-6
     For the source kinds a positive ``endpoint_gap`` truncates the time
     integral to tau <= t - gap, which is how divergent cases are probed.
     Raises TruncationError when the spatial tail bound exceeds ``rel_tol``
-    of the computed value.
+    of the computed value. ``tol`` is accepted and ignored: windows are exact.
     """
     pp = sharp.holder_conjugate(spec.p)
     weights, exps_t, tails = _collect(
-        spec, spec.grid_resolution, spec.sigma_slices, pp, endpoint_gap, tol
+        spec, spec.grid_resolution, spec.sigma_slices, pp, endpoint_gap
     )
     z, best = _z_max(weights, exps_t, pp, spec.cs.m)
     value = best if math.isinf(pp) else best ** (1.0 / pp)
 
     coarse_res = _odd(max(17, spec.grid_resolution // 2))
     coarse_slices = max(2, spec.sigma_slices // 2)
-    w_c, e_c, _ = _collect(spec, coarse_res, coarse_slices, pp, endpoint_gap, tol)
+    w_c, e_c, _ = _collect(spec, coarse_res, coarse_slices, pp, endpoint_gap)
     _, best_c = _z_max(w_c, e_c, pp, spec.cs.m)
     value_c = best_c if math.isinf(pp) else best_c ** (1.0 / pp)
     err = abs(value - value_c)
@@ -264,18 +244,11 @@ def _transposed_kernel_field(spec, z, resolution):
     acc = spec.cs.accumulated(0.0, spec.t, DEFAULT_TOL)
     center = spec.x + acc.ib
     radius = spec.truncation_radius * kernels.kernel_std(acc)
-    spacing = 2.0 * radius / resolution
-    axes = [
-        center[i] - radius + (np.arange(resolution) + 0.5) * spacing
-        for i in range(spec.cs.n)
-    ]
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    u = (spec.x - nodes) + acc.ib
-    scalar = kernels.gaussian_field(acc, u)
-    if spec.gradient:
-        scalar = scalar * kernels.directional_weight(acc, u, spec.ell)
+    nodes, _ = kernels.cell_grid(center, radius, resolution)
+    ell = spec.ell if spec.gradient else None
+    scalar = kernels.kernel_weight(acc, (spec.x - nodes) + acc.ib, ell)
     field = scalar[..., None] * (acc.exp_ic.T @ z)
-    return field, center, radius
+    return field, nodes, center, radius
 
 
 def _default_profile(center, width):
@@ -301,7 +274,7 @@ def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
     z = np.asarray(z, dtype=float)
     z = z / np.linalg.norm(z)
     resolution = resolution or spec.grid_resolution
-    field, center, radius = _transposed_kernel_field(spec, z, resolution)
+    field, nodes, center, radius = _transposed_kernel_field(spec, z, resolution)
     mags = np.linalg.norm(field, axis=-1)
     nonzero = mags > 0.0
     if mode == "p-power":
@@ -320,9 +293,6 @@ def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
         acc = spec.cs.accumulated(0.0, spec.t, DEFAULT_TOL)
         if profile is None:
             profile = _default_profile(center, kernels.kernel_std(acc) / 8.0)
-        nodes = GridFunction(
-            center=center, radius=radius, values=np.zeros(mags.shape + (spec.cs.m,))
-        ).nodes()
         values = sign * np.asarray(profile(nodes), dtype=float)[..., None]
     else:
         raise DomainError(f"unknown extremal mode {mode!r}")

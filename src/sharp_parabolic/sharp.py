@@ -80,32 +80,43 @@ def _tangent_gradient(grad, z):
 
 
 def _polish_on_sphere(objective, gradient, z0, settings):
-    """Projected-gradient ascent from z0; returns (z, value, residual)."""
-    z = np.asarray(z0, dtype=float)
-    z = z / np.linalg.norm(z)
-    value = float(objective(z))
+    """Projected-gradient ascent from z0; returns (z, value, residual).
+
+    ``z0`` is one start vector, or a tuple of them for a product of spheres;
+    then ``objective`` and ``gradient`` take one vector per sphere, the
+    gradient returns one block per sphere, and ``z`` is a tuple. The step
+    and the residual use the norm of all tangent blocks together.
+    """
+    product = isinstance(z0, tuple)
+    zs = [np.asarray(b, dtype=float) for b in (z0 if product else (z0,))]
+    zs = [b / np.linalg.norm(b) for b in zs]
+    value = float(objective(*zs))
     step = 0.5
     residual = INF
     for _ in range(settings.max_iter):
-        g = _tangent_gradient(np.asarray(gradient(z), dtype=float), z)
-        scale = max(abs(value), 1e-300)
-        residual = float(np.linalg.norm(g)) / scale
+        grads = gradient(*zs)
+        gs = [
+            _tangent_gradient(np.asarray(g, dtype=float), b)
+            for g, b in zip(grads if product else (grads,), zs)
+        ]
+        norm_g = math.hypot(*(np.linalg.norm(g) for g in gs))
+        residual = norm_g / max(abs(value), 1e-300)
         if residual <= settings.rel_tol:
             break
         moved = False
         while step >= 1e-14:
-            trial = z + step * g / max(np.linalg.norm(g), 1e-300)
-            trial /= np.linalg.norm(trial)
-            trial_value = float(objective(trial))
+            trial = [b + step * g / max(norm_g, 1e-300) for b, g in zip(zs, gs)]
+            trial = [b / np.linalg.norm(b) for b in trial]
+            trial_value = float(objective(*trial))
             if trial_value > value:
-                z, value = trial, trial_value
+                zs, value = trial, trial_value
                 step *= 1.3
                 moved = True
                 break
             step *= 0.5
         if not moved:
             break
-    return z, value, residual
+    return (tuple(zs) if product else zs[0]), value, residual
 
 
 def _numeric_gradient(objective, h=1e-6):
@@ -334,7 +345,7 @@ class ConvergenceReport:
 
 def _convergence(cs, p, kind) -> ConvergenceReport:
     pp = holder_conjugate(p)
-    with_gradient = kind == "C"
+    with_gradient = kind != "N"
     if cs.A.is_constant:
         threshold = (cs.n + 2.0) if with_gradient else (cs.n + 2.0) / 2.0
         if math.isinf(pp):
@@ -437,20 +448,64 @@ def _gram_maximizer(tables, ell_factors=None):
     return vecs[:, 0], float(vals[0])
 
 
-def _maximize_z(cs, tables, pp, settings):
-    if cs.m == 1:
-        return np.array([1.0]), 0.0
+def _maximize_z(tables, pp, settings, ell_factors=None):
+    """z-maximizer of the node-table objective, weighted by ``ell_factors``.
+
+    Exact at p'=2; otherwise the best lattice seed, polished. Returns
+    (z, search residual).
+    """
     if pp == 2.0:
-        z, _ = _gram_maximizer(tables)
-        return z, 0.0
+        return _gram_maximizer(tables, ell_factors)[0], 0.0
     settings = settings or SphereSettings()
-    objective, gradient = _z_objective(tables, pp)
-    seeds = sphere_lattice(cs.m, settings.seeds_per_dim * cs.m)
+    m = tables.exps.shape[1]
+    seeds = sphere_lattice(m, settings.seeds_per_dim * m)
     mags = np.linalg.norm(np.einsum("kij,sj->ksi", tables.exps, seeds), axis=2)
-    vals = tables.weights @ mags**pp
-    z0 = seeds[int(np.argmax(vals))]
+    w = tables.weights if ell_factors is None else tables.weights * ell_factors
+    z0 = seeds[int(np.argmax(w @ mags**pp))]
+    objective, gradient = _z_objective(tables, pp, ell_factors)
     z, _, residual = _polish_on_sphere(objective, gradient, z0, settings)
     return z, residual
+
+
+def _joint_objective(tables, pp):
+    """Objective and gradient in (ell, z) of the C_p node-table integral."""
+    w, exps, smats = tables.weights, tables.exps, tables.inv_sqrts
+
+    def objective(ell, z):
+        a = np.linalg.norm(smats @ ell, axis=1) ** pp
+        b = np.linalg.norm(exps @ z, axis=1) ** pp
+        return float(np.dot(w, a * b))
+
+    def gradient(ell, z):
+        svec = smats @ ell
+        evec = exps @ z
+        smag = np.linalg.norm(svec, axis=1)
+        emag = np.linalg.norm(evec, axis=1)
+        coef_l = pp * w * smag ** (pp - 2.0) * emag**pp
+        coef_z = pp * w * smag**pp * emag ** (pp - 2.0)
+        return (
+            np.einsum("k,kij,kj->i", coef_l, np.transpose(smats, (0, 2, 1)), svec),
+            np.einsum("k,kij,kj->i", coef_z, np.transpose(exps, (0, 2, 1)), evec),
+        )
+
+    return objective, gradient
+
+
+def _maximize_ell_z(cs, tables, pp, settings):
+    """Joint (ell, z) maximizer: best pair of lattice seeds, polished on the
+    product of spheres. Returns (ell, z, search residual)."""
+    settings = settings or SphereSettings()
+    ell_seeds = sphere_lattice(cs.n, settings.seeds_per_dim * cs.n)
+    z_seeds = sphere_lattice(cs.m, settings.seeds_per_dim * cs.m)
+    a = np.linalg.norm(np.einsum("kij,sj->ksi", tables.inv_sqrts, ell_seeds), axis=2)
+    b = np.linalg.norm(np.einsum("kij,sj->ksi", tables.exps, z_seeds), axis=2)
+    grid = (tables.weights[:, None] * a**pp).T @ b**pp
+    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    objective, gradient = _joint_objective(tables, pp)
+    (ell, z), _, residual = _polish_on_sphere(
+        objective, gradient, (ell_seeds[i], z_seeds[j]), settings
+    )
+    return ell, z, residual
 
 
 def _tau_integral(cs, t, pp, quad_tol, z, ell=None):
@@ -504,133 +559,54 @@ def _divergent_result(report):
     )
 
 
-def sharp_N(cs, p, t, quad_tol=DEFAULT_TOL, sphere=None) -> SharpResult:
-    """Sharp coefficient of |u(x,t)| <= N_p(t) ||source||_{p,t}."""
+def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
+    """N, C_ell or C: maximizers on a node table, then the window integral.
+
+    The C maximization runs over both spheres jointly: it does not separate
+    because the direction factor under the window integral depends on the
+    source time.
+    """
     pp = holder_conjugate(p)
     t = _validate_time(cs, t)
-    report = _convergence(cs, p, "N")
+    if kind == "C_ell":
+        ell = _validate_ell(ell, cs.n)
+    report = _convergence(cs, p, kind)
     if not report.convergent:
         return _divergent_result(report)
-    if cs.m == 1:
+    if cs.m == 1 and (kind != "C" or cs.n == 1):
         z, residual = np.array([1.0]), 0.0
+        if kind == "C":
+            ell = np.array([1.0])
     else:
-        tables = _window_tables(cs, t, pp, with_gradient=False, quad_tol=quad_tol)
-        z, residual = _maximize_z(cs, tables, pp, sphere)
-    integral = _tau_integral(cs, t, pp, quad_tol, z)
-    pref = _solution_prefactor(cs.n, p, pp)
-    result = _window_result(pref, integral, pp, z, None, residual, report.exact)
-    return result
+        tables = _window_tables(cs, t, pp, with_gradient=kind != "N", quad_tol=quad_tol)
+        if kind == "C":
+            ell, z, residual = _maximize_ell_z(cs, tables, pp, sphere)
+        else:
+            factors = None
+            if ell is not None:
+                factors = np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
+            z, residual = _maximize_z(tables, pp, sphere, factors)
+    integral = _tau_integral(cs, t, pp, quad_tol, z, ell=ell)
+    if kind == "N":
+        pref = _solution_prefactor(cs.n, p, pp)
+    else:
+        pref = _gradient_prefactor(cs.n, p, pp)
+    return _window_result(pref, integral, pp, z, ell, residual, report.exact)
+
+
+def sharp_N(cs, p, t, quad_tol=DEFAULT_TOL, sphere=None) -> SharpResult:
+    """Sharp coefficient of |u(x,t)| <= N_p(t) ||source||_{p,t}."""
+    return _source_constant("N", cs, p, t, None, quad_tol, sphere)
 
 
 def sharp_C_ell(cs, p, t, ell, quad_tol=DEFAULT_TOL, sphere=None) -> SharpResult:
     """Sharp coefficient of |du/dell (x,t)| <= C_{p,ell}(t) ||source||_{p,t}."""
-    pp = holder_conjugate(p)
-    t = _validate_time(cs, t)
-    ell = _validate_ell(ell, cs.n)
-    report = _convergence(cs, p, "C")
-    if not report.convergent:
-        return _divergent_result(report)
-    if cs.m == 1:
-        z, residual = np.array([1.0]), 0.0
-    else:
-        tables = _window_tables(cs, t, pp, with_gradient=True, quad_tol=quad_tol)
-        ell_factors = np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
-        if pp == 2.0:
-            z, _ = _gram_maximizer(tables, ell_factors)
-            residual = 0.0
-        else:
-            settings = sphere or SphereSettings()
-            objective, gradient = _z_objective(tables, pp, ell_factors)
-            seeds = sphere_lattice(cs.m, settings.seeds_per_dim * cs.m)
-            vals = np.array([objective(s) for s in seeds])
-            z, _, residual = _polish_on_sphere(
-                objective, gradient, seeds[int(np.argmax(vals))], settings
-            )
-    integral = _tau_integral(cs, t, pp, quad_tol, z, ell=ell)
-    pref = _gradient_prefactor(cs.n, p, pp)
-    result = _window_result(pref, integral, pp, z, ell, residual, report.exact)
-    return result
-
-
-def _joint_polish(tables, pp, ell0, z0, settings):
-    w = tables.weights
-    exps = tables.exps
-    smats = tables.inv_sqrts
-
-    def split_value(ell, z):
-        a = np.linalg.norm(smats @ ell, axis=1) ** pp
-        b = np.linalg.norm(exps @ z, axis=1) ** pp
-        return float(np.dot(w, a * b))
-
-    ell = ell0 / np.linalg.norm(ell0)
-    z = z0 / np.linalg.norm(z0)
-    value = split_value(ell, z)
-    step = 0.5
-    residual = INF
-    for _ in range(settings.max_iter):
-        svec = smats @ ell
-        evec = exps @ z
-        smag = np.linalg.norm(svec, axis=1)
-        emag = np.linalg.norm(evec, axis=1)
-        coef_l = pp * w * smag ** (pp - 2.0) * emag**pp
-        coef_z = pp * w * smag**pp * emag ** (pp - 2.0)
-        g_l = _tangent_gradient(
-            np.einsum("k,kij,kj->i", coef_l, np.transpose(smats, (0, 2, 1)), svec), ell
-        )
-        g_z = _tangent_gradient(
-            np.einsum("k,kij,kj->i", coef_z, np.transpose(exps, (0, 2, 1)), evec), z
-        )
-        scale = max(abs(value), 1e-300)
-        residual = math.hypot(np.linalg.norm(g_l), np.linalg.norm(g_z)) / scale
-        if residual <= settings.rel_tol:
-            break
-        norm_g = max(math.hypot(np.linalg.norm(g_l), np.linalg.norm(g_z)), 1e-300)
-        moved = False
-        while step >= 1e-14:
-            ell_t = ell + step * g_l / norm_g
-            z_t = z + step * g_z / norm_g
-            ell_t /= np.linalg.norm(ell_t)
-            z_t /= np.linalg.norm(z_t)
-            trial = split_value(ell_t, z_t)
-            if trial > value:
-                ell, z, value = ell_t, z_t, trial
-                step *= 1.3
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return ell, z, residual
+    return _source_constant("C_ell", cs, p, t, ell, quad_tol, sphere)
 
 
 def sharp_C(cs, p, t, quad_tol=DEFAULT_TOL, sphere=None) -> SharpResult:
-    """max over unit directions of C_{p,ell}: joint search over both spheres.
-
-    The two maximizations do not separate because the direction factor under
-    the window integral depends on the source time.
-    """
-    pp = holder_conjugate(p)
-    t = _validate_time(cs, t)
-    report = _convergence(cs, p, "C")
-    if not report.convergent:
-        return _divergent_result(report)
-    settings = sphere or SphereSettings()
-    tables = _window_tables(cs, t, pp, with_gradient=True, quad_tol=quad_tol)
-    ell_seeds = sphere_lattice(cs.n, settings.seeds_per_dim * cs.n)
-    z_seeds = sphere_lattice(cs.m, settings.seeds_per_dim * cs.m)
-    a = np.linalg.norm(np.einsum("kij,sj->ksi", tables.inv_sqrts, ell_seeds), axis=2)
-    b = np.linalg.norm(np.einsum("kij,sj->ksi", tables.exps, z_seeds), axis=2)
-    grid = (tables.weights[:, None] * a**pp).T @ b**pp
-    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    if cs.n == 1 and cs.m == 1:
-        ell, z, residual = np.array([1.0]), np.array([1.0]), 0.0
-    else:
-        ell, z, residual = _joint_polish(
-            tables, pp, ell_seeds[i], z_seeds[j], settings
-        )
-    integral = _tau_integral(cs, t, pp, quad_tol, z, ell=ell)
-    pref = _gradient_prefactor(cs.n, p, pp)
-    return _window_result(pref, integral, pp, z, ell, residual, report.exact)
+    """max over unit directions of C_{p,ell}: joint search over both spheres."""
+    return _source_constant("C", cs, p, t, None, quad_tol, sphere)
 
 
 # ---------------------------------------------------------------------------

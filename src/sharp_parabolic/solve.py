@@ -8,7 +8,7 @@ singularity of the kernel ingredients.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,8 +81,7 @@ class GridFunction:
 
     def nodes(self):
         """All grid nodes, shape (N,)*n + (n,)."""
-        axes = [self.axis_nodes(i) for i in range(self.n)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return kernels.cell_grid(self.center, self.radius, self.points_per_axis)[0]
 
     def norm(self, p) -> float:
         """Discrete L^p norm (midpoint rule); p may be math.inf."""
@@ -150,16 +149,20 @@ def _check_coverage(phi, peak, std):
             "data grid does not cover the kernel's 8-sigma neighborhood; "
             "the convolution is truncated",
             CoverageWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def _convolve(acc, phi, x, gradient_ell=None):
-    pts = phi.nodes()
-    u = (np.asarray(x, dtype=float) - pts) + acc.ib
-    weight = kernels.gaussian_field(acc, u)
-    if gradient_ell is not None:
-        weight = weight * kernels.directional_weight(acc, u, gradient_ell)
+def _convolve(cs, phi, x, t, gradient_ell=None) -> SolveResult:
+    """Midpoint convolution of grid data against the kernel, or against its
+    derivative along ``gradient_ell``, with a coarse-grid error estimate."""
+    if phi.n != cs.n or phi.m != cs.m:
+        raise DomainError("grid dimensions do not match the coefficient set")
+    acc = cs.accumulated(0.0, t)
+    x = np.asarray(x, dtype=float)
+    _check_coverage(phi, x + acc.ib, kernels.kernel_std(acc))
+    u = (x - phi.nodes()) + acc.ib
+    weight = kernels.kernel_weight(acc, u, gradient_ell)
     flat_w = weight.reshape(-1)
     flat_v = phi.values.reshape(-1, phi.m)
     inner = flat_w @ flat_v
@@ -169,7 +172,7 @@ def _convolve(acc, phi, x, gradient_ell=None):
     cell = phi.spacing**phi.n
     fine = cell * (acc.exp_ic @ inner)
     coarse = (2.0**phi.n) * cell * (acc.exp_ic @ inner_coarse)
-    return fine, float(np.linalg.norm(fine - coarse))
+    return SolveResult(value=fine, error_estimate=float(np.linalg.norm(fine - coarse)))
 
 
 def _check_time(cs, t):
@@ -183,63 +186,52 @@ def _check_time(cs, t):
 
 def solve_homogeneous(cs, phi: GridFunction, x, t, tol=DEFAULT_TOL) -> SolveResult:
     """u(x, t) for initial data phi: midpoint convolution against the kernel."""
-    t = _check_time(cs, t)
-    if phi.n != cs.n or phi.m != cs.m:
-        raise DomainError("grid dimensions do not match the coefficient set")
-    acc = cs.accumulated(0.0, t, tol)
-    _check_coverage(phi, np.asarray(x, dtype=float) + acc.ib, kernels.kernel_std(acc))
-    value, err = _convolve(acc, phi, x)
-    return SolveResult(value=value, error_estimate=err)
+    return _convolve(cs, phi, x, _check_time(cs, t))
 
 
-def _slice_grid(cs, acc, x, settings):
-    # Per-axis radii from the marginal deviations sqrt(2 ia_ii).
-    stds = np.sqrt(2.0 * np.diag(acc.ia))
-    center = np.asarray(x, dtype=float) + acc.ib
-    radii = settings.truncation_sigmas * stds
-    pts = settings.grid_points
-    spacings = 2.0 * radii / pts
-    axes = [
-        center[i] - radii[i] + (np.arange(pts) + 0.5) * spacings[i]
-        for i in range(cs.n)
-    ]
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return nodes, float(np.prod(spacings))
+def _source_slices(cs, x, t, settings):
+    """Midpoint slices in sigma = sqrt(t - tau), each on its own cell grid.
+
+    Yields (time weight, tau, window integrals, grid nodes, cell volume).
+    """
+    d_sigma = math.sqrt(t) / settings.sigma_slices
+    sigmas = ((np.arange(settings.sigma_slices) + 0.5) * d_sigma).tolist()
+    for sigma, acc in zip(sigmas, cs.windows(t, np.square(sigmas))):
+        nodes, spacings, _ = kernels.slice_grid(
+            acc, x, settings.truncation_sigmas, settings.grid_points
+        )
+        cell = float(np.prod(spacings))
+        yield 2.0 * sigma * d_sigma, t - sigma * sigma, acc, nodes, cell
 
 
-def _source_quadrature(cs, f, x, t, settings, tol, gradient_ell=None):
-    slices = settings.sigma_slices
-    d_sigma = math.sqrt(t) / slices
+def _source_quadrature(cs, f, x, t, settings, gradient_ell=None):
     x = np.asarray(x, dtype=float)
     total = np.zeros(cs.m)
-    sigmas = ((np.arange(slices) + 0.5) * d_sigma).tolist()
-    for sigma, acc in zip(sigmas, cs.windows(t, np.square(sigmas))):
-        tau = t - sigma * sigma
-        nodes, cell = _slice_grid(cs, acc, x, settings)
-        u = (x - nodes) + acc.ib
-        weight = kernels.gaussian_field(acc, u)
-        if gradient_ell is not None:
-            weight = weight * kernels.directional_weight(acc, u, gradient_ell)
-        vals = f(nodes, tau)
-        inner = weight.reshape(-1) @ vals.reshape(-1, cs.m)
-        total = total + (2.0 * sigma * d_sigma) * cell * (acc.exp_ic @ inner)
+    for time_w, tau, acc, nodes, cell in _source_slices(cs, x, t, settings):
+        weight = kernels.kernel_weight(acc, (x - nodes) + acc.ib, gradient_ell)
+        inner = weight.reshape(-1) @ f(nodes, tau).reshape(-1, cs.m)
+        total = total + time_w * cell * (acc.exp_ic @ inner)
     return total
+
+
+def _source_solution(cs, f, x, t, settings, gradient_ell=None) -> SolveResult:
+    """Source quadrature with its error estimate against a coarser pass."""
+    settings = settings or SolveSettings()
+    value = _source_quadrature(cs, f, x, t, settings, gradient_ell)
+    coarse_settings = replace(
+        settings,
+        sigma_slices=max(2, settings.sigma_slices // 2),
+        grid_points=_halve_odd(settings.grid_points),
+    )
+    coarse = _source_quadrature(cs, f, x, t, coarse_settings, gradient_ell)
+    return SolveResult(value=value, error_estimate=float(np.linalg.norm(value - coarse)))
 
 
 def solve_nonhomogeneous(
     cs, f: SourceFunction, x, t, settings=None, tol=DEFAULT_TOL
 ) -> SolveResult:
     """u(x, t) for source f and zero initial data, by tensor quadrature."""
-    settings = settings or SolveSettings()
-    t = _check_time(cs, t)
-    value = _source_quadrature(cs, f, x, t, settings, tol)
-    coarse_settings = SolveSettings(
-        sigma_slices=max(2, settings.sigma_slices // 2),
-        grid_points=_halve_odd(settings.grid_points),
-        truncation_sigmas=settings.truncation_sigmas,
-    )
-    coarse = _source_quadrature(cs, f, x, t, coarse_settings, tol)
-    return SolveResult(value=value, error_estimate=float(np.linalg.norm(value - coarse)))
+    return _source_solution(cs, f, x, _check_time(cs, t), settings)
 
 
 def _halve_odd(points):
@@ -260,26 +252,9 @@ def directional_derivative(
         raise DomainError("direction ell must be a unit vector")
     t = _check_time(cs, t)
     if problem == "homogeneous":
-        acc = cs.accumulated(0.0, t, tol)
-        _check_coverage(
-            data, np.asarray(x, dtype=float) + acc.ib, kernels.kernel_std(acc)
-        )
-        value, err = _convolve(acc, data, x, gradient_ell=ell)
-        return SolveResult(value=value, error_estimate=err)
+        return _convolve(cs, data, x, t, gradient_ell=ell)
     if problem == "nonhomogeneous":
-        settings = settings or SolveSettings()
-        value = _source_quadrature(cs, data, x, t, settings, tol, gradient_ell=ell)
-        coarse_settings = SolveSettings(
-            sigma_slices=max(2, settings.sigma_slices // 2),
-            grid_points=_halve_odd(settings.grid_points),
-            truncation_sigmas=settings.truncation_sigmas,
-        )
-        coarse = _source_quadrature(
-            cs, data, x, t, coarse_settings, tol, gradient_ell=ell
-        )
-        return SolveResult(
-            value=value, error_estimate=float(np.linalg.norm(value - coarse))
-        )
+        return _source_solution(cs, data, x, t, settings, gradient_ell=ell)
     raise DomainError(f"unknown problem kind {problem!r}")
 
 
@@ -290,20 +265,15 @@ def spacetime_norm(cs, f: SourceFunction, x, t, p, settings=None, tol=DEFAULT_TO
     the pointwise bounds, exact on the grid.
     """
     settings = settings or SolveSettings()
-    t = float(t)
-    slices = settings.sigma_slices
-    d_sigma = math.sqrt(t) / slices
+    t = _check_time(cs, t)
     acc_p = 0.0
     sup = 0.0
-    sigmas = ((np.arange(slices) + 0.5) * d_sigma).tolist()
-    for sigma, acc in zip(sigmas, cs.windows(t, np.square(sigmas))):
-        tau = t - sigma * sigma
-        nodes, cell = _slice_grid(cs, acc, x, settings)
+    for time_w, tau, _, nodes, cell in _source_slices(cs, x, t, settings):
         mags = np.linalg.norm(f(nodes, tau), axis=-1)
         if math.isinf(p):
             sup = max(sup, float(np.max(mags)))
         else:
-            acc_p += (2.0 * sigma * d_sigma) * cell * float(np.sum(mags**p))
+            acc_p += time_w * cell * float(np.sum(mags**p))
     if math.isinf(p):
         return sup
     return acc_p ** (1.0 / p)

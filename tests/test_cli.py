@@ -195,6 +195,34 @@ def test_tabulated_ingestion(tmp_path):
     assert float(got[0]["ia_11"]) == pytest.approx(1.5, rel=1e-9)
 
 
+def test_tabulated_files_fill_A_b_and_C(tmp_path):
+    (tmp_path / "a.csv").write_text(
+        "t,entry_11,entry_12,entry_22\n0,2,0.5,3\n1,2,0.5,3\n"
+    )
+    (tmp_path / "b.csv").write_text("t,b_1,b_2\n0,0.1,0.2\n1,0.1,0.2\n")
+    (tmp_path / "c.csv").write_text(
+        "t,entry_11,entry_12,entry_21,entry_22\n0,1,2,3,4\n1,1,2,3,4\n"
+    )
+    body = base_config("coeffs", {"windows": [[0.0, 1.0]]}, n=2, m=2)
+    for name in ("A", "b", "C"):
+        body["coefficients"][name] = {
+            "preset": "tabulated", "path": f"{name.lower()}.csv"
+        }
+    cs = load_config(write_config(tmp_path, body)).coefficient_set
+    np.testing.assert_array_equal(cs.A(0.5), [[2.0, 0.5], [0.5, 3.0]])
+    np.testing.assert_array_equal(cs.b(0.5), [0.1, 0.2])
+    np.testing.assert_array_equal(cs.C(0.5), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_tabulated_A_negative_at_a_sample_time_exits_2(tmp_path):
+    (tmp_path / "a.csv").write_text(
+        "t,entry_11\n0,1\n0.299,1\n0.3,-1\n0.301,1\n1,1\n"
+    )
+    body = base_config("coeffs", {"windows": [[0.0, 1.0]]})
+    body["coefficients"]["A"] = {"preset": "tabulated", "path": "a.csv"}
+    assert main(["coeffs", "--config", write_config(tmp_path, body)]) == 2
+
+
 def test_missing_tabulated_file_exits_2(tmp_path, capsys):
     body = base_config("coeffs", {"windows": [[0.0, 1.0]]})
     body["coefficients"]["A"] = {"preset": "tabulated", "path": "nope.csv"}

@@ -108,6 +108,14 @@ def test_construction_rejects_indefinite_A():
         sp.coefficient_set(n=1, m=1, T=1.0, A=a)
 
 
+def test_construction_checks_tabulated_A_at_every_sample_time():
+    # A(0.3) = -1 lies between the points of the 33-probe grid
+    times = np.array([0.0, 0.299, 0.3, 0.301, 1.0])
+    values = np.array([1.0, 1.0, -1.0, 1.0, 1.0]).reshape(-1, 1, 1)
+    with pytest.raises(NotPositiveDefinite):
+        sp.coefficient_set(n=1, m=1, T=1.0, A=sp.Tabulated(times, values))
+
+
 def test_window_scaling_exponents_constant():
     assert sp.window_scaling_exponents(
         sp.coefficient_set(n=2, m=1, T=1.0), 1.0

@@ -5,6 +5,7 @@ import pytest
 
 import sharp_parabolic as sp
 from sharp_parabolic import kernels
+from sharp_parabolic.solve import GridFunction
 
 PEAK = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -205,3 +206,16 @@ def test_chapman_kolmogorov_constant_coupling():
     composed = np.trapezoid(np.matmul(left, right), ys[:, 0], axis=0)
     direct = sp.eval_P(cs, x - w, t, tau).matrix
     np.testing.assert_allclose(composed, direct, atol=1e-6 * np.max(np.abs(direct)))
+
+
+def test_cell_grid_matches_axis_nodes():
+    gf = GridFunction(
+        center=[0.3, -1.2, 2.0], radius=1.7, values=np.zeros((5, 5, 5, 1))
+    )
+    nodes, spacings = kernels.cell_grid(gf.center, gf.radius, gf.points_per_axis)
+    assert nodes.shape == (5, 5, 5, 3)
+    for axis in range(3):
+        line = [2, 2, 2]
+        line[axis] = slice(None)
+        np.testing.assert_array_equal(nodes[tuple(line) + (axis,)], gf.axis_nodes(axis))
+    np.testing.assert_array_equal(spacings, np.full(3, gf.spacing))

@@ -83,6 +83,23 @@ def test_spd_rejects_near_singular():
         matfun.spd_inv_sqrt(np.diag([1.0, 1e-15]))
 
 
+def test_spd_roots_stack_matches_single_roots():
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((6, 3, 3))
+    stack = g @ np.swapaxes(g, -1, -2) + 0.1 * np.eye(3)
+    stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
+    eig, root, inv_root, inv = matfun.spd_roots(stack)
+    for k in range(stack.shape[0]):
+        np.testing.assert_array_equal(root[k], matfun.spd_sqrt(stack[k]))
+        np.testing.assert_array_equal(inv_root[k], matfun.spd_inv_sqrt(stack[k]))
+        np.testing.assert_allclose(inv[k] @ stack[k], np.eye(3), atol=1e-10)
+        assert np.all(np.diff(eig[k]) <= 0.0)
+    stack[4] = np.diag([1.0, -0.5, 2.0])
+    with pytest.raises(NotPositiveDefinite) as err:
+        matfun.spd_roots(stack)
+    assert err.value.eigenvalue == pytest.approx(-0.5)
+
+
 def test_spectral_norm_examples():
     value, z = matfun.spectral_norm(np.diag([3.0, -4.0]))
     assert value == pytest.approx(4.0)

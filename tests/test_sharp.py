@@ -232,6 +232,31 @@ def test_gram_route_matches_direct_search():
     ) < 1e-4
 
 
+def test_polish_on_product_of_spheres_reaches_top_singular_value():
+    # f(ell, z) = (ell^T M z)^2 peaks at sigma_max(M)^2 on S^1 x S^1. The
+    # ascent accepts a step only when f rises, which it stops doing visibly
+    # once the residual nears sqrt(eps) ~ 1.5e-8; ask for a tolerance above that.
+    m = np.array([[2.0, 1.0], [0.5, -1.5]])
+    settings = sp.SphereSettings(rel_tol=1e-7)
+
+    def objective(ell, z):
+        return float(ell @ m @ z) ** 2
+
+    def gradient(ell, z):
+        inner = float(ell @ m @ z)
+        return 2.0 * inner * (m @ z), 2.0 * inner * (m.T @ ell)
+
+    start = (np.array([1.0, 0.2]), np.array([0.3, 1.0]))
+    (ell, z), value, residual = sharp._polish_on_sphere(
+        objective, gradient, start, settings
+    )
+    sigma_max = np.linalg.svd(m, compute_uv=False)[0]
+    assert value == pytest.approx(sigma_max**2, rel=1e-12)
+    assert residual <= settings.rel_tol
+    assert np.linalg.norm(ell) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_radial_gauss_identity_by_quadrature():
     for n in (1, 2, 3):
         for pp in (1.0, 2.0, 4.0):

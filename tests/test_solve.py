@@ -205,6 +205,14 @@ def test_spacetime_norm_sup():
     assert spacetime_norm(cs, f, np.zeros(1), 1.0, INF) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("t", [-0.5, 0.0, 2.0])
+def test_spacetime_norm_rejects_times_outside_the_horizon(t):
+    cs = heat(T=1.0)
+    f = SourceFunction(lambda pts, tau: np.ones(pts.shape[:-1] + (1,)))
+    with pytest.raises(DomainError):
+        spacetime_norm(cs, f, np.zeros(1), t, 2.0)
+
+
 def test_initial_trace_recovered_as_t_shrinks():
     # u(., t) -> phi in the discrete L2 sense along t = 4^{-k}
     cs = heat(T=1.0)
