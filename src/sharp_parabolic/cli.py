@@ -139,9 +139,9 @@ def cmd_kernel(cfg, threads):
     def evaluate(task):
         x, t, tau = task
         if tau is None:
-            kv = kernels.eval_G(cfg.coefficient_set, x, t, tol=cfg.numerics.quad_tol)
+            kv = kernels.eval_G(cfg.coefficient_set, x, t)
         else:
-            kv = kernels.eval_P(cfg.coefficient_set, x, t, tau, tol=cfg.numerics.quad_tol)
+            kv = kernels.eval_P(cfg.coefficient_set, x, t, tau)
         return (
             list(x)
             + [t, tau, kv.scalar_part]
@@ -230,7 +230,7 @@ def cmd_solve(cfg, threads):
     fn, bound = _data_callable(data_block, cfg.n)
 
     t_max = max(ts)
-    acc = cs.accumulated(0.0, t_max, cfg.numerics.quad_tol)
+    acc = cs.accumulated(0.0, t_max)
     std = kernels.kernel_std(acc)
     if problem == "homogeneous":
         radius = float(
@@ -245,37 +245,28 @@ def cmd_solve(cfg, threads):
         if phi.m != cfg.m:
             raise ConfigError("request.data produces the wrong number of components")
         norm = phi.norm(p)
+        data, kind = phi, ("H" if ell is None else "K_ell")
     else:
         source = SourceFunction(evaluator=lambda pts, tau: fn(pts), bound=bound)
+        data, kind = source, ("N" if ell is None else "C_ell")
 
     def evaluate(task):
         x, t = task
+        if ell is not None:
+            res = solve.directional_derivative(
+                cs, problem, data, x, t, ell, settings=settings
+            )
+        elif problem == "homogeneous":
+            res = solve.solve_homogeneous(cs, phi, x, t)
+        else:
+            res = solve.solve_nonhomogeneous(cs, source, x, t, settings=settings)
+        request = sharp.SharpRequest(
+            kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics.quad_tol
+        )
+        coef = sharp.evaluate_sharp(cs, request).value
         if problem == "homogeneous":
-            if ell is None:
-                res = solve.solve_homogeneous(cs, phi, x, t, tol=cfg.numerics.quad_tol)
-                coef = sharp.sharp_H(cs, p, t, quad_tol=cfg.numerics.quad_tol).value
-            else:
-                res = solve.directional_derivative(
-                    cs, problem, phi, x, t, ell, tol=cfg.numerics.quad_tol
-                )
-                coef = sharp.sharp_K_ell(
-                    cs, p, t, ell, quad_tol=cfg.numerics.quad_tol
-                ).value
             data_norm = norm
         else:
-            if ell is None:
-                res = solve.solve_nonhomogeneous(
-                    cs, source, x, t, settings=settings, tol=cfg.numerics.quad_tol
-                )
-                coef = sharp.sharp_N(cs, p, t, quad_tol=cfg.numerics.quad_tol).value
-            else:
-                res = solve.directional_derivative(
-                    cs, problem, source, x, t, ell,
-                    settings=settings, tol=cfg.numerics.quad_tol,
-                )
-                coef = sharp.sharp_C_ell(
-                    cs, p, t, ell, quad_tol=cfg.numerics.quad_tol
-                ).value
             data_norm = solve.spacetime_norm(cs, source, x, t, p, settings=settings)
         bound_val = coef * data_norm
         mag = float(np.linalg.norm(res.value))

@@ -19,8 +19,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import matfun
-from .errors import DomainError, InconclusiveEstimate, NotPositiveDefinite
-from .quadrature import DEFAULT_TOL
+from .errors import DomainError, NotPositiveDefinite
 from .quadrature import adaptive_quadrature  # noqa: F401  (wrapped by bench/tracer.py)
 
 # Fraction of T below which a window (t - tau) counts as degenerate.
@@ -32,7 +31,6 @@ WINDOW_CACHE_SIZE = 4096
 _ROUNDING_ULPS = 64
 
 _SPD_PROBE_POINTS = 33
-_LADDER_WINDOWS = 8
 
 
 def _column(v, ndim):
@@ -278,11 +276,8 @@ class CoefficientSet:
                     w[0], 0.0, f"A({t:g}) is not positive definite"
                 )
 
-    def accumulated(self, tau, t, tol=DEFAULT_TOL) -> AccumulatedIntegrals:
-        """Cached window integrals for [tau, t], keyed by (t, t - tau).
-
-        ``tol`` is accepted for compatibility and ignored: windows are exact.
-        """
+    def accumulated(self, tau, t) -> AccumulatedIntegrals:
+        """Cached window integrals for [tau, t], keyed by (t, t - tau)."""
         return self.window(t, window_length(self, tau, t))
 
     def window(self, t, w) -> AccumulatedIntegrals:
@@ -298,20 +293,18 @@ class CoefficientSet:
         w = np.asarray(w, dtype=float).reshape(-1)
         t = np.broadcast_to(np.asarray(t, dtype=float), w.shape)
         keys = list(zip(t.tolist(), w.tolist()))
+        # computed under the lock, so threads that miss on the same window
+        # compute it once
         with self._lock:
-            found = {k: self._cache[k] for k in keys if k in self._cache}
+            missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
+            if missing:
+                mt, mw = np.array(missing).T
+                self._cache.update(zip(missing, integrate_windows(self, mt, mw)))
+            found = {k: self._cache[k] for k in keys}
             for k in found:
                 self._cache.move_to_end(k)
-        missing = list(dict.fromkeys(k for k in keys if k not in found))
-        if missing:
-            mt, mw = np.array(missing).T
-            computed = integrate_windows(self, mt, mw)
-            with self._lock:
-                for k, acc in zip(missing, computed):
-                    found[k] = self._cache.setdefault(k, acc)
-                    self._cache.move_to_end(k)
-                while len(self._cache) > WINDOW_CACHE_SIZE:
-                    self._cache.popitem(last=False)
+            while len(self._cache) > WINDOW_CACHE_SIZE:
+                self._cache.popitem(last=False)
         return [found[k] for k in keys]
 
 
@@ -363,11 +356,11 @@ def window_length(cs, tau, t) -> float:
     return t - tau
 
 
-def integrate_coefficients(cs, tau, t, tol=DEFAULT_TOL) -> AccumulatedIntegrals:
+def integrate_coefficients(cs, tau, t) -> AccumulatedIntegrals:
     """Closed-form window integrals of (A, b, C) over [tau, t].
 
-    ``tol`` is accepted for compatibility and ignored. Raises the errors of
-    integrate_windows, and DomainError unless 0 <= tau < t <= T.
+    Raises the errors of integrate_windows, and DomainError unless
+    0 <= tau < t <= T.
     """
     return integrate_windows(cs, float(t), [window_length(cs, tau, t)])[0]
 
@@ -426,50 +419,26 @@ def integrate_windows(cs, t, w) -> list:
     ]
 
 
-def window_scaling_exponents(cs, t, tol=DEFAULT_TOL):
+def window_scaling_exponents(cs, t):
     """Power-law exponents of the kernel ingredients as the window shrinks.
 
-    Returns ``(kernel_exponent, gradient_exponent)`` such that, as tau -> t,
-    ``det ia_sqrt(t, tau) ~ (t - tau)^kernel_exponent`` and
-    ``|ia_inv_sqrt(t, tau)| ~ (t - tau)^(-gradient_exponent)``.
-
-    Exact (n/2, 1/2) for constant A; otherwise a log-log least-squares fit
-    over a geometric ladder of windows, raising InconclusiveEstimate when the
-    fit does not look like a power law.
+    Deprecated: the exponents are exactly ``(n/2, 1/2)`` for every preset.
+    As tau -> t, ``det ia_sqrt(t, tau) ~ (t - tau)^(n/2)`` and
+    ``|ia_inv_sqrt(t, tau)| ~ (t - tau)^(-1/2)``, because the window integral
+    of a continuous SPD A is ``(t - tau) A(t) + o(t - tau)``; they do not
+    depend on ``t``.
     """
-    if cs.A.is_constant:
-        return 0.5 * cs.n, 0.5
-    t = float(t)
-    if not 0.0 < t <= cs.T:
-        raise DomainError(f"t={t:g} outside (0, T]")
-    widths = t * 2.0 ** -(np.arange(_LADDER_WINDOWS) + 3.0)
-    log_det = []
-    log_grad = []
-    for acc in cs.windows(t, widths):
-        norm_inv_sqrt = 1.0 / np.sqrt(acc.ia_eigenvalues[-1])
-        log_det.append(np.log(acc.det_ia_sqrt))
-        log_grad.append(np.log(norm_inv_sqrt))
-    log_h = np.log(widths)
-    design = np.stack([log_h, np.ones_like(log_h)], axis=1)
-    (k_slope, _), res_k, _, _ = np.linalg.lstsq(design, np.asarray(log_det), rcond=None)
-    (g_slope, _), res_g, _, _ = np.linalg.lstsq(design, np.asarray(log_grad), rcond=None)
-    misfit = max(float(res_k[0]) if res_k.size else 0.0,
-                 float(res_g[0]) if res_g.size else 0.0)
-    if not np.isfinite(k_slope) or not np.isfinite(g_slope) or misfit > 1e-2:
-        raise InconclusiveEstimate(
-            f"log-log fit residual {misfit:.3g}; scaling exponents unreliable"
-        )
-    return float(k_slope), float(-g_slope)
+    return 0.5 * cs.n, 0.5
 
 
-def commutation_defect(cs, t, tol=DEFAULT_TOL) -> float:
+def commutation_defect(cs, t) -> float:
     """Spectral norm of C(t) int_C(t,0) - int_C(t,0) C(t).
 
     Zero when C commutes with its own running integral (constant C, or
     mutually commuting values), which is when the exponential-substitution
     form of the kernels is classically valid.
     """
-    acc = cs.accumulated(0.0, t, tol)
+    acc = cs.accumulated(0.0, t)
     c = np.asarray(cs.C(t), dtype=float)
     defect = c @ acc.ic - acc.ic @ c
     value, _ = matfun.spectral_norm(defect)

@@ -44,7 +44,11 @@ class EigenFailure(ArithmeticError):
 
 
 class InconclusiveEstimate(RuntimeError):
-    """A numerical estimate (e.g. a scaling-exponent fit) could not be trusted."""
+    """A numerical estimate could not be trusted.
+
+    Deprecated: nothing in the package raises it since the convergence
+    thresholds are exact.
+    """
 
 
 class TruncationError(RuntimeError):

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_TOL
-
 # Below this log value the Gaussian factor is returned as exact zero.
 LOG_UNDERFLOW = -745.0
 
@@ -99,24 +97,24 @@ def _kernel_gradient(acc, x):
     ]
 
 
-def eval_G(cs, x, t, tol=DEFAULT_TOL) -> KernelValue:
+def eval_G(cs, x, t) -> KernelValue:
     """Initial-value kernel G(x, t) for t > 0."""
-    return _kernel_value(cs.accumulated(0.0, t, tol), x)
+    return _kernel_value(cs.accumulated(0.0, t), x)
 
 
-def eval_grad_G(cs, x, t, tol=DEFAULT_TOL):
+def eval_grad_G(cs, x, t):
     """Spatial gradient of G: component j is -(1/2){ia_inv (x + int_b)}_j G."""
-    return _kernel_gradient(cs.accumulated(0.0, t, tol), x)
+    return _kernel_gradient(cs.accumulated(0.0, t), x)
 
 
-def eval_P(cs, x, t, tau, tol=DEFAULT_TOL) -> KernelValue:
+def eval_P(cs, x, t, tau) -> KernelValue:
     """Source kernel P(x, t, tau) for 0 <= tau < t; P(., t, 0) == G(., t)."""
-    return _kernel_value(cs.accumulated(tau, t, tol), x)
+    return _kernel_value(cs.accumulated(tau, t), x)
 
 
-def eval_grad_P(cs, x, t, tau, tol=DEFAULT_TOL):
+def eval_grad_P(cs, x, t, tau):
     """Spatial gradient of P, window analogue of eval_grad_G."""
-    return _kernel_gradient(cs.accumulated(tau, t, tol), x)
+    return _kernel_gradient(cs.accumulated(tau, t), x)
 
 
 def kernel_std(acc) -> float:

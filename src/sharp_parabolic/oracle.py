@@ -15,11 +15,12 @@ import numpy as np
 
 from . import kernels, sharp
 from .errors import DomainError, TruncationError
-from .quadrature import DEFAULT_TOL
 from .solve import GridFunction, SolveSettings, directional_derivative, solve_homogeneous
 
 HOMOGENEOUS_KINDS = ("H", "K")
 SOURCE_KINDS = ("N", "C")
+# The sharp constant that bounds each operator kind; K and C take its ell.
+SHARP_KINDS = {"H": "H", "K": "K_ell", "N": "N", "C": "C_ell"}
 
 
 @dataclass(frozen=True)
@@ -175,17 +176,7 @@ def _z_max(weights, exps_t, pp, m, settings=None):
 
         gradient = None
     else:
-
-        def objective(z):
-            return float(np.dot(weights, np.linalg.norm(exps_t @ z, axis=1) ** pp))
-
-        def gradient(z):
-            vecs = exps_t @ z
-            mags = np.linalg.norm(vecs, axis=1)
-            coef = pp * weights * mags ** (pp - 2.0)
-            return np.einsum(
-                "k,kij,kj->i", coef, np.transpose(exps_t, (0, 2, 1)), vecs
-            )
+        objective, gradient = sharp._z_objective(weights, exps_t, pp)
 
     if m == 1:
         z = np.array([1.0])
@@ -193,14 +184,13 @@ def _z_max(weights, exps_t, pp, m, settings=None):
     return sharp.sphere_max(objective, m, settings, gradient=gradient)
 
 
-def opnorm_bruteforce(spec: IntegralOperatorSpec, endpoint_gap=0.0, rel_tol=1e-6,
-                      tol=DEFAULT_TOL):
+def opnorm_bruteforce(spec: IntegralOperatorSpec, endpoint_gap=0.0, rel_tol=1e-6):
     """Operator norm of the solution functional by grid quadrature.
 
     For the source kinds a positive ``endpoint_gap`` truncates the time
     integral to tau <= t - gap, which is how divergent cases are probed.
     Raises TruncationError when the spatial tail bound exceeds ``rel_tol``
-    of the computed value. ``tol`` is accepted and ignored: windows are exact.
+    of the computed value.
     """
     pp = sharp.holder_conjugate(spec.p)
     weights, exps_t, tails = _collect(
@@ -241,7 +231,7 @@ def _odd(k):
 def _transposed_kernel_field(spec, z, resolution):
     # The extremal lives on a cubic grid (a GridFunction), sized by the
     # largest principal deviation.
-    acc = spec.cs.accumulated(0.0, spec.t, DEFAULT_TOL)
+    acc = spec.cs.accumulated(0.0, spec.t)
     center = spec.x + acc.ib
     radius = spec.truncation_radius * kernels.kernel_std(acc)
     nodes, _ = kernels.cell_grid(center, radius, resolution)
@@ -290,7 +280,7 @@ def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
     elif mode == "sign-aligned":
         sign = np.zeros_like(field)
         sign[nonzero] = field[nonzero] / mags[nonzero][..., None]
-        acc = spec.cs.accumulated(0.0, spec.t, DEFAULT_TOL)
+        acc = spec.cs.accumulated(0.0, spec.t)
         if profile is None:
             profile = _default_profile(center, kernels.kernel_std(acc) / 8.0)
         values = sign * np.asarray(profile(nodes), dtype=float)[..., None]
@@ -304,10 +294,16 @@ def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
     return ExtremalInput(mode=mode, z=z, samples=gf)
 
 
-def _sharp_value(spec):
-    if spec.kind == "H":
-        return sharp.sharp_H(spec.cs, spec.p, spec.t).value
-    return sharp.sharp_K_ell(spec.cs, spec.p, spec.t, spec.ell).value
+def sharp_value(spec, **options) -> float:
+    """The sharp constant that bounds the functional of ``spec``.
+
+    ``spec`` is an IntegralOperatorSpec or has the same kind, cs, p, t and
+    ell; ``options`` are the SharpRequest fields quad_tol and sphere.
+    """
+    request = sharp.SharpRequest(
+        kind=SHARP_KINDS[spec.kind], p=spec.p, t=spec.t, ell=spec.ell, **options
+    )
+    return sharp.evaluate_sharp(spec.cs, request).value
 
 
 def _achieved(spec, data):
@@ -325,7 +321,7 @@ def saturation_ratio(spec, extremal: ExtremalInput, refine=True) -> SaturationRe
     coefficient times the discrete input norm; approaches 1 from below for
     the extremal constructions as the grid refines.
     """
-    bound = _sharp_value(spec)
+    bound = sharp_value(spec)
     ratio = _one_ratio(spec, extremal.samples, bound)
     refined = None
     if refine:

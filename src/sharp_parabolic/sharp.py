@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matfun
-from .coeffs import WINDOW_FLOOR, window_scaling_exponents
+from .coeffs import WINDOW_FLOOR
+from .coeffs import window_scaling_exponents  # noqa: F401  (wrapped by bench/tracer.py)
 from .errors import DomainError
 from .quadrature import DEFAULT_TOL, QuadResult, adaptive_quadrature, panel_nodes
 
@@ -155,7 +156,6 @@ def sphere_max(objective, dim, settings=None, gradient=None):
 class SharpDiagnostics:
     quad_error: float = 0.0
     search_residual: float = 0.0
-    threshold_exact: bool = True
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,13 @@ class SharpRequest:
 
 def evaluate_sharp(cs, request: SharpRequest) -> SharpResult:
     """Dispatch a SharpRequest to the matching coefficient function."""
-    kw = dict(quad_tol=request.quad_tol)
     if request.kind == "H":
-        return sharp_H(cs, request.p, request.t, **kw)
+        return sharp_H(cs, request.p, request.t)
     if request.kind == "K_ell":
-        return sharp_K_ell(cs, request.p, request.t, request.ell, **kw)
+        return sharp_K_ell(cs, request.p, request.t, request.ell)
     if request.kind == "K":
-        return sharp_K(cs, request.p, request.t, **kw)
-    kw["sphere"] = request.sphere
+        return sharp_K(cs, request.p, request.t)
+    kw = dict(quad_tol=request.quad_tol, sphere=request.sphere)
     if request.kind == "N":
         return sharp_N(cs, request.p, request.t, **kw)
     if request.kind == "C_ell":
@@ -246,15 +245,17 @@ def _gamma_bracket(n, pp):
     )
 
 
-def _gradient_prefactor(n, p, pp):
-    """1 / {2^n pi^((n+p-1)/2)}^(1/p) times the Gamma bracket.
+def _gradient_prefactor(n, p, pp, log_det=0.0):
+    """1 / {2^n pi^((n+p-1)/2) det}^(1/p) times the Gamma bracket.
 
     The p=infinity limit of the pi factor is 1/sqrt(pi) and is hard-coded;
     naive exponent arithmetic at p=infinity would silently drop it.
     """
     if math.isinf(p):
         return 1.0 / math.sqrt(math.pi)
-    log_denom = (n * math.log(2.0) + 0.5 * (n + p - 1.0) * math.log(math.pi)) / p
+    log_denom = (
+        n * math.log(2.0) + 0.5 * (n + p - 1.0) * math.log(math.pi) + log_det
+    ) / p
     return math.exp(-log_denom) * _gamma_bracket(n, pp)
 
 
@@ -269,46 +270,11 @@ def _solution_prefactor(n, p, pp, log_det=0.0):
 # initial-value constants (single window [0, t])
 
 
-def sharp_H(cs, p, t, quad_tol=DEFAULT_TOL) -> SharpResult:
-    """Sharp coefficient of |u(x,t)| <= H_p(t) ||initial data||_p."""
-    pp = holder_conjugate(p)
-    t = _validate_time(cs, t)
-    acc = cs.accumulated(0.0, t, quad_tol)
+def _initial_value_result(acc, factor, pref, ell) -> SharpResult:
+    """H or K on the window [0, t]: factor * |exp_ic_star| * prefactor."""
     norm, z = matfun.spectral_norm(acc.exp_ic_star)
-    value = norm * _solution_prefactor(
-        cs.n, p, pp, log_det=math.log(acc.det_ia_sqrt)
-    )
     return SharpResult(
-        value=float(value),
-        maximizer_z=z,
-        maximizer_ell=None,
-        convergent=True,
-        diagnostics=SharpDiagnostics(quad_error=acc.quad_error),
-    )
-
-
-def _k_value(cs, acc, p, pp, direction_factor):
-    norm, z = matfun.spectral_norm(acc.exp_ic_star)
-    base = direction_factor * norm
-    if math.isinf(p):
-        return base / math.sqrt(math.pi), z
-    log_denom = (
-        cs.n * math.log(2.0)
-        + 0.5 * (cs.n + p - 1.0) * math.log(math.pi)
-        + math.log(acc.det_ia_sqrt)
-    ) / p
-    return base * math.exp(-log_denom) * _gamma_bracket(cs.n, pp), z
-
-
-def sharp_K_ell(cs, p, t, ell, quad_tol=DEFAULT_TOL) -> SharpResult:
-    """Sharp coefficient of |du/dell (x,t)| <= K_{p,ell}(t) ||initial data||_p."""
-    pp = holder_conjugate(p)
-    t = _validate_time(cs, t)
-    ell = _validate_ell(ell, cs.n)
-    acc = cs.accumulated(0.0, t, quad_tol)
-    value, z = _k_value(cs, acc, p, pp, float(np.linalg.norm(acc.ia_inv_sqrt @ ell)))
-    return SharpResult(
-        value=value,
+        value=float(factor * norm * pref),
         maximizer_z=z,
         maximizer_ell=ell,
         convergent=True,
@@ -316,59 +282,59 @@ def sharp_K_ell(cs, p, t, ell, quad_tol=DEFAULT_TOL) -> SharpResult:
     )
 
 
-def sharp_K(cs, p, t, quad_tol=DEFAULT_TOL) -> SharpResult:
-    """max over unit directions of K_{p,ell}: uses the norm of ia_inv_sqrt."""
+def sharp_H(cs, p, t) -> SharpResult:
+    """Sharp coefficient of |u(x,t)| <= H_p(t) ||initial data||_p."""
+    pp = holder_conjugate(p)
+    acc = cs.accumulated(0.0, _validate_time(cs, t))
+    pref = _solution_prefactor(cs.n, p, pp, log_det=math.log(acc.det_ia_sqrt))
+    return _initial_value_result(acc, 1.0, pref, None)
+
+
+def sharp_K_ell(cs, p, t, ell) -> SharpResult:
+    """Sharp coefficient of |du/dell (x,t)| <= K_{p,ell}(t) ||initial data||_p."""
     pp = holder_conjugate(p)
     t = _validate_time(cs, t)
-    acc = cs.accumulated(0.0, t, quad_tol)
-    direction_factor, ell_star = matfun.spectral_norm(acc.ia_inv_sqrt)
-    value, z = _k_value(cs, acc, p, pp, direction_factor)
-    return SharpResult(
-        value=value,
-        maximizer_z=z,
-        maximizer_ell=ell_star,
-        convergent=True,
-        diagnostics=SharpDiagnostics(quad_error=acc.quad_error),
-    )
+    ell = _validate_ell(ell, cs.n)
+    acc = cs.accumulated(0.0, t)
+    pref = _gradient_prefactor(cs.n, p, pp, log_det=math.log(acc.det_ia_sqrt))
+    factor = float(np.linalg.norm(acc.ia_inv_sqrt @ ell))
+    return _initial_value_result(acc, factor, pref, ell)
+
+
+def sharp_K(cs, p, t) -> SharpResult:
+    """max over unit directions of K_{p,ell}: uses the norm of ia_inv_sqrt."""
+    pp = holder_conjugate(p)
+    acc = cs.accumulated(0.0, _validate_time(cs, t))
+    pref = _gradient_prefactor(cs.n, p, pp, log_det=math.log(acc.det_ia_sqrt))
+    factor, ell_star = matfun.spectral_norm(acc.ia_inv_sqrt)
+    return _initial_value_result(acc, factor, pref, ell_star)
 
 
 # ---------------------------------------------------------------------------
 # convergence of the source-problem window integrals
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    convergent: bool
-    exact: bool
-    exponent: float
+def _convergence(cs, p, kind) -> bool:
+    """Whether the window integral of a source constant converges at p.
 
-
-def _convergence(cs, p, kind) -> ConvergenceReport:
-    pp = holder_conjugate(p)
-    with_gradient = kind != "N"
-    if cs.A.is_constant:
-        threshold = (cs.n + 2.0) if with_gradient else (cs.n + 2.0) / 2.0
-        if math.isinf(pp):
-            exponent = INF
-        else:
-            exponent = 0.5 * cs.n * (pp - 1.0) + (0.5 * pp if with_gradient else 0.0)
-        return ConvergenceReport(p > threshold, True, exponent)
-    kernel_exp, grad_exp = window_scaling_exponents(cs, cs.T)
-    if math.isinf(pp):
-        exponent = INF
-    else:
-        exponent = kernel_exp * (pp - 1.0) + (grad_exp * pp if with_gradient else 0.0)
-    return ConvergenceReport(exponent < 1.0, False, exponent)
+    As the window w shrinks the integrand grows like w^(-e), with
+    e = n (p' - 1) / 2, plus p' / 2 for the gradient kinds, for every
+    continuous SPD A(t), since int A = w A(t) + o(w). So e < 1 exactly when
+    p > (n + 2) / 2 for N and p > n + 2 for C_ell and C.
+    """
+    holder_conjugate(p)  # raises DomainError unless p >= 1
+    threshold = (cs.n + 2.0) / 2.0 if kind == "N" else cs.n + 2.0
+    return p > threshold
 
 
 def converges_N(cs, p) -> bool:
     """Whether the solution-bound window integral converges at exponent p."""
-    return _convergence(cs, p, "N").convergent
+    return _convergence(cs, p, "N")
 
 
 def converges_C(cs, p) -> bool:
     """Whether the gradient-bound window integral converges at exponent p."""
-    return _convergence(cs, p, "C").convergent
+    return _convergence(cs, p, "C")
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +390,18 @@ def _window_tables(cs, t, pp, with_gradient, quad_tol) -> _WindowTables:
     return _WindowTables(sigmas, weights, exps, inv_sqrts)
 
 
-def _z_objective(tables, pp, ell_factors=None):
-    w = tables.weights if ell_factors is None else tables.weights * ell_factors
+def _z_objective(weights, exps, pp):
+    """Objective sum_k weights_k |exps_k z|^p' over z, and its gradient."""
 
     def objective(z):
-        mags = np.linalg.norm(tables.exps @ z, axis=1)
-        return float(np.dot(w, mags**pp))
+        mags = np.linalg.norm(exps @ z, axis=1)
+        return float(np.dot(weights, mags**pp))
 
     def gradient(z):
-        vecs = tables.exps @ z
+        vecs = exps @ z
         mags = np.linalg.norm(vecs, axis=1)
-        coef = pp * w * mags ** (pp - 2.0)
-        return np.einsum("k,kij,kj->i", coef, np.transpose(tables.exps, (0, 2, 1)), vecs)
+        coef = pp * weights * mags ** (pp - 2.0)
+        return np.einsum("k,kij,kj->i", coef, np.transpose(exps, (0, 2, 1)), vecs)
 
     return objective, gradient
 
@@ -462,7 +428,7 @@ def _maximize_z(tables, pp, settings, ell_factors=None):
     mags = np.linalg.norm(np.einsum("kij,sj->ksi", tables.exps, seeds), axis=2)
     w = tables.weights if ell_factors is None else tables.weights * ell_factors
     z0 = seeds[int(np.argmax(w @ mags**pp))]
-    objective, gradient = _z_objective(tables, pp, ell_factors)
+    objective, gradient = _z_objective(w, tables.exps, pp)
     z, _, residual = _polish_on_sphere(objective, gradient, z0, settings)
     return z, residual
 
@@ -532,7 +498,7 @@ def _tau_integral(cs, t, pp, quad_tol, z, ell=None):
     return QuadResult(float(res.value) + endpoint, res.error, res.panels)
 
 
-def _window_result(pref, integral, pp, z, ell, residual, exact):
+def _window_result(pref, integral, pp, z, ell, residual):
     value = pref * float(integral.value) ** (1.0 / pp)
     if integral.value > 0.0:
         quad_err = value * integral.error / (pp * integral.value)
@@ -543,19 +509,7 @@ def _window_result(pref, integral, pp, z, ell, residual, exact):
         maximizer_z=matfun.canonical_sign(z),
         maximizer_ell=None if ell is None else matfun.canonical_sign(ell),
         convergent=True,
-        diagnostics=SharpDiagnostics(
-            quad_error=quad_err, search_residual=residual, threshold_exact=exact
-        ),
-    )
-
-
-def _divergent_result(report):
-    return SharpResult(
-        value=INF,
-        maximizer_z=None,
-        maximizer_ell=None,
-        convergent=False,
-        diagnostics=SharpDiagnostics(threshold_exact=report.exact),
+        diagnostics=SharpDiagnostics(quad_error=quad_err, search_residual=residual),
     )
 
 
@@ -570,9 +524,10 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
     t = _validate_time(cs, t)
     if kind == "C_ell":
         ell = _validate_ell(ell, cs.n)
-    report = _convergence(cs, p, kind)
-    if not report.convergent:
-        return _divergent_result(report)
+    if not _convergence(cs, p, kind):
+        return SharpResult(
+            value=INF, maximizer_z=None, maximizer_ell=None, convergent=False
+        )
     if cs.m == 1 and (kind != "C" or cs.n == 1):
         z, residual = np.array([1.0]), 0.0
         if kind == "C":
@@ -591,7 +546,7 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
         pref = _solution_prefactor(cs.n, p, pp)
     else:
         pref = _gradient_prefactor(cs.n, p, pp)
-    return _window_result(pref, integral, pp, z, ell, residual, report.exact)
+    return _window_result(pref, integral, pp, z, ell, residual)
 
 
 def sharp_N(cs, p, t, quad_tol=DEFAULT_TOL, sphere=None) -> SharpResult:

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import kernels
 from .errors import CoverageWarning, DomainError
-from .quadrature import DEFAULT_TOL
 
 __all__ = [
     "GridFunction",
@@ -184,7 +183,7 @@ def _check_time(cs, t):
     return t
 
 
-def solve_homogeneous(cs, phi: GridFunction, x, t, tol=DEFAULT_TOL) -> SolveResult:
+def solve_homogeneous(cs, phi: GridFunction, x, t) -> SolveResult:
     """u(x, t) for initial data phi: midpoint convolution against the kernel."""
     return _convolve(cs, phi, x, _check_time(cs, t))
 
@@ -227,9 +226,7 @@ def _source_solution(cs, f, x, t, settings, gradient_ell=None) -> SolveResult:
     return SolveResult(value=value, error_estimate=float(np.linalg.norm(value - coarse)))
 
 
-def solve_nonhomogeneous(
-    cs, f: SourceFunction, x, t, settings=None, tol=DEFAULT_TOL
-) -> SolveResult:
+def solve_nonhomogeneous(cs, f: SourceFunction, x, t, settings=None) -> SolveResult:
     """u(x, t) for source f and zero initial data, by tensor quadrature."""
     return _source_solution(cs, f, x, _check_time(cs, t), settings)
 
@@ -240,7 +237,7 @@ def _halve_odd(points):
 
 
 def directional_derivative(
-    cs, problem, data, x, t, ell, settings=None, tol=DEFAULT_TOL
+    cs, problem, data, x, t, ell, settings=None
 ) -> SolveResult:
     """(ell, grad_x) u at (x, t) for either problem kind.
 
@@ -258,7 +255,7 @@ def directional_derivative(
     raise DomainError(f"unknown problem kind {problem!r}")
 
 
-def spacetime_norm(cs, f: SourceFunction, x, t, p, settings=None, tol=DEFAULT_TOL):
+def spacetime_norm(cs, f: SourceFunction, x, t, p, settings=None):
     """Discrete ||f||_{p,t} on the same tensor grid the source solver uses.
 
     Matching the solver's nodes makes the discrete Hoelder chain, and hence

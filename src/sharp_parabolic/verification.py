@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sharp
 from .coeffs import coefficient_set
-from .oracle import IntegralOperatorSpec, opnorm_bruteforce
+from .oracle import IntegralOperatorSpec, opnorm_bruteforce, sharp_value
 
 HOMOGENEOUS_TOL = 1e-3
 NONHOMOGENEOUS_TOL = 5e-3
@@ -153,15 +152,7 @@ def cases_for(selection):
 
 
 def closed_form_value(case, quad_tol=1e-10, sphere=None):
-    if case.kind == "H":
-        return sharp.sharp_H(case.cs, case.p, case.t, quad_tol=quad_tol).value
-    if case.kind == "K":
-        return sharp.sharp_K_ell(case.cs, case.p, case.t, case.ell, quad_tol=quad_tol).value
-    if case.kind == "N":
-        return sharp.sharp_N(case.cs, case.p, case.t, quad_tol=quad_tol, sphere=sphere).value
-    return sharp.sharp_C_ell(
-        case.cs, case.p, case.t, case.ell, quad_tol=quad_tol, sphere=sphere
-    ).value
+    return sharp_value(case, quad_tol=quad_tol, sphere=sphere)
 
 
 def oracle_value(case, resolution=None, sigma_slices=64, truncation=8.0):

@@ -192,7 +192,40 @@ def test_convergence_estimated_for_time_dependent_A():
     assert not sp.converges_C(cs, 2.0)
     result = sp.sharp_N(cs, 2.0, 1.0)
     assert result.convergent
-    assert not result.diagnostics.threshold_exact  # flagged as an estimate
+
+
+def _time_dependent_A(n, preset):
+    if preset == "affine":
+        return sp.Affine(np.eye(n), 3.0 * np.eye(n))
+    ts = np.linspace(0.0, 1.0, 5)
+    values = np.stack([(1.0 + np.sin(3.0 * t) ** 2) * np.eye(n) for t in ts])
+    return sp.Tabulated(ts, values)
+
+
+@pytest.mark.parametrize("preset", ["affine", "tabulated"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_convergence_thresholds_exact_for_time_dependent_A(n, preset):
+    cs = sp.coefficient_set(n=n, m=1, T=1.0, A=_time_dependent_A(n, preset))
+    n_threshold = (n + 2.0) / 2.0
+    c_threshold = n + 2.0
+    eps = 1e-12
+    assert not sp.converges_N(cs, n_threshold)
+    assert sp.converges_N(cs, n_threshold * (1.0 + eps))
+    assert not sp.converges_N(cs, n_threshold * (1.0 - eps))
+    assert not sp.converges_C(cs, c_threshold)
+    assert sp.converges_C(cs, c_threshold * (1.0 + eps))
+    assert not sp.converges_C(cs, c_threshold * (1.0 - eps))
+
+
+def test_source_constants_diverge_just_below_threshold_for_affine_A():
+    # n = 2, A(t) = (1 + 3t) I: N needs p > 2 and C_ell needs p > 4
+    cs = sp.coefficient_set(n=2, m=1, T=1.0, A=_time_dependent_A(2, "affine"))
+    for result in (
+        sp.sharp_N(cs, 1.995, 1.0),
+        sp.sharp_C_ell(cs, 3.98, 1.0, np.array([1.0, 0.0])),
+    ):
+        assert result.value == INF
+        assert not result.convergent
 
 
 def test_sphere_max_spectral_example():
@@ -222,7 +255,7 @@ def test_gram_route_matches_direct_search():
     cs = sp.coefficient_set(n=1, m=3, T=1.0, C=c)
     tables = sharp._window_tables(cs, 1.0, 2.0, with_gradient=False, quad_tol=1e-10)
     z_gram, gram_value = sharp._gram_maximizer(tables)
-    objective, gradient = sharp._z_objective(tables, 2.0)
+    objective, gradient = sharp._z_objective(tables.weights, tables.exps, 2.0)
     z_search, search_value = sp.sphere_max(
         objective, 3, sp.SphereSettings(rel_tol=1e-12), gradient=gradient
     )
