@@ -227,6 +227,7 @@ def cmd_solve(cfg, threads):
         grid_points=min(cfg.numerics.grid_points, 129 if cfg.n > 1 else 257),
         truncation_sigmas=cfg.numerics.truncation_sigmas,
     )
+    sphere = sharp.SphereSettings(seeds_per_dim=cfg.numerics.sphere_seeds)
     fn, bound = _data_callable(data_block, cfg.n)
 
     t_max = max(ts)
@@ -261,7 +262,8 @@ def cmd_solve(cfg, threads):
         else:
             res = solve.solve_nonhomogeneous(cs, source, x, t, settings=settings)
         request = sharp.SharpRequest(
-            kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics.quad_tol
+            kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics.quad_tol,
+            sphere=sphere,
         )
         coef = sharp.evaluate_sharp(cs, request).value
         if problem == "homogeneous":

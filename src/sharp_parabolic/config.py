@@ -194,8 +194,14 @@ def load_config(path, command=None) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"numerics: {exc}") from exc
-    if numerics.quad_tol <= 0 or numerics.truncation_sigmas < 6.0:
-        raise ConfigError("numerics: quad_tol must be > 0, truncation_sigmas >= 6")
+    if (
+        numerics.quad_tol <= 0
+        or numerics.truncation_sigmas < 6.0
+        or numerics.sphere_seeds < 1
+    ):
+        raise ConfigError(
+            "numerics: quad_tol must be > 0, truncation_sigmas >= 6, sphere_seeds >= 1"
+        )
     if numerics.grid_points < 17 or numerics.grid_points % 2 == 0:
         raise ConfigError("numerics.grid_points must be odd and >= 17")
 

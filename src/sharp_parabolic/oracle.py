@@ -167,20 +167,18 @@ def _collect(spec, resolution, sigma_slices, pp, endpoint_gap):
 
 def _z_max(weights, exps_t, pp, m, settings=None):
     """Sphere search of the discrete objective; trivial for m = 1."""
-    settings = settings or sharp.SphereSettings()
-
     if math.isinf(pp):
 
         def objective(z):
             return float(np.max(weights * np.linalg.norm(exps_t @ z, axis=1)))
 
-        gradient = None
+        def gradient(z):  # subgradient of the active term w_k |E_k z|
+            vecs = exps_t @ z
+            k = int(np.argmax(weights * np.linalg.norm(vecs, axis=1)))
+            return weights[k] / np.linalg.norm(vecs[k]) * (exps_t[k].T @ vecs[k])
+
     else:
         objective, gradient = sharp._z_objective(weights, exps_t, pp)
-
-    if m == 1:
-        z = np.array([1.0])
-        return z, objective(z)
     return sharp.sphere_max(objective, m, settings, gradient=gradient)
 
 

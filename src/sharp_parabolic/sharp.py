@@ -43,11 +43,11 @@ def holder_conjugate(p: float) -> float:
 
 @dataclass(frozen=True)
 class SphereSettings:
-    """Deterministic seeding and polish controls for sphere maximization."""
+    """Deterministic seeding and power-iteration controls for sphere search."""
 
     seeds_per_dim: int = 64
     rel_tol: float = 1e-9
-    max_iter: int = 200
+    max_iter: int = 1000
 
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -81,69 +81,57 @@ def _tangent_gradient(grad, z):
 
 
 def _polish_on_sphere(objective, gradient, z0, settings):
-    """Projected-gradient ascent from z0; returns (z, value, residual).
+    """Monotone power iteration from z0; returns (z, value, residual).
 
-    ``z0`` is one start vector, or a tuple of them for a product of spheres;
-    then ``objective`` and ``gradient`` take one vector per sphere, the
-    gradient returns one block per sphere, and ``z`` is a tuple. The step
-    and the residual use the norm of all tangent blocks together.
+    Each step sets z <- g/|g| with g = grad f(z). For a convex f it cannot
+    lower f: f(g/|g|) >= f(z) + g.(g/|g| - z) >= f(z), as |g| >= g.z. For a
+    product of spheres ``z0`` is a tuple of start vectors, ``objective`` and
+    ``gradient`` take one vector per sphere, the gradient returns one block
+    per sphere, the blocks step in turn and ``z`` is a tuple. The residual
+    is |tangent gradient| / |gradient| at ``z`` (blocks combined with
+    ``math.hypot``); the loop stops once it is at most ``settings.rel_tol``,
+    so a larger one means that ``settings.max_iter`` steps ran out.
     """
     product = isinstance(z0, tuple)
     zs = [np.asarray(b, dtype=float) for b in (z0 if product else (z0,))]
     zs = [b / np.linalg.norm(b) for b in zs]
-    value = float(objective(*zs))
-    step = 0.5
-    residual = INF
-    for _ in range(settings.max_iter):
+
+    def blocks():
         grads = gradient(*zs)
-        gs = [
-            _tangent_gradient(np.asarray(g, dtype=float), b)
-            for g, b in zip(grads if product else (grads,), zs)
-        ]
-        norm_g = math.hypot(*(np.linalg.norm(g) for g in gs))
-        residual = norm_g / max(abs(value), 1e-300)
-        if residual <= settings.rel_tol:
+        return [np.asarray(g, dtype=float) for g in (grads if product else (grads,))]
+
+    def sine(g, z):
+        norm = np.linalg.norm(g)  # zero only where f vanishes: nothing to climb
+        return np.linalg.norm(_tangent_gradient(g, z)) / norm if norm > 0.0 else 0.0
+
+    for step in range(settings.max_iter + 1):
+        grads = blocks()
+        residual = math.hypot(*map(sine, grads, zs))
+        if residual <= settings.rel_tol or step == settings.max_iter:
             break
-        moved = False
-        while step >= 1e-14:
-            trial = [b + step * g / max(norm_g, 1e-300) for b, g in zip(zs, gs)]
-            trial = [b / np.linalg.norm(b) for b in trial]
-            trial_value = float(objective(*trial))
-            if trial_value > value:
-                zs, value = trial, trial_value
-                step *= 1.3
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
+        for i in range(len(zs)):
+            g = grads[i] if i == 0 else blocks()[i]
+            zs[i] = g / np.linalg.norm(g)
+    value = float(objective(*zs))
     return (tuple(zs) if product else zs[0]), value, residual
 
 
-def _numeric_gradient(objective, h=1e-6):
-    def grad(z):
-        g = np.empty_like(z)
-        for i in range(z.size):
-            e = np.zeros_like(z)
-            e[i] = h
-            g[i] = (objective(z + e) - objective(z - e)) / (2.0 * h)
-        return g
-
-    return grad
-
-
 def sphere_max(objective, dim, settings=None, gradient=None):
-    """Maximize an even continuous objective over the unit sphere.
+    """Maximize an even convex objective over the unit sphere.
 
-    Deterministic lattice seeding followed by projected-gradient polish.
-    Returns ``(argmax, value)`` with the argmax sign-canonicalized.
+    Deterministic lattice seeding followed by the power iteration of
+    ``_polish_on_sphere``, which needs ``gradient`` (a gradient or
+    subgradient of the objective) for dim > 1; at dim = 1 the seed is the
+    answer. Returns ``(argmax, value)`` with the argmax sign-canonicalized.
     """
     settings = settings or SphereSettings()
     seeds = sphere_lattice(dim, settings.seeds_per_dim * dim)
     values = np.array([float(objective(s)) for s in seeds])
     best = int(np.argmax(values))
+    if dim == 1:
+        return seeds[best], float(values[best])
     if gradient is None:
-        gradient = _numeric_gradient(objective)
+        raise DomainError("sphere search in dimension > 1 needs the gradient")
     z, value, _ = _polish_on_sphere(objective, gradient, seeds[best], settings)
     return matfun.canonical_sign(z), value
 

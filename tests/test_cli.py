@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sharp_parabolic import sharp
 from sharp_parabolic.cli import main
 from sharp_parabolic.config import load_config, parse_p
 from sharp_parabolic.errors import ConfigError
@@ -179,6 +180,41 @@ def test_solve_command_nonhomogeneous_constant_source(tmp_path):
     rows = read_rows(out)
     assert float(rows[0]["u_1"]) == pytest.approx(1.5, rel=1e-5)
     assert float(rows[0]["ratio"]) <= 1.0 + 1e-6
+
+
+def test_solve_command_passes_the_sphere_seeds(tmp_path, monkeypatch):
+    requests = []
+    evaluate = sharp.evaluate_sharp
+
+    def capture(cs, request):
+        requests.append(request)
+        return evaluate(cs, request)
+
+    monkeypatch.setattr(sharp, "evaluate_sharp", capture)
+    body = base_config(
+        "solve",
+        {
+            "problem": "nonhomogeneous",
+            "data": {"type": "constant", "value": [1.5]},
+            "points": [[0.0]],
+            "t": [1.0],
+            "p": "inf",
+        },
+        out=str(tmp_path / "s.csv"),
+    )
+    body["numerics"]["sphere_seeds"] = 5
+    assert main(["solve", "--config", write_config(tmp_path, body)]) == 0
+    assert [r.sphere for r in requests] == [sharp.SphereSettings(seeds_per_dim=5)]
+
+
+@pytest.mark.parametrize("seeds", [0, -3])
+def test_nonpositive_sphere_seeds_exit_2(tmp_path, seeds):
+    body = base_config("sharp", {"kind": "N", "p": [3.0], "t": [1.0]})
+    body["numerics"]["sphere_seeds"] = seeds
+    path = write_config(tmp_path, body)
+    with pytest.raises(ConfigError, match="sphere_seeds"):
+        load_config(path)
+    assert main(["sharp", "--config", path]) == 2
 
 
 def test_tabulated_ingestion(tmp_path):

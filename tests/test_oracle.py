@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sharp_parabolic as sp
+from sharp_parabolic import matfun, oracle
 from sharp_parabolic.errors import DomainError, TruncationError
 from sharp_parabolic.oracle import (
     IntegralOperatorSpec,
@@ -199,3 +200,15 @@ def test_saturation_coupled_system():
     ext = build_extremal(spec, closed.maximizer_z)
     sat = saturation_ratio(spec, ext, refine=False)
     assert 0.99 <= sat.ratio <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_z_max_p1_on_one_slice_is_the_spectral_norm(m):
+    # at p' = inf the objective is w |E z|, whose top is w sigma_max(E)
+    rng = np.random.default_rng(40 + m)
+    e = rng.standard_normal((m, m))
+    w = 0.7
+    z, value = oracle._z_max(np.array([w]), e[None], INF, m)
+    sigma, z_top = matfun.spectral_norm(e)
+    assert value == pytest.approx(w * sigma, rel=1e-14)
+    assert abs(abs(np.dot(z, z_top)) - 1.0) < 1e-9

@@ -230,9 +230,13 @@ def test_source_constants_diverge_just_below_threshold_for_affine_A():
 
 def test_sphere_max_spectral_example():
     b = np.diag([3.0, 4.0])
-    z, value = sp.sphere_max(lambda v: float(np.linalg.norm(b @ v)), 2)
-    assert value == pytest.approx(4.0, rel=1e-9)
-    np.testing.assert_allclose(np.abs(z), [0.0, 1.0], atol=1e-6)
+    z, value = sp.sphere_max(
+        lambda v: float(np.linalg.norm(b @ v)),
+        2,
+        gradient=lambda v: b.T @ b @ v / np.linalg.norm(b @ v),
+    )
+    assert value == pytest.approx(4.0, rel=1e-14)
+    np.testing.assert_allclose(np.abs(z), [0.0, 1.0], atol=1e-9)
 
 
 def test_sphere_max_one_dimension():
@@ -243,10 +247,18 @@ def test_sphere_max_one_dimension():
 
 def test_sphere_max_three_dimensions():
     m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 2.5]])
-    z, value = sp.sphere_max(lambda v: float(v @ m @ v), 3)
+    z, value = sp.sphere_max(
+        lambda v: float(v @ m @ v), 3, gradient=lambda v: 2.0 * m @ v
+    )
     w, vecs = np.linalg.eigh(m)
-    assert value == pytest.approx(w[-1], rel=1e-9)
-    assert abs(abs(np.dot(z, vecs[:, -1])) - 1.0) < 1e-4
+    assert value == pytest.approx(w[-1], rel=1e-14)
+    assert abs(abs(np.dot(z, vecs[:, -1])) - 1.0) < 1e-9
+
+
+def test_sphere_max_needs_a_gradient_above_one_dimension():
+    for dim in (2, 3):
+        with pytest.raises(DomainError):
+            sp.sphere_max(lambda v: float(np.linalg.norm(v)), dim)
 
 
 def test_gram_route_matches_direct_search():
@@ -266,11 +278,9 @@ def test_gram_route_matches_direct_search():
 
 
 def test_polish_on_product_of_spheres_reaches_top_singular_value():
-    # f(ell, z) = (ell^T M z)^2 peaks at sigma_max(M)^2 on S^1 x S^1. The
-    # ascent accepts a step only when f rises, which it stops doing visibly
-    # once the residual nears sqrt(eps) ~ 1.5e-8; ask for a tolerance above that.
+    # f(ell, z) = (ell^T M z)^2 peaks at sigma_max(M)^2 on S^1 x S^1.
     m = np.array([[2.0, 1.0], [0.5, -1.5]])
-    settings = sp.SphereSettings(rel_tol=1e-7)
+    settings = sp.SphereSettings()
 
     def objective(ell, z):
         return float(ell @ m @ z) ** 2
@@ -288,6 +298,39 @@ def test_polish_on_product_of_spheres_reaches_top_singular_value():
     assert residual <= settings.rel_tol
     assert np.linalg.norm(ell) == pytest.approx(1.0, abs=1e-15)
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-15)
+
+
+def _searched_sets():
+    """A seeded tabulated n = m = 2 set and a random constant n = 2, m = 3 set."""
+    rng = np.random.default_rng(7)
+    ts = np.linspace(0.0, 1.0, 6)
+    lam = np.stack(
+        [1.0 + 0.25 * np.sin(2.0 * np.pi * ts), 0.6 + 0.15 * np.cos(np.pi * ts)]
+    )
+    lam *= rng.uniform(0.97, 1.03, (2, 1))
+    cos, sin = np.cos(0.4 + 0.8 * ts), np.sin(0.4 + 0.8 * ts)
+    rot = np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1)
+    a = np.einsum("kij,jk,klj->kil", rot, lam, rot)
+    c = 0.4 * rng.standard_normal((2, 2)) + np.multiply.outer(
+        np.sin(np.pi * ts), 0.2 * rng.standard_normal((2, 2))
+    )
+    tabulated = sp.coefficient_set(
+        n=2, m=2, T=1.0, A=sp.Tabulated(ts, a), C=sp.Tabulated(ts, c)
+    )
+    q = rng.standard_normal((2, 2))
+    constant = sp.coefficient_set(
+        n=2, m=3, T=1.0, A=q @ q.T + np.eye(2), C=rng.standard_normal((3, 3))
+    )
+    return tabulated, constant
+
+
+@pytest.mark.parametrize("p", [INF, 8.0, 5.5])
+def test_searched_source_constants_meet_the_search_tolerance(p):
+    rel_tol = sp.SphereSettings().rel_tol
+    for cs in _searched_sets():
+        for result in (sp.sharp_N(cs, p, 1.0), sp.sharp_C(cs, p, 1.0)):
+            assert result.convergent
+            assert result.diagnostics.search_residual <= rel_tol
 
 
 def test_radial_gauss_identity_by_quadrature():
