@@ -66,14 +66,3 @@ def adaptive_quadrature(f, a, b, tol=DEFAULT_TOL, max_depth=60, max_panels=4096)
         value = float(value)
     return QuadResult(value, error, tuple((lo, hi) for lo, hi, _, _ in accepted))
 
-
-def panel_nodes(panels):
-    """Gauss-Legendre nodes and weights of the 7-point rule on given panels."""
-    nodes = []
-    weights = []
-    for lo, hi in panels:
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        nodes.append(c + h * _X7)
-        weights.append(h * _W7)
-    return np.concatenate(nodes), np.concatenate(weights)

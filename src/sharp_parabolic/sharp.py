@@ -8,16 +8,19 @@ vectors. The p=1 and p=infinity branches are explicit code paths carrying
 the analytic limits of the general-p formulas.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from . import matfun
-from .coeffs import WINDOW_FLOOR
+from .coeffs import WINDOW_FLOOR, Tabulated
 from .coeffs import window_scaling_exponents  # noqa: F401  (wrapped by bench/tracer.py)
 from .errors import DomainError
-from .quadrature import DEFAULT_TOL, QuadResult, adaptive_quadrature, panel_nodes
+from .quadrature import DEFAULT_TOL
+from .quadrature import adaptive_quadrature  # noqa: F401  (wrapped by bench/tracer.py)
 
 INF = math.inf
 KINDS = ("H", "K_ell", "K", "N", "C_ell", "C")
@@ -329,53 +332,65 @@ def converges_C(cs, p) -> bool:
 # source-problem constants (window integrals over the source time)
 
 
+# Nodes per piece of a window table: doubled from the start until two tables
+# agree to quad_tol, or up to the cap. A sample time within _MIN_PIECE * t
+# of t does not split the window: that piece would put nodes below the floor.
+_NODES_START, _NODES_CAP, _MIN_PIECE = 16, 512, 1e-6
+
+
 @dataclass(frozen=True)
 class _WindowTables:
-    """Fixed quadrature nodes in sigma = sqrt(t - tau) with per-node data."""
+    """Quadrature nodes in the window length w with per-node data."""
 
-    sigmas: np.ndarray
-    weights: np.ndarray  # GL weight * 2 sigma * det^(1 - p')
+    sigmas: np.ndarray  # sqrt(w) per node
+    weights: np.ndarray  # rule weight * det^(1 - p')
     exps: np.ndarray  # exp_ic_star per node, (K, m, m)
     inv_sqrts: np.ndarray | None  # ia_inv_sqrt per node, (K, n, n)
 
 
-def _sigma_bounds(cs, t):
-    """Integration bounds in sigma = sqrt(t - tau).
+@functools.lru_cache(maxsize=64)
+def _gauss_jacobi(nodes, e):
+    """Gauss rule on [-1, 1] for the weight (1 + x)^(-e), by Golub-Welsch.
 
-    The lower bound keeps the accumulated diffusion integral above its SPD
-    floor: for a window w the smallest eigenvalue of the integral is about
-    w * lambda_min(A), which must clear 1e-12.
+    e = 0 is Gauss-Legendre. At 512 nodes this stays at roundoff, where
+    scipy's ``roots_jacobi`` loses up to 1e-9 of an integral.
     """
+    b = -e
+    k = np.arange(1, nodes, dtype=float)
+    s = 2.0 * k + b
+    diag = np.concatenate([[b / (b + 2.0)], b * b / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vecs = eigh_tridiagonal(diag, off)
+    return x, 2.0 ** (1.0 + b) / (1.0 + b) * vecs[0] ** 2
+
+
+def _window_tables(cs, t, pp, with_gradient, nodes) -> _WindowTables:
+    """Node table in w on [0, t] for the integrand w^(-e) * smooth.
+
+    Pieces end where a sample time of a tabulated A or C enters the window.
+    The first piece takes the Gauss-Jacobi rule of the weight w^(-e), with
+    w^e folded into its weights; the others take Gauss-Legendre. Raises
+    DomainError when a node is below the SPD floor: a window w has smallest
+    eigenvalue about w lambda_min(A(t)), which must clear 1e-12.
+    """
+    e = 0.5 * cs.n * (pp - 1.0) + (0.5 * pp if with_gradient else 0.0)
+    s = np.concatenate([[]] + [p.times for p in (cs.A, cs.C) if isinstance(p, Tabulated)])
+    ends = np.unique(np.append(t - s[(s > 0.0) & (s < (1.0 - _MIN_PIECE) * t)], t))
+    half = 0.5 * np.diff(ends, prepend=0.0)
+    (xj, wj), (xl, wl) = _gauss_jacobi(nodes, e), _gauss_jacobi(nodes, 0.0)
+    first = half[0] * (1.0 + xj)
+    ws = np.concatenate([first, (ends[:-1, None] + half[1:, None] * (1.0 + xl)).ravel()])
+    jacobi = half[0] ** (1.0 - e) * wj * first**e
+    rule = np.concatenate([jacobi, np.outer(half[1:], wl).ravel()])
     lam_min = float(np.linalg.eigvalsh(matfun.symmetrize(cs.A(t)))[0])
     floor = max(WINDOW_FLOOR * cs.T, 2e-12 / lam_min)
-    lo = math.sqrt(floor)
-    hi = math.sqrt(t)
-    if not lo < 0.5 * hi:
-        raise DomainError(f"time t={t:g} is too small for the window floor")
-    return lo, hi
-
-
-def _window_tables(cs, t, pp, with_gradient, quad_tol) -> _WindowTables:
-    lo, hi = _sigma_bounds(cs, t)
-
-    def probe(sigma):
-        acc = cs.window(t, sigma * sigma)
-        r = acc.det_ia_sqrt ** (1.0 - pp)
-        r *= matfun.spectral_norm(acc.exp_ic_star)[0] ** pp
-        if with_gradient:
-            r *= (1.0 / math.sqrt(acc.ia_eigenvalues[-1])) ** pp
-        return 2.0 * sigma * r
-
-    rough = adaptive_quadrature(probe, lo, hi, max_depth=0)
-    tol = max(quad_tol, 1e-8) * max(1.0, abs(float(rough.value)))
-    res = adaptive_quadrature(probe, lo, hi, tol=tol)
-    sigmas, gl_weights = panel_nodes(res.panels)
-    accs = cs.windows(t, sigmas * sigmas)
+    if ws[0] < floor:
+        raise DomainError(f"time t={t:g} is too small for the window floor {floor:g}")
+    accs = cs.windows(t, ws)
     dets = np.array([acc.det_ia_sqrt for acc in accs])
-    weights = gl_weights * 2.0 * sigmas * dets ** (1.0 - pp)
     exps = np.stack([acc.exp_ic_star for acc in accs])
     inv_sqrts = np.stack([acc.ia_inv_sqrt for acc in accs]) if with_gradient else None
-    return _WindowTables(sigmas, weights, exps, inv_sqrts)
+    return _WindowTables(np.sqrt(ws), rule * dets ** (1.0 - pp), exps, inv_sqrts)
 
 
 def _z_objective(weights, exps, pp):
@@ -462,51 +477,42 @@ def _maximize_ell_z(cs, tables, pp, settings):
     return ell, z, residual
 
 
-def _tau_integral(cs, t, pp, quad_tol, z, ell=None):
-    """Adaptive sigma-substituted window integral at fixed maximizers.
-
-    The windows below the degeneracy floor are covered by a one-rectangle
-    endpoint correction, which is exact to O(sigma_floor^2) for integrands
-    bounded at the endpoint.
-    """
-    lo, hi = _sigma_bounds(cs, t)
-
-    def integrand(sigma):
-        acc = cs.window(t, sigma * sigma)
-        val = float(np.linalg.norm(acc.exp_ic_star @ z)) ** pp
-        val *= acc.det_ia_sqrt ** (1.0 - pp)
-        if ell is not None:
-            val *= float(np.linalg.norm(acc.ia_inv_sqrt @ ell)) ** pp
-        return 2.0 * sigma * val
-
-    rough = adaptive_quadrature(integrand, lo, hi, max_depth=0)
-    tol = quad_tol * max(1.0, abs(float(rough.value)))
-    res = adaptive_quadrature(integrand, lo, hi, tol=tol)
-    endpoint = lo * integrand(lo)
-    return QuadResult(float(res.value) + endpoint, res.error, res.panels)
+def _tau_integral(tables, pp, z, ell=None):
+    """Node-table sum of the window integrand at the maximizers z (and ell)."""
+    terms = tables.weights * np.linalg.norm(tables.exps @ z, axis=1) ** pp
+    if ell is not None:
+        terms = terms * np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
+    return float(np.sum(terms))
 
 
-def _window_result(pref, integral, pp, z, ell, residual):
-    value = pref * float(integral.value) ** (1.0 / pp)
-    if integral.value > 0.0:
-        quad_err = value * integral.error / (pp * integral.value)
-    else:
-        quad_err = integral.error
-    return SharpResult(
-        value=value,
-        maximizer_z=matfun.canonical_sign(z),
-        maximizer_ell=None if ell is None else matfun.canonical_sign(ell),
-        convergent=True,
-        diagnostics=SharpDiagnostics(quad_error=quad_err, search_residual=residual),
-    )
-
-
-def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
-    """N, C_ell or C: maximizers on a node table, then the window integral.
+def _table_maximum(kind, cs, t, pp, ell, sphere, nodes):
+    """(integral, z, ell, search residual, node count) on one node table.
 
     The C maximization runs over both spheres jointly: it does not separate
     because the direction factor under the window integral depends on the
     source time.
+    """
+    tables = _window_tables(cs, t, pp, kind != "N", nodes)
+    if cs.m == 1 and (kind != "C" or cs.n == 1):
+        z, residual = np.array([1.0]), 0.0
+        ell = np.array([1.0]) if kind == "C" else ell
+    elif kind == "C":
+        ell, z, residual = _maximize_ell_z(cs, tables, pp, sphere)
+    else:
+        factors = None
+        if ell is not None:
+            factors = np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
+        z, residual = _maximize_z(tables, pp, sphere, factors)
+    return _tau_integral(tables, pp, z, ell), z, ell, residual, tables.sigmas.size
+
+
+def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
+    """N, C_ell or C: maximizers and window integral on one node table.
+
+    The nodes per piece double until the maxima on K and 2K nodes agree to
+    ``quad_tol`` relative, or until ``_NODES_CAP``. The integral's error is
+    their difference, at least the rounding of a sum of that many terms, so
+    a ``quad_error`` above ``quad_tol * value`` means the cap ran out.
     """
     pp = holder_conjugate(p)
     t = _validate_time(cs, t)
@@ -516,25 +522,28 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
         return SharpResult(
             value=INF, maximizer_z=None, maximizer_ell=None, convergent=False
         )
-    if cs.m == 1 and (kind != "C" or cs.n == 1):
-        z, residual = np.array([1.0]), 0.0
-        if kind == "C":
-            ell = np.array([1.0])
-    else:
-        tables = _window_tables(cs, t, pp, with_gradient=kind != "N", quad_tol=quad_tol)
-        if kind == "C":
-            ell, z, residual = _maximize_ell_z(cs, tables, pp, sphere)
-        else:
-            factors = None
-            if ell is not None:
-                factors = np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
-            z, residual = _maximize_z(tables, pp, sphere, factors)
-    integral = _tau_integral(cs, t, pp, quad_tol, z, ell=ell)
-    if kind == "N":
-        pref = _solution_prefactor(cs.n, p, pp)
-    else:
-        pref = _gradient_prefactor(cs.n, p, pp)
-    return _window_result(pref, integral, pp, z, ell, residual)
+    nodes = _NODES_START
+    coarse = _table_maximum(kind, cs, t, pp, ell, sphere, nodes)[0]
+    while True:
+        nodes *= 2
+        integral, z, ell_star, residual, size = _table_maximum(
+            kind, cs, t, pp, ell, sphere, nodes
+        )
+        error = max(abs(integral - coarse), size * np.finfo(float).eps * integral)
+        if error <= quad_tol * integral or nodes >= _NODES_CAP:
+            break
+        coarse = integral
+    prefactor = _solution_prefactor if kind == "N" else _gradient_prefactor
+    value = prefactor(cs.n, p, pp) * integral ** (1.0 / pp)
+    return SharpResult(
+        value=value,
+        maximizer_z=matfun.canonical_sign(z),
+        maximizer_ell=None if ell_star is None else matfun.canonical_sign(ell_star),
+        convergent=True,
+        diagnostics=SharpDiagnostics(
+            quad_error=value * error / (pp * integral), search_residual=residual
+        ),
+    )
 
 
 def sharp_N(cs, p, t, quad_tol=DEFAULT_TOL, sphere=None) -> SharpResult:

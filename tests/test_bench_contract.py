@@ -1,6 +1,7 @@
 """The benchmark's result line stays a complete, strict-JSON result.
 
-Runs ``bench/run.py`` on the smallest budget (one repetition) and checks
+Runs ``bench/run.py`` on the smallest budget (one repetition) of the
+sweep-tabulated and heat-threshold workloads and checks
 that the last line of its output parses as strict JSON, reports every row
 correct, and carries exactly the metric names that BENCHMARK.json declares.
 A metric whose traced stage a refactor removed would go missing here.
@@ -25,10 +26,9 @@ def _declared(section):
         return [metric["name"] for metric in json.load(handle)[section]]
 
 
-@pytest.mark.parametrize("trace, section", [(0, "end_to_end"), (1, "per_layer")])
-def test_result_line_is_complete_strict_json(trace, section):
+def _check_result_line(workload, trace, section):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "sweep-tabulated",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "3", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
@@ -38,3 +38,16 @@ def test_result_line_is_complete_strict_json(trace, section):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert sorted(result["metrics"]) == sorted(_declared(section))
+
+
+TRACE_LEVELS = [(0, "end_to_end"), (1, "per_layer")]
+
+
+@pytest.mark.parametrize("trace, section", TRACE_LEVELS)
+def test_result_line_is_complete_strict_json(trace, section):
+    _check_result_line("sweep-tabulated", trace, section)
+
+
+@pytest.mark.parametrize("trace, section", TRACE_LEVELS)
+def test_heat_threshold_result_line_is_complete_strict_json(trace, section):
+    _check_result_line("heat-threshold", trace, section)

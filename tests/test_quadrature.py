@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sharp_parabolic.quadrature import adaptive_quadrature, panel_nodes
+from sharp_parabolic.quadrature import adaptive_quadrature
 
 
 def test_polynomial_exact():
@@ -46,10 +46,3 @@ def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         adaptive_quadrature(lambda x: x, 1.0, 1.0)
 
-
-def test_panel_nodes_reproduce_integral():
-    res = adaptive_quadrature(lambda x: math.exp(x), 0.0, 1.0, tol=1e-12)
-    nodes, weights = panel_nodes(res.panels)
-    total = float(np.dot(weights, np.exp(nodes)))
-    assert total == pytest.approx(math.e - 1.0, rel=1e-13)
-    assert nodes.size == 7 * len(res.panels)

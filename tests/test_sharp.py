@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
+from scipy.linalg import expm
+from scipy.special import gamma, hyp1f1
 
 import sharp_parabolic as sp
 from sharp_parabolic import sharp
@@ -265,7 +268,7 @@ def test_gram_route_matches_direct_search():
     rng = np.random.default_rng(31)
     c = rng.standard_normal((3, 3))
     cs = sp.coefficient_set(n=1, m=3, T=1.0, C=c)
-    tables = sharp._window_tables(cs, 1.0, 2.0, with_gradient=False, quad_tol=1e-10)
+    tables = sharp._window_tables(cs, 1.0, 2.0, with_gradient=False, nodes=32)
     z_gram, gram_value = sharp._gram_maximizer(tables)
     objective, gradient = sharp._z_objective(tables.weights, tables.exps, 2.0)
     z_search, search_value = sp.sphere_max(
@@ -461,11 +464,192 @@ def test_N_argmax_stability():
     for p in (INF, 2.0, 2.5):
         result = sp.sharp_N(cs, p, 1.0)
         pp = sp.holder_conjugate(p)
-        integral = sharp._tau_integral(cs, 1.0, pp, 1e-10, result.maximizer_z)
+        tables = sharp._window_tables(cs, 1.0, pp, with_gradient=False, nodes=512)
+        integral = sharp._tau_integral(tables, pp, result.maximizer_z)
         pref = sharp._solution_prefactor(cs.n, p, pp)
-        assert pref * float(integral.value) ** (1.0 / pp) == pytest.approx(
-            result.value, rel=1e-9
+        assert pref * integral ** (1.0 / pp) == pytest.approx(result.value, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# source-time integrals against independent references
+#
+# For a window w with accumulated diffusion w A, the kernel is the normal
+# density with covariance 2 w A. Its L^p' norm to the p', times the
+# |A^(-1/2) ell|-weighted slope factor for the gradient kinds, is
+# k * w^(-e) in closed form; a scalar coupling c adds exp(p' c w).
+
+
+def _gaussian_window_factor(n, pp, det_a, ell_scale=None):
+    """k in ||kernel(w)||_p'^p' = k w^(-e) for constant A (det_a = det A).
+
+    With ``ell_scale`` = |A^(-1/2) ell| the norm is that of the derivative
+    along ell: one axis of the normalized Gaussian carries |u_1|^p'.
+    """
+    k = (4.0 * math.pi) ** (-0.5 * n * (pp - 1.0)) * det_a ** (0.5 * (1.0 - pp))
+    if ell_scale is None:
+        return k * pp ** (-0.5 * n)
+    slope = gamma(0.5 * (pp + 1.0)) * (2.0 / pp) ** (0.5 * (pp + 1.0))
+    return (
+        k * pp ** (-0.5 * (n - 1)) * (2.0 * math.pi) ** (-0.5)
+        * (ell_scale / math.sqrt(2.0)) ** pp * slope
+    )
+
+
+def _endpoint_exponent(n, pp, gradient):
+    return 0.5 * n * (pp - 1.0) + (0.5 * pp if gradient else 0.0)
+
+
+def _kummer_constant(n, kind, p, t, a, c, ell=None):
+    """N_p or C_{p,ell} for constant SPD A, m = 1 and scalar coupling c.
+
+    int_0^t w^(-e) exp(a w) dw = t^(1-e)/(1-e) 1F1(1-e; 2-e; a t), a = p' c.
+    """
+    pp = p / (p - 1.0)
+    gradient = kind == "C_ell"
+    ell_scale = None
+    if gradient:
+        vals, vecs = np.linalg.eigh(a)
+        ell_scale = float(np.linalg.norm((vecs / np.sqrt(vals)) @ vecs.T @ ell))
+    e = _endpoint_exponent(n, pp, gradient)
+    k = _gaussian_window_factor(n, pp, float(np.linalg.det(a)), ell_scale)
+    j = t ** (1.0 - e) / (1.0 - e) * hyp1f1(1.0 - e, 2.0 - e, pp * c * t)
+    return (k * j) ** (1.0 / pp)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 0.05, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_unit_heat_source_constants_match_closed_form_near_threshold(n, gap):
+    cs = sp.coefficient_set(n=n, m=1, T=1.0)
+    ell = np.eye(n)[0]
+    a = np.eye(n)
+    p_n = (n + 2.0) / 2.0 + gap
+    p_c = n + 2.0 + gap
+    assert sp.sharp_N(cs, p_n, 1.0).value == pytest.approx(
+        _kummer_constant(n, "N", p_n, 1.0, a, 0.0), rel=1e-10
+    )
+    assert sp.sharp_C_ell(cs, p_c, 1.0, ell).value == pytest.approx(
+        _kummer_constant(n, "C_ell", p_c, 1.0, a, 0.0, ell), rel=1e-10
+    )
+
+
+@pytest.mark.parametrize("c", [-1.5, 0.8])
+def test_anisotropic_constant_A_matches_kummer_reference(c):
+    a = np.array([[1.3, 0.4], [0.4, 0.7]])
+    cs = sp.coefficient_set(n=2, m=1, T=1.0, A=a, C=c)
+    ell = np.array([0.6, 0.8])
+    for p in (2.05, 2.2, 3.0, 6.0):
+        assert sp.sharp_N(cs, p, 0.9).value == pytest.approx(
+            _kummer_constant(2, "N", p, 0.9, a, c), rel=1e-10
         )
+    for p in (4.05, 4.2, 6.0, 10.0):
+        assert sp.sharp_C_ell(cs, p, 0.9, ell).value == pytest.approx(
+            _kummer_constant(2, "C_ell", p, 0.9, a, c, ell), rel=1e-10
+        )
+
+
+def _qaws(f, e, lo, hi):
+    """int_lo^hi f(w) (w - lo)^(-e) dw by QUADPACK's algebraic-weight rule."""
+    return quad(f, lo, hi, weight="alg", wvar=(-e, 0.0), epsabs=0.0, epsrel=1e-13,
+                limit=200)[0]
+
+
+@pytest.mark.parametrize("p", [4.2, 8.0])
+def test_sharp_C_matches_qaws_at_its_maximizers(p):
+    rng = np.random.default_rng(5)
+    q = rng.standard_normal((2, 2))
+    a = q @ q.T + np.eye(2)
+    c = rng.standard_normal((2, 2))
+    cs = sp.coefficient_set(n=2, m=2, T=1.0, A=a, C=c)
+    t = 0.8
+    result = sp.sharp_C(cs, p, t)
+    pp = p / (p - 1.0)
+    vals, vecs = np.linalg.eigh(a)
+    ell_scale = float(np.linalg.norm((vecs / np.sqrt(vals)) @ vecs.T @ result.maximizer_ell))
+    k = _gaussian_window_factor(2, pp, float(np.linalg.det(a)), ell_scale)
+    z = result.maximizer_z
+    integral = _qaws(lambda w: np.linalg.norm(expm(w * c).T @ z) ** pp,
+                     _endpoint_exponent(2, pp, True), 0.0, t)
+    assert result.value == pytest.approx((k * integral) ** (1.0 / pp), rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [2.2, 3.0])
+def test_sharp_N_tabulated_matches_split_qaws_at_its_maximizer(p):
+    # t = 0.7 lies past the sample time 0.6: the window integrand changes
+    # its cubic piece at w = 0.1, where the reference integral is split
+    cs = _searched_sets()[0]
+    ts = cs.A.times
+    a_int = PchipInterpolator(ts, cs.A.values, axis=0)
+    c_int = PchipInterpolator(ts, cs.C.values, axis=0)
+    t = 0.7
+    pp = p / (p - 1.0)
+    result = sp.sharp_N(cs, p, t)
+    z = result.maximizer_z
+
+    def smooth(w):
+        # the integrand times w^e: det(2 ia)^((1-p')/2) = w^(-e) det(2 ia / w)^(...)
+        mean = a_int.integrate(t - w, t) / w if w > 0.0 else a_int(t)
+        det = float(np.linalg.det(2.0 * mean))
+        norm = (2.0 * math.pi) ** (1.0 - pp) / pp * det ** (0.5 * (1.0 - pp))
+        return norm * np.linalg.norm(expm(c_int.integrate(t - w, t)).T @ z) ** pp
+
+    e = _endpoint_exponent(2, pp, False)
+    split = t - 0.6
+    near = _qaws(smooth, e, 0.0, split)
+    far = quad(lambda w: smooth(w) * w ** (-e), split, t, points=[t - 0.4, t - 0.2],
+               epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert result.value == pytest.approx((near + far) ** (1.0 / pp), rel=1e-10)
+
+
+def test_time_just_past_a_sample_time_keeps_one_first_piece():
+    # a sample time 1e-12 before t would make a first piece whose nodes lie
+    # below the SPD floor; it does not split the window
+    cs = _searched_sets()[0]
+    for p in (INF, 3.0):
+        at = sp.sharp_N(cs, p, 0.6).value
+        assert sp.sharp_N(cs, p, 0.6 + 1e-12).value == pytest.approx(at, rel=1e-9)
+
+
+def _source_results(quad_tol):
+    a = np.array([[1.3, 0.4], [0.4, 0.7]])
+    ell = np.array([0.6, 0.8])
+    constant = sp.coefficient_set(n=2, m=1, T=1.0, A=a, C=0.8)
+    tabulated = _searched_sets()[0]
+    return [
+        sp.sharp_N(constant, 2.05, 0.9, quad_tol=quad_tol),
+        sp.sharp_C_ell(constant, 4.2, 0.9, ell, quad_tol=quad_tol),
+        sp.sharp_N(tabulated, 3.0, 0.7, quad_tol=quad_tol),
+        sp.sharp_C(tabulated, 8.0, 0.7, quad_tol=quad_tol),
+    ]
+
+
+def test_quad_error_within_default_tolerance_and_positive():
+    for result in _source_results(sharp.DEFAULT_TOL):
+        assert 0.0 < result.diagnostics.quad_error <= sharp.DEFAULT_TOL * result.value
+
+
+def test_unreachable_quad_tol_runs_to_the_cap_and_says_so(monkeypatch):
+    sizes = []
+    tables = sharp._window_tables
+
+    def recording(cs, t, pp, with_gradient, nodes):
+        sizes.append(nodes)
+        return tables(cs, t, pp, with_gradient, nodes)
+
+    monkeypatch.setattr(sharp, "_window_tables", recording)
+    for result, default in zip(_source_results(1e-300), _source_results(sharp.DEFAULT_TOL)):
+        assert math.isfinite(result.value)
+        assert result.diagnostics.quad_error > 1e-300 * result.value
+        assert result.value == pytest.approx(default.value, rel=1e-12)
+    assert max(sizes) == sharp._NODES_CAP
+
+
+@pytest.mark.parametrize("scale, t", [(1e-6, 1e-6), (1.0, 1e-9)])
+def test_too_small_time_raises_domain_error(scale, t):
+    cs = sp.coefficient_set(n=2, m=1, T=1.0, A=scale * np.eye(2))
+    with pytest.raises(DomainError, match="window floor"):
+        sp.sharp_N(cs, INF, t)
+    with pytest.raises(DomainError, match="window floor"):
+        sp.sharp_C_ell(cs, 8.0, t, np.array([1.0, 0.0]))
 
 
 def test_joint_maximization_exceeds_fixed_directions():
