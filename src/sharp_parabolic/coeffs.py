@@ -10,12 +10,11 @@ length ``(t, w)``, so callers that think in window lengths (the source-time
 integrals, with ``w = sigma^2``) never round through ``tau = t - w``.
 """
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from scipy.interpolate import PchipInterpolator
 
 from . import matfun
@@ -24,13 +23,12 @@ from .quadrature import adaptive_quadrature  # noqa: F401  (wrapped by bench/tra
 
 # Fraction of T below which a window (t - tau) counts as degenerate.
 WINDOW_FLOOR = 1e-13
-# Windows kept per CoefficientSet; the least recently used one is dropped.
-WINDOW_CACHE_SIZE = 4096
 # quad_error is this many units of roundoff of w * sup|F| over the window:
 # it covers the few roundings of each closed form with a wide margin.
 _ROUNDING_ULPS = 64
-
-_SPD_PROBE_POINTS = 33
+# A pencil eigenvalue u of a piece of length h counts as real when
+# |Im u| <= _REAL_ROOT_TOL * h.
+_REAL_ROOT_TOL = 1e-8
 
 
 def _column(v, ndim):
@@ -247,10 +245,6 @@ class CoefficientSet:
     A: object
     b: object
     C: object
-    _cache: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -275,37 +269,19 @@ class CoefficientSet:
                 raise NotPositiveDefinite(
                     w[0], 0.0, f"A({t:g}) is not positive definite"
                 )
+        singular = _singular_times(self.A, self.T)
+        if singular:
+            raise NotPositiveDefinite(
+                0.0, 0.0, f"A({min(singular):g}) is singular between sample times"
+            )
 
     def accumulated(self, tau, t) -> AccumulatedIntegrals:
-        """Cached window integrals for [tau, t], keyed by (t, t - tau)."""
-        return self.window(t, window_length(self, tau, t))
-
-    def window(self, t, w) -> AccumulatedIntegrals:
-        """Cached window integrals for [t - w, t]."""
-        return self.windows(t, (w,))[0]
+        """Window integrals for [tau, t]; see integrate_coefficients."""
+        return integrate_coefficients(self, tau, t)
 
     def windows(self, t, w) -> list:
-        """Cached window integrals for [t - w, t], one per entry of ``w``.
-
-        ``t`` is a scalar or matches ``w``. Windows not in the cache are
-        computed in one batched call of integrate_windows.
-        """
-        w = np.asarray(w, dtype=float).reshape(-1)
-        t = np.broadcast_to(np.asarray(t, dtype=float), w.shape)
-        keys = list(zip(t.tolist(), w.tolist()))
-        # computed under the lock, so threads that miss on the same window
-        # compute it once
-        with self._lock:
-            missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
-            if missing:
-                mt, mw = np.array(missing).T
-                self._cache.update(zip(missing, integrate_windows(self, mt, mw)))
-            found = {k: self._cache[k] for k in keys}
-            for k in found:
-                self._cache.move_to_end(k)
-            while len(self._cache) > WINDOW_CACHE_SIZE:
-                self._cache.popitem(last=False)
-        return [found[k] for k in keys]
+        """Window integrals for [t - w, t], one per entry of ``w``, in one batch."""
+        return integrate_windows(self, t, w)
 
 
 def _spd_check_times(A, T):
@@ -313,14 +289,40 @@ def _spd_check_times(A, T):
 
     Constant A once. Affine A at both ends: the smallest eigenvalue of an
     affine symmetric family is concave in t, so the ends decide [0, T].
-    Tabulated A at the probe grid and at every sample time in [0, T].
+    Tabulated A at 0, T and every sample time in [0, T]; between them
+    _singular_times decides.
     """
     if A.is_constant:
         return [0.0]
     if isinstance(A, Affine):
         return [0.0, T]
-    samples = A.times[(A.times >= 0.0) & (A.times <= T)]
-    return np.union1d(np.linspace(0.0, T, _SPD_PROBE_POINTS), samples)
+    return np.union1d([0.0, T], A.times[(A.times >= 0.0) & (A.times <= T)])
+
+
+def _singular_times(A, T):
+    """Times in [0, T] between sample times where a tabulated A(t) is singular.
+
+    On the piece from x_i of length h, A(x_i + u) = c0 u^3 + c1 u^2 + c2 u + c3,
+    so its singular points are the finite eigenvalues u in (0, h] of the
+    pencil (M, B), M = [[0, I, 0], [0, 0, I], [-c3, -c2, -c1]] and
+    B = diag(I, I, c0). An A that is SPD at one point of a piece and nowhere
+    singular on it is SPD on the whole piece. Other presets give [].
+    """
+    if not isinstance(A, Tabulated):
+        return []
+    n = A.values.shape[-1]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    found = []
+    for i, h in enumerate(np.diff(A.times)):
+        lo = A.times[i]
+        if lo >= T or A.times[i + 1] <= 0.0:
+            continue
+        c0, c1, c2, c3 = (matfun.symmetrize(c) for c in A._cubics[:, i])
+        pencil = np.block([[zero, eye, zero], [zero, zero, eye], [-c3, -c2, -c1]])
+        u = scipy.linalg.eigvals(pencil, scipy.linalg.block_diag(eye, eye, c0))
+        u = u[np.isfinite(u) & (np.abs(u.imag) <= _REAL_ROOT_TOL * h)].real
+        found.extend(float(s) for s in lo + u[(u > 0.0) & (u <= h)] if 0.0 <= s <= T)
+    return found
 
 
 def coefficient_set(n=1, m=1, T=1.0, A=None, b=None, C=None) -> CoefficientSet:
@@ -398,7 +400,9 @@ def integrate_windows(cs, t, w) -> list:
     )
     det = np.prod(np.sqrt(eig), axis=1)
     exp_ic = matfun.matrix_exp(ic)
-    # copies, so that a cached window does not keep its whole batch alive
+    # copies, so that every window is C-contiguous: exp_ic[k].T alone is an
+    # F-ordered view, and tables stacked from such views round the later
+    # sums differently (m = 2 N/C values and maximizers move by an ulp)
     return [
         AccumulatedIntegrals(
             tau=float(t[k] - w[k]),

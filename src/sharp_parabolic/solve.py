@@ -91,15 +91,10 @@ class GridFunction:
         return float((np.sum(mags**p) * cell) ** (1.0 / p))
 
     @classmethod
-    def from_callable(cls, fn, center, radius, points_per_axis, m=None):
+    def from_callable(cls, fn, center, radius, points_per_axis):
         """Sample ``fn(points) -> (..., m)`` on the grid."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        probe = cls(
-            center=center,
-            radius=radius,
-            values=np.zeros((points_per_axis,) * center.size + (1,)),
-        )
-        pts = probe.nodes()
+        pts = kernels.cell_grid(center, radius, points_per_axis)[0]
         vals = np.asarray(fn(pts), dtype=float)
         if vals.ndim == pts.ndim - 1:  # scalar-valued callable
             vals = vals[..., None]

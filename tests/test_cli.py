@@ -116,6 +116,34 @@ def test_csv_byte_identical_and_thread_invariant(tmp_path, monkeypatch):
     assert b"\r" not in first
 
 
+def _csv_bytes_at_threads(tmp_path, command, body, threads):
+    cfg = write_config(tmp_path, body, name=f"{command}.json")
+    out = str(tmp_path / f"{command}_{threads}.csv")
+    assert main([command, "--config", cfg, "--out", out, "--threads", str(threads)]) == 0
+    with open(out, "rb") as handle:
+        return handle.read()
+
+
+def test_tabulated_sweep_and_verify_csvs_do_not_depend_on_threads(tmp_path):
+    (tmp_path / "a.csv").write_text(
+        "t,entry_11,entry_12,entry_22\n"
+        "0,1.1,0.3,0.7\n0.5,0.9,0.1,0.6\n1,1.3,-0.2,0.8\n"
+    )
+    (tmp_path / "c.csv").write_text(
+        "t,entry_11,entry_12,entry_21,entry_22\n"
+        "0,0.2,0.6,-0.3,-0.1\n0.5,0.4,0.5,-0.05,-0.25\n1,0.2,0.6,-0.3,-0.1\n"
+    )
+    sweep = base_config("sweep", {"kinds": ["N", "C"], "p": ["inf", 3], "t": [0.5, 0.8]},
+                        n=2, m=2)
+    sweep["coefficients"]["A"] = {"preset": "tabulated", "path": "a.csv"}
+    sweep["coefficients"]["C"] = {"preset": "tabulated", "path": "c.csv"}
+    verify = base_config("verify", {"cases": "quick"})
+    for command, body in (("sweep", sweep), ("verify", verify)):
+        single = _csv_bytes_at_threads(tmp_path, command, body, 1)
+        assert single.count(b"\n") > 4
+        assert _csv_bytes_at_threads(tmp_path, command, body, 3) == single
+
+
 def test_kernel_command_peak_value(tmp_path):
     out = str(tmp_path / "k.csv")
     cfg = write_config(
@@ -257,6 +285,22 @@ def test_tabulated_A_negative_at_a_sample_time_exits_2(tmp_path):
     body = base_config("coeffs", {"windows": [[0.0, 1.0]]})
     body["coefficients"]["A"] = {"preset": "tabulated", "path": "a.csv"}
     assert main(["coeffs", "--config", write_config(tmp_path, body)]) == 2
+
+
+def test_tabulated_A_singular_between_samples_exits_2(tmp_path, capsys):
+    # SPD at every sample time, singular at t = 0.125883 (see test_coeffs)
+    (tmp_path / "a.csv").write_text(
+        "t,entry_11,entry_12,entry_22\n"
+        "0,0.773375,-0.214626,0.063041\n"
+        "0.159474,0.134235,0.108846,0.092205\n"
+        "0.213307,0.768709,-0.586369,0.813652\n"
+        "0.353258,0.189288,0.184156,0.585749\n"
+        "1,3.561443,0.287781,0.099164\n"
+    )
+    body = base_config("coeffs", {"windows": [[0.0, 1.0]]}, n=2)
+    body["coefficients"]["A"] = {"preset": "tabulated", "path": "a.csv"}
+    assert main(["coeffs", "--config", write_config(tmp_path, body)]) == 2
+    assert "A(0.125883)" in capsys.readouterr().err
 
 
 def test_missing_tabulated_file_exits_2(tmp_path, capsys):

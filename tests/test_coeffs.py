@@ -1,17 +1,16 @@
 import csv
+import dataclasses
 import json
 import math
 import threading
-import time
 
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
 import sharp_parabolic as sp
-from sharp_parabolic import coeffs
 from sharp_parabolic.cli import main
-from sharp_parabolic.coeffs import WINDOW_CACHE_SIZE, commutation_defect, integrate_windows
+from sharp_parabolic.coeffs import commutation_defect, integrate_windows
 from sharp_parabolic.errors import DomainError, NotPositiveDefinite
 
 
@@ -105,18 +104,45 @@ def test_tabulated_requires_increasing_times():
 def test_construction_rejects_indefinite_A():
     with pytest.raises(NotPositiveDefinite):
         sp.coefficient_set(n=2, m=1, T=1.0, A=np.diag([1.0, -0.5]))
-    # sign flip midway caught by the probe grid
+    # sign flip midway caught at the ends
     a = sp.Affine(np.array([[0.5]]), np.array([[-1.0]]))
     with pytest.raises(NotPositiveDefinite):
         sp.coefficient_set(n=1, m=1, T=1.0, A=a)
 
 
 def test_construction_checks_tabulated_A_at_every_sample_time():
-    # A(0.3) = -1 lies between the points of the 33-probe grid
+    # A(0.3) = -1 only at a sample time
     times = np.array([0.0, 0.299, 0.3, 0.301, 1.0])
     values = np.array([1.0, 1.0, -1.0, 1.0, 1.0]).reshape(-1, 1, 1)
     with pytest.raises(NotPositiveDefinite):
         sp.coefficient_set(n=1, m=1, T=1.0, A=sp.Tabulated(times, values))
+
+
+# (a11, a12, a22) of an A that is SPD at every sample time, while its
+# monotone cubic is singular at 0.1259 and 0.1493 and indefinite between
+DIPPING_TIMES = np.array([0.0, 0.159474, 0.213307, 0.353258, 1.0])
+DIPPING_ENTRIES = np.array([
+    [0.773375, -0.214626, 0.063041],
+    [0.134235, 0.108846, 0.092205],
+    [0.768709, -0.586369, 0.813652],
+    [0.189288, 0.184156, 0.585749],
+    [3.561443, 0.287781, 0.099164],
+])
+
+
+def _dipping_A():
+    a11, a12, a22 = DIPPING_ENTRIES.T
+    values = np.stack([np.stack([a11, a12], -1), np.stack([a12, a22], -1)], -2)
+    assert np.all(np.linalg.eigvalsh(values)[:, 0] > 0.0)
+    assert np.linalg.eigvalsh(PchipInterpolator(DIPPING_TIMES, values)(0.1367))[0] < 0.0
+    return sp.Tabulated(DIPPING_TIMES, values)
+
+
+def test_construction_rejects_tabulated_A_singular_between_samples():
+    with pytest.raises(NotPositiveDefinite, match=r"A\(0\.125883\) is singular"):
+        sp.coefficient_set(n=2, m=1, T=1.0, A=_dipping_A())
+    # the singular points lie after T = 0.12, so A is SPD on [0, T]
+    sp.coefficient_set(n=2, m=1, T=0.12, A=_dipping_A())
 
 
 def test_window_scaling_exponents_constant():
@@ -221,19 +247,20 @@ def test_additivity_across_a_sample_time():
         assert _rel(left.ic + right.ic, whole.ic) <= 1e-14
 
 
+def _assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
 def test_batched_window_is_bit_identical_to_single():
     cs, _, _ = _tabulated_set(np.linspace(0.0, 1.0, 6))
     rng = np.random.default_rng(8)
     ends = rng.uniform(0.05, 1.0, 40)
     lengths = ends * rng.uniform(1e-9, 1.0, 40)
-    batch = integrate_windows(cs, ends, lengths)
-    for k in range(ends.size):
-        alone = integrate_windows(cs, ends[k], [lengths[k]])[0]
-        for name in ("ia", "ib", "ic", "ia_sqrt", "ia_inv_sqrt", "ia_inv",
-                     "ia_eigenvalues", "exp_ic", "exp_ic_star"):
-            assert np.array_equal(getattr(alone, name), getattr(batch[k], name)), name
-        assert alone.det_ia_sqrt == batch[k].det_ia_sqrt
-        assert alone.quad_error == batch[k].quad_error
+    alone = [integrate_windows(cs, t, [w])[0] for t, w in zip(ends, lengths)]
+    _assert_same_windows(integrate_windows(cs, ends, lengths), alone)
 
 
 def test_coeffs_csv_on_benchmark_lattice_matches_antiderivative(tmp_path):
@@ -276,38 +303,25 @@ def test_coeffs_csv_on_benchmark_lattice_matches_antiderivative(tmp_path):
         assert 0.0 < float(row["quad_error"]) <= 1e-12 * np.linalg.norm(ref_a)
 
 
-def test_window_cache_stays_bounded():
-    cs = sp.coefficient_set(n=1, m=1, T=1.0)
-    lengths = np.linspace(1e-3, 0.9, WINDOW_CACHE_SIZE + 100)
-    cs.windows(1.0, lengths)
-    cs.windows(1.0, lengths[:10] + 0.05)
-    assert len(cs._cache) <= WINDOW_CACHE_SIZE
-    # the same window comes back from the cache
-    assert cs.accumulated(0.5, 1.0) is cs.accumulated(0.5, 1.0)
-    assert cs.accumulated(0.5, 1.0) is cs.window(1.0, 0.5)
+def test_accumulated_is_the_one_window_batch():
+    cs, _, _ = _tabulated_set(np.linspace(0.0, 1.0, 6))
+    _assert_same_windows([cs.accumulated(0.5, 1.0)], cs.windows(1.0, [0.5]))
 
 
-def test_threads_missing_the_same_windows_compute_them_once(monkeypatch):
-    calls = []
+def test_threads_computing_the_same_windows_agree_bit_for_bit():
+    cs, _, _ = _tabulated_set(np.linspace(0.0, 1.0, 6))
+    lengths = np.linspace(1e-3, 0.9, 50)
+    single = cs.windows(1.0, lengths)
+    results = [None] * 4
 
-    def slow_integrate_windows(cs, t, w):
-        calls.append(len(w))
-        time.sleep(0.05)
-        return integrate_windows(cs, t, w)
+    def run(k):
+        results[k] = cs.windows(1.0, lengths)
 
-    monkeypatch.setattr(coeffs, "integrate_windows", slow_integrate_windows)
-    cs = sp.coefficient_set(n=2, m=2, T=1.0)
-    lengths = np.linspace(0.1, 0.9, 5)
-    results = []
-    threads = [
-        threading.Thread(target=lambda: results.append(cs.windows(1.0, lengths)))
-        for _ in range(4)
-    ]
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join(timeout=10.0)
+        thread.join(timeout=30.0)
         assert not thread.is_alive()
-    assert calls == [5]
-    assert len(results) == 4
-    assert all(a is b for a, b in zip(results[0], results[-1]))
+    for got in results:
+        _assert_same_windows(got, single)
