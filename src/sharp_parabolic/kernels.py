@@ -10,9 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this log value the Gaussian factor is returned as exact zero.
-LOG_UNDERFLOW = -745.0
-
 
 @dataclass(frozen=True)
 class KernelValue:
@@ -28,57 +25,68 @@ class KernelValue:
 
 
 def gaussian_field(acc, u):
-    """Scalar Gaussian factor at displaced points ``u`` of shape (..., n).
+    """Scalar Gaussian factor at the displacement ``u``: n components that
+    broadcast against each other (one point, or the axes of an open grid).
 
-    Evaluated in log space and exponentiated once; underflow below
-    exp(LOG_UNDERFLOW) yields exact zero.
+    The quadratic form is summed in the order einsum("...i,ij,...j") takes on
+    dense points, so grid values match it bit for bit, and exponentiated once.
     """
-    u = np.asarray(u, dtype=float)
-    q = np.einsum("...i,ij,...j->...", u, acc.ia_inv, u)
-    logs = -0.25 * q - acc.log_gauss_norm
-    out = np.exp(np.maximum(logs, LOG_UNDERFLOW))
-    return np.where(logs < LOG_UNDERFLOW, 0.0, out)
-
-
-def directional_weight(acc, u, ell):
-    """Gradient weight -(1/2) (ia_inv u, ell) at points ``u`` of shape (..., n)."""
-    u = np.asarray(u, dtype=float)
-    return -0.5 * (u @ (acc.ia_inv @ np.asarray(ell, dtype=float)))
+    m = acc.ia_inv
+    q = 0.0
+    for i in range(len(u)):
+        for j in range(len(u)):
+            q = q + (u[i] * m[i, j]) * u[j]
+    logs = np.asarray(q)
+    logs *= -0.25
+    logs -= acc.log_gauss_norm
+    return np.exp(logs, out=logs)
 
 
 def kernel_weight(acc, u, ell=None):
-    """Scalar kernel factor at displaced points ``u``, times the gradient
-    weight along ``ell`` when a direction is given."""
+    """Scalar kernel factor at the displacement ``u`` (as in gaussian_field),
+    times the gradient weight -(1/2) (ia_inv u, ell) when a direction is given."""
     weight = gaussian_field(acc, u)
     if ell is not None:
-        weight = weight * directional_weight(acc, u, ell)
+        v = acc.ia_inv @ np.asarray(ell, dtype=float)
+        weight = weight * (-0.5 * sum(u_i * v_i for u_i, v_i in zip(u, v)))
     return weight
+
+
+def displacement(acc, x, axes):
+    """Kernel argument (x - y) + int_b over an open grid of y, per axis."""
+    x = np.broadcast_to(x, acc.ib.shape)
+    return [(x_i - y_i) + b_i for x_i, y_i, b_i in zip(x, axes, acc.ib)]
 
 
 def cell_grid(center, radii, points):
     """Cell midpoints of the box center +- radii with ``points`` cells per axis.
 
-    ``radii`` is a scalar or one radius per axis. Returns the nodes, shape
-    (points,)*n + (n,), and the per-axis spacings.
+    ``radii`` is a scalar or one radius per axis. Returns the open grid, one
+    coordinate array per axis shaped along that axis, and the spacings.
     """
     center = np.asarray(center, dtype=float)
     radii = np.broadcast_to(np.asarray(radii, dtype=float), center.shape)
     spacings = 2.0 * radii / points
     offsets = np.arange(points) + 0.5
     axes = [center[i] - radii[i] + offsets * spacings[i] for i in range(center.size)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1), spacings
+    return np.meshgrid(*axes, indexing="ij", sparse=True), spacings
+
+
+def grid_nodes(axes):
+    """Dense nodes, shape (points,)*n + (n,), of an open grid for callables."""
+    return np.stack(np.broadcast_arrays(*axes), axis=-1)
 
 
 def slice_grid(acc, x, truncation, points):
-    """Cell grid around the kernel peak x + int_b of one window.
+    """Open cell grid around the kernel peak x + int_b of one window.
 
     Each axis reaches ``truncation`` marginal deviations sqrt(2 ia_ii), so
     the spacing resolves the kernel equally well along every axis. Returns
-    the nodes, the spacings and the radii.
+    the axes, the spacings and the radii.
     """
     radii = truncation * np.sqrt(2.0 * np.diag(acc.ia))
-    nodes, spacings = cell_grid(np.asarray(x, dtype=float) + acc.ib, radii, points)
-    return nodes, spacings, radii
+    axes, spacings = cell_grid(np.asarray(x, dtype=float) + acc.ib, radii, points)
+    return axes, spacings, radii
 
 
 def _kernel_value(acc, x):

@@ -89,40 +89,31 @@ class SaturationResult:
     refined_ratio: float | None
 
 
-def _field_magnitude(spec, acc, nodes):
-    """|scalar kernel factor| at grid nodes, including the gradient weight."""
+def _kernel_field(spec, acc, axes):
+    """Scalar kernel factor on an open grid, including the gradient weight."""
     ell = spec.ell if spec.gradient else None
-    return np.abs(kernels.kernel_weight(acc, (spec.x - nodes) + acc.ib, ell))
+    return kernels.kernel_weight(acc, kernels.displacement(acc, spec.x, axes), ell)
 
 
 def _boundary_max(mag):
-    n = mag.ndim
-    best = 0.0
-    for axis in range(n):
-        sl_lo = [slice(None)] * n
-        sl_hi = [slice(None)] * n
-        sl_lo[axis] = 0
-        sl_hi[axis] = -1
-        best = max(best, float(np.max(mag[tuple(sl_lo)])), float(np.max(mag[tuple(sl_hi)])))
-    return best
+    """Largest magnitude on the faces of the grid box."""
+    return max(float(np.max(np.take(mag, [0, -1], axis=axis))) for axis in range(mag.ndim))
 
 
 def _refined_sup(spec, acc, resolution, zoom_levels=3):
     """Supremum of the field magnitude: grid argmax plus local zooming."""
-    nodes, spacings, _ = kernels.slice_grid(
-        acc, spec.x, spec.truncation_radius, resolution
-    )
-    mag = _field_magnitude(spec, acc, nodes)
-    best = float(np.max(mag))
-    center = nodes.reshape(-1, spec.cs.n)[int(np.argmax(mag))]
-    boundary = _boundary_max(mag)
-    for _ in range(zoom_levels):
-        pts, spacings = kernels.cell_grid(center, 2.0 * spacings, resolution)
-        mag = _field_magnitude(spec, acc, pts)
+    axes, spacings, _ = kernels.slice_grid(acc, spec.x, spec.truncation_radius, resolution)
+    mag = np.abs(_kernel_field(spec, acc, axes))
+    best, boundary = -math.inf, _boundary_max(mag)
+    for level in range(zoom_levels + 1):
+        if level > 0:  # a box four cells wide around the best node so far
+            axes, spacings = kernels.cell_grid(center, 2.0 * spacings, resolution)
+            mag = np.abs(_kernel_field(spec, acc, axes))
         local = float(np.max(mag))
         if local > best:
             best = local
-            center = pts.reshape(-1, spec.cs.n)[int(np.argmax(mag))]
+            index = np.unravel_index(int(np.argmax(mag)), mag.shape)
+            center = np.array([axis.ravel()[i] for axis, i in zip(axes, index)])
     return best, boundary
 
 
@@ -152,10 +143,10 @@ def _collect(spec, resolution, sigma_slices, pp, endpoint_gap):
             weights[k] = sup  # sup over y; combined by max across slices
             tails[k] = boundary
         else:
-            nodes, spacings, radii = kernels.slice_grid(
+            axes, spacings, radii = kernels.slice_grid(
                 acc, spec.x, spec.truncation_radius, resolution
             )
-            mag = _field_magnitude(spec, acc, nodes)
+            mag = np.abs(_kernel_field(spec, acc, axes))
             cell = float(np.prod(spacings))
             weights[k] = time_w * cell * float(np.sum(mag**pp))
             tails[k] = (
@@ -232,11 +223,9 @@ def _transposed_kernel_field(spec, z, resolution):
     acc = spec.cs.accumulated(0.0, spec.t)
     center = spec.x + acc.ib
     radius = spec.truncation_radius * kernels.kernel_std(acc)
-    nodes, _ = kernels.cell_grid(center, radius, resolution)
-    ell = spec.ell if spec.gradient else None
-    scalar = kernels.kernel_weight(acc, (spec.x - nodes) + acc.ib, ell)
-    field = scalar[..., None] * (acc.exp_ic.T @ z)
-    return field, nodes, center, radius
+    axes, _ = kernels.cell_grid(center, radius, resolution)
+    field = _kernel_field(spec, acc, axes)[..., None] * (acc.exp_ic.T @ z)
+    return field, axes, center, radius
 
 
 def _default_profile(center, width):
@@ -262,7 +251,7 @@ def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
     z = np.asarray(z, dtype=float)
     z = z / np.linalg.norm(z)
     resolution = resolution or spec.grid_resolution
-    field, nodes, center, radius = _transposed_kernel_field(spec, z, resolution)
+    field, axes, center, radius = _transposed_kernel_field(spec, z, resolution)
     mags = np.linalg.norm(field, axis=-1)
     nonzero = mags > 0.0
     if mode == "p-power":
@@ -281,7 +270,7 @@ def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
         acc = spec.cs.accumulated(0.0, spec.t)
         if profile is None:
             profile = _default_profile(center, kernels.kernel_std(acc) / 8.0)
-        values = sign * np.asarray(profile(nodes), dtype=float)[..., None]
+        values = sign * np.asarray(profile(kernels.grid_nodes(axes)), float)[..., None]
     else:
         raise DomainError(f"unknown extremal mode {mode!r}")
     gf = GridFunction(center=center, radius=radius, values=values)

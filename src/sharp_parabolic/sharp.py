@@ -511,8 +511,10 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
 
     The nodes per piece double until the maxima on K and 2K nodes agree to
     ``quad_tol`` relative, or until ``_NODES_CAP``. The integral's error is
-    their difference, at least the rounding of a sum of that many terms, so
-    a ``quad_error`` above ``quad_tol * value`` means the cap ran out.
+    their difference, at least the rounding of a sum of that many terms plus
+    that of |exp(int C)|^p', about eps p' |int C| relative, where every window
+    has |int C|_F <= m t sup|C_ij|. So a ``quad_error`` above
+    ``quad_tol * value`` means the cap ran out.
     """
     pp = holder_conjugate(p)
     t = _validate_time(cs, t)
@@ -522,6 +524,7 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
         return SharpResult(
             value=INF, maximizer_z=None, maximizer_ell=None, convergent=False
         )
+    ic_bound = cs.m * t * cs.C.bound(t)
     nodes = _NODES_START
     coarse = _table_maximum(kind, cs, t, pp, ell, sphere, nodes)[0]
     while True:
@@ -529,7 +532,8 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
         integral, z, ell_star, residual, size = _table_maximum(
             kind, cs, t, pp, ell, sphere, nodes
         )
-        error = max(abs(integral - coarse), size * np.finfo(float).eps * integral)
+        rounding = (size + pp * ic_bound) * np.finfo(float).eps * integral
+        error = max(abs(integral - coarse), rounding)
         if error <= quad_tol * integral or nodes >= _NODES_CAP:
             break
         coarse = integral

@@ -74,13 +74,16 @@ class GridFunction:
     def spacing(self):
         return 2.0 * self.radius / self.points_per_axis
 
+    def axes(self):
+        """The grid as an open grid: one coordinate array per axis."""
+        return kernels.cell_grid(self.center, self.radius, self.points_per_axis)[0]
+
     def axis_nodes(self, axis):
-        idx = np.arange(self.points_per_axis)
-        return self.center[axis] - self.radius + (idx + 0.5) * self.spacing
+        return self.axes()[axis].ravel()
 
     def nodes(self):
         """All grid nodes, shape (N,)*n + (n,)."""
-        return kernels.cell_grid(self.center, self.radius, self.points_per_axis)[0]
+        return kernels.grid_nodes(self.axes())
 
     def norm(self, p) -> float:
         """Discrete L^p norm (midpoint rule); p may be math.inf."""
@@ -94,7 +97,7 @@ class GridFunction:
     def from_callable(cls, fn, center, radius, points_per_axis):
         """Sample ``fn(points) -> (..., m)`` on the grid."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        pts = kernels.cell_grid(center, radius, points_per_axis)[0]
+        pts = kernels.grid_nodes(kernels.cell_grid(center, radius, points_per_axis)[0])
         vals = np.asarray(fn(pts), dtype=float)
         if vals.ndim == pts.ndim - 1:  # scalar-valued callable
             vals = vals[..., None]
@@ -153,19 +156,14 @@ def _convolve(cs, phi, x, t, gradient_ell=None) -> SolveResult:
     if phi.n != cs.n or phi.m != cs.m:
         raise DomainError("grid dimensions do not match the coefficient set")
     acc = cs.accumulated(0.0, t)
-    x = np.asarray(x, dtype=float)
     _check_coverage(phi, x + acc.ib, kernels.kernel_std(acc))
-    u = (x - phi.nodes()) + acc.ib
+    u = kernels.displacement(acc, x, phi.axes())
     weight = kernels.kernel_weight(acc, u, gradient_ell)
-    flat_w = weight.reshape(-1)
-    flat_v = phi.values.reshape(-1, phi.m)
-    inner = flat_w @ flat_v
-    coarse_w = weight[(slice(None, None, 2),) * phi.n].reshape(-1)
-    coarse_v = phi.values[(slice(None, None, 2),) * phi.n].reshape(-1, phi.m)
-    inner_coarse = coarse_w @ coarse_v
     cell = phi.spacing**phi.n
-    fine = cell * (acc.exp_ic @ inner)
-    coarse = (2.0**phi.n) * cell * (acc.exp_ic @ inner_coarse)
+    fine, coarse = (  # all nodes, and every other node per axis
+        scale * cell * (acc.exp_ic @ np.tensordot(weight[sl], phi.values[sl], phi.n))
+        for scale, sl in ((1.0, ()), (2.0**phi.n, (slice(None, None, 2),) * phi.n))
+    )
     return SolveResult(value=fine, error_estimate=float(np.linalg.norm(fine - coarse)))
 
 
@@ -186,24 +184,24 @@ def solve_homogeneous(cs, phi: GridFunction, x, t) -> SolveResult:
 def _source_slices(cs, x, t, settings):
     """Midpoint slices in sigma = sqrt(t - tau), each on its own cell grid.
 
-    Yields (time weight, tau, window integrals, grid nodes, cell volume).
+    Yields (time weight, tau, window integrals, open grid axes, cell volume).
     """
     d_sigma = math.sqrt(t) / settings.sigma_slices
     sigmas = ((np.arange(settings.sigma_slices) + 0.5) * d_sigma).tolist()
     for sigma, acc in zip(sigmas, cs.windows(t, np.square(sigmas))):
-        nodes, spacings, _ = kernels.slice_grid(
+        axes, spacings, _ = kernels.slice_grid(
             acc, x, settings.truncation_sigmas, settings.grid_points
         )
         cell = float(np.prod(spacings))
-        yield 2.0 * sigma * d_sigma, t - sigma * sigma, acc, nodes, cell
+        yield 2.0 * sigma * d_sigma, t - sigma * sigma, acc, axes, cell
 
 
 def _source_quadrature(cs, f, x, t, settings, gradient_ell=None):
-    x = np.asarray(x, dtype=float)
     total = np.zeros(cs.m)
-    for time_w, tau, acc, nodes, cell in _source_slices(cs, x, t, settings):
-        weight = kernels.kernel_weight(acc, (x - nodes) + acc.ib, gradient_ell)
-        inner = weight.reshape(-1) @ f(nodes, tau).reshape(-1, cs.m)
+    for time_w, tau, acc, axes, cell in _source_slices(cs, x, t, settings):
+        u = kernels.displacement(acc, x, axes)
+        weight = kernels.kernel_weight(acc, u, gradient_ell)
+        inner = weight.reshape(-1) @ f(kernels.grid_nodes(axes), tau).reshape(-1, cs.m)
         total = total + time_w * cell * (acc.exp_ic @ inner)
     return total
 
@@ -260,8 +258,8 @@ def spacetime_norm(cs, f: SourceFunction, x, t, p, settings=None):
     t = _check_time(cs, t)
     acc_p = 0.0
     sup = 0.0
-    for time_w, tau, _, nodes, cell in _source_slices(cs, x, t, settings):
-        mags = np.linalg.norm(f(nodes, tau), axis=-1)
+    for time_w, tau, _, axes, cell in _source_slices(cs, x, t, settings):
+        mags = np.linalg.norm(f(kernels.grid_nodes(axes), tau), axis=-1)
         if math.isinf(p):
             sup = max(sup, float(np.max(mags)))
         else:

@@ -212,10 +212,76 @@ def test_cell_grid_matches_axis_nodes():
     gf = GridFunction(
         center=[0.3, -1.2, 2.0], radius=1.7, values=np.zeros((5, 5, 5, 1))
     )
-    nodes, spacings = kernels.cell_grid(gf.center, gf.radius, gf.points_per_axis)
+    axes, spacings = kernels.cell_grid(gf.center, gf.radius, gf.points_per_axis)
+    for axis in range(3):
+        shape = [1, 1, 1]
+        shape[axis] = 5
+        assert axes[axis].shape == tuple(shape)
+        np.testing.assert_array_equal(axes[axis].ravel(), gf.axis_nodes(axis))
+        np.testing.assert_array_equal(gf.axes()[axis], axes[axis])
+    nodes = gf.nodes()
     assert nodes.shape == (5, 5, 5, 3)
     for axis in range(3):
         line = [2, 2, 2]
         line[axis] = slice(None)
         np.testing.assert_array_equal(nodes[tuple(line) + (axis,)], gf.axis_nodes(axis))
     np.testing.assert_array_equal(spacings, np.full(3, gf.spacing))
+
+
+def _rotated(n):
+    """SPD matrix with distinct eigenvalues along rotated axes."""
+    q, _ = np.linalg.qr(np.random.default_rng(7 + n).standard_normal((n, n)))
+    return q @ np.diag(np.linspace(0.6, 2.2, n)) @ q.T
+
+
+OPEN_GRID_SETS = [
+    sp.coefficient_set(n=1, m=1, T=1.0, A=np.array([[1.7]]), b=np.array([0.4])),
+    sp.coefficient_set(n=2, m=1, T=1.0, A=_rotated(2), b=np.array([0.3, -0.5])),
+    sp.coefficient_set(
+        n=2, m=2, T=1.0, A=sp.Affine(_rotated(2), np.array([[0.2, -0.3], [-0.3, 0.5]])),
+        b=np.array([-0.2, 0.1]), C=np.array([[0.1, 0.4], [0.0, -0.2]]),
+    ),
+    sp.coefficient_set(n=3, m=1, T=1.0, A=_rotated(3), b=np.array([0.2, -0.1, 0.3])),
+]
+
+
+def _dense_reference(acc, x, nodes, ell):
+    """The kernel weight evaluated point by point on dense nodes: the
+    quadratic form by einsum and one exp per node."""
+    u = (x - nodes) + acc.ib
+    q = np.einsum("...i,ij,...j->...", u, acc.ia_inv, u)
+    logs = -0.25 * q - acc.log_gauss_norm
+    weight = np.exp(logs)
+    if ell is not None:
+        weight = weight * (-0.5 * (u @ (acc.ia_inv @ ell)))
+    return weight, logs
+
+
+@pytest.mark.parametrize("cs", OPEN_GRID_SETS, ids=lambda cs: f"n{cs.n}")
+@pytest.mark.parametrize("directional", [False, True])
+@pytest.mark.parametrize("grid", ["slice", "wide", "zoom"])
+def test_open_grid_field_matches_dense_reference(cs, directional, grid):
+    acc = cs.accumulated(0.2, 0.9)
+    x = np.linspace(0.3, -0.4, cs.n)
+    ell = np.linspace(1.0, 2.0, cs.n) / np.linalg.norm(np.linspace(1.0, 2.0, cs.n))
+    ell = ell if directional else None
+    points = {1: 257, 2: 65, 3: 17}[cs.n]
+    if grid == "zoom":
+        # an off-centre zoom box as the oracle's local refinement builds it
+        _, spacings, _ = kernels.slice_grid(acc, x, 8.0, points)
+        axes, _ = kernels.cell_grid(x + acc.ib + 1.5 * kernels.kernel_std(acc),
+                                    2.0 * spacings, points)
+    else:
+        # "wide" reaches 45 marginal deviations, far past the exp underflow
+        axes = kernels.slice_grid(acc, x, 8.0 if grid == "slice" else 45.0, points)[0]
+    field = kernels.kernel_weight(acc, kernels.displacement(acc, x, axes), ell)
+    reference, logs = _dense_reference(acc, x, kernels.grid_nodes(axes), ell)
+    assert field.shape == reference.shape == (points,) * cs.n
+    assert field.size == reference.size
+    scale = np.max(np.abs(reference))
+    assert scale > 0.0
+    assert np.max(np.abs(field - reference)) <= 1e-14 * scale
+    tail = logs < -746.0
+    if grid == "wide":
+        assert np.any(tail)
+    assert np.all(field[tail] == 0.0)

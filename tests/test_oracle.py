@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sharp_parabolic as sp
-from sharp_parabolic import matfun, oracle
+from sharp_parabolic import matfun, oracle, verification
 from sharp_parabolic.errors import DomainError, TruncationError
 from sharp_parabolic.oracle import (
     IntegralOperatorSpec,
@@ -212,3 +212,30 @@ def test_z_max_p1_on_one_slice_is_the_spectral_norm(m):
     sigma, z_top = matfun.spectral_norm(e)
     assert value == pytest.approx(w * sigma, rel=1e-14)
     assert abs(abs(np.dot(z, z_top)) - 1.0) < 1e-9
+
+
+NON_DIAGONAL = sp.coefficient_set(
+    n=2, m=2, T=1.0, A=np.array([[1.3, 0.4], [0.4, 0.7]]), b=np.array([0.7, -0.3]),
+    C=np.array([[0.2, 0.5], [0.0, -0.1]]),
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        verification.VerificationCase(
+            "H[n2m2-offdiag,p=2]", NON_DIAGONAL, "H", 2.0, 0.75, None,
+            verification.HOMOGENEOUS_TOL,
+        ),
+        verification.VerificationCase(
+            "C[n2m2-offdiag,p=inf]", NON_DIAGONAL, "C", INF, 0.75,
+            np.array([0.6, 0.8]), verification.NONHOMOGENEOUS_TOL,
+        ),
+    ],
+    ids=lambda case: case.name,
+)
+def test_oracle_matches_sharp_on_non_diagonal_A(case):
+    # the check-matrix presets have diagonal A, so only this exercises the
+    # kernel field's cross term
+    row = verification.run_case(case)
+    assert row.passed, row

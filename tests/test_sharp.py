@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
-from scipy.special import gamma, hyp1f1
+from scipy.special import gamma, gammainc, hyp1f1
 
 import sharp_parabolic as sp
 from sharp_parabolic import sharp
@@ -530,6 +530,23 @@ def test_unit_heat_source_constants_match_closed_form_near_threshold(n, gap):
     assert sp.sharp_C_ell(cs, p_c, 1.0, ell).value == pytest.approx(
         _kummer_constant(n, "C_ell", p_c, 1.0, a, 0.0, ell), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("p", [1.6, 3.0])
+@pytest.mark.parametrize("c", [-5.0, -50.0, -500.0])
+def test_reported_quad_error_bounds_the_real_error_under_strong_damping(c, p):
+    # |exp(int C)|^p' carries about eps p' |int C| of relative rounding, which
+    # dominates at c = -500; the reference is the lower incomplete gamma
+    # int_0^1 w^(-e) exp(a w) dw = Gamma(1-e) P(1-e, |a|) |a|^(e-1), a = p' c
+    cs = sp.coefficient_set(n=1, m=1, T=1.0, C=c)
+    pp = p / (p - 1.0)
+    e = 0.5 * (pp - 1.0)
+    a = abs(pp * c)
+    integral = gamma(1.0 - e) * gammainc(1.0 - e, a) * a ** (e - 1.0)
+    exact = sharp._solution_prefactor(1, p, pp) * integral ** (1.0 / pp)
+    result = sp.sharp_N(cs, p, 1.0)
+    assert abs(result.value - exact) <= result.diagnostics.quad_error
+    assert result.diagnostics.quad_error <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("c", [-1.5, 0.8])
