@@ -58,6 +58,24 @@ def _vector_cells(vec, size):
     return [float(v) for v in np.asarray(vec, dtype=float)]
 
 
+def _vector(value, size, context):
+    """A request vector with ``size`` finite components, or ConfigError."""
+    try:
+        vec = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+    if vec.shape != (size,) or not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{context}: expected {size} finite components, got {value!r}")
+    return vec
+
+
+def _points(cfg):
+    return [
+        _vector(x, cfg.n, "request.points")
+        for x in cfg.request.get("points", [[0.0] * cfg.n])
+    ]
+
+
 # ---------------------------------------------------------------------------
 # sharp / sweep
 
@@ -130,7 +148,7 @@ def cmd_sharp(cfg, threads, sweep=False):
 
 def cmd_kernel(cfg, threads):
     req = cfg.request
-    points = [np.asarray(x, dtype=float) for x in req.get("points", [[0.0] * cfg.n])]
+    points = _points(cfg)
     ts = [float(t) for t in req.get("t", [cfg.T])]
     taus = req.get("tau")
     tau_list = [None] if taus is None else [float(v) for v in taus]
@@ -187,98 +205,84 @@ def cmd_coeffs(cfg):
 # solve
 
 
-def _data_callable(block, n):
+def _data_callable(block, n, m):
     kind = block.get("type")
     if kind == "constant":
-        value = np.asarray(block["value"], dtype=float)
+        value = _vector(block.get("value"), m, "request.data.value")
 
         def fn(pts):
             return np.broadcast_to(value, pts.shape[:-1] + value.shape)
 
-        return fn, float(np.linalg.norm(value))
+        return fn
     if kind == "gaussian":
-        amplitude = np.asarray(block["amplitude"], dtype=float)
+        amplitude = _vector(block.get("amplitude"), m, "request.data.amplitude")
         width = float(block.get("width", 1.0))
-        center = np.asarray(block.get("center", [0.0] * n), dtype=float)
+        center = _vector(block.get("center", [0.0] * n), n, "request.data.center")
 
         def fn(pts):
             d2 = np.sum((pts - center) ** 2, axis=-1)
             return np.exp(-d2 / (2.0 * width * width))[..., None] * amplitude
 
-        return fn, float(np.linalg.norm(amplitude))
+        return fn
     raise ConfigError(f"request.data: unknown data type {block.get('type')!r}")
 
 
+# sharp kind of the bound: (without ell, with ell) per problem
+_SOLVE_KINDS = {"homogeneous": ("H", "K_ell"), "nonhomogeneous": ("N", "C_ell")}
+
+
 def cmd_solve(cfg, threads):
+    # the whole request is parsed and checked before anything is evaluated
     req = cfg.request
     problem = req.get("problem", "homogeneous")
-    if problem not in ("homogeneous", "nonhomogeneous"):
+    if problem not in _SOLVE_KINDS:
         raise ConfigError("request.problem must be homogeneous or nonhomogeneous")
     data_block = req.get("data")
     if not isinstance(data_block, dict):
         raise ConfigError("request: solve needs a 'data' object")
-    points = [np.asarray(x, dtype=float) for x in req.get("points", [[0.0] * cfg.n])]
+    fn = _data_callable(data_block, cfg.n, cfg.m)
+    points = _points(cfg)
     ts = [float(t) for t in req.get("t", [cfg.T])]
+    if not points or not ts:
+        raise ConfigError("request: parameter ranges must be nonempty")
     p = parse_p(req.get("p", "inf"))
     ell = req.get("ell")
-    ell = None if ell is None else np.asarray(ell, dtype=float)
+    ell = None if ell is None else _vector(ell, cfg.n, "request.ell")
+    kind = _SOLVE_KINDS[problem][ell is not None]
+
     cs = cfg.coefficient_set
     settings = SolveSettings(
         grid_points=min(cfg.numerics.grid_points, 129 if cfg.n > 1 else 257),
         truncation_sigmas=cfg.numerics.truncation_sigmas,
     )
-    sphere = sharp.SphereSettings(seeds_per_dim=cfg.numerics.sphere_seeds)
-    fn, bound = _data_callable(data_block, cfg.n)
-
-    t_max = max(ts)
-    acc = cs.accumulated(0.0, t_max)
-    std = kernels.kernel_std(acc)
     if problem == "homogeneous":
+        std = kernels.kernel_std(cs.accumulated(0.0, max(ts)))
+        width = float(data_block.get("width", 1.0))
         radius = float(
-            data_block.get(
-                "radius", cfg.numerics.truncation_sigmas * std + 3.0 * float(data_block.get("width", 1.0))
-            )
+            data_block.get("radius", cfg.numerics.truncation_sigmas * std + 3.0 * width)
         )
-        phi = GridFunction.from_callable(
-            fn, center=np.zeros(cfg.n), radius=radius,
-            points_per_axis=settings.grid_points,
-        )
-        if phi.m != cfg.m:
-            raise ConfigError("request.data produces the wrong number of components")
-        norm = phi.norm(p)
-        data, kind = phi, ("H" if ell is None else "K_ell")
+        data = GridFunction.from_callable(fn, center=np.zeros(cfg.n), radius=radius,
+                                          points_per_axis=settings.grid_points)
     else:
-        source = SourceFunction(evaluator=lambda pts, tau: fn(pts), bound=bound)
-        data, kind = source, ("N" if ell is None else "C_ell")
+        data = SourceFunction(evaluator=lambda pts, tau: fn(pts))
+    sphere = sharp.SphereSettings(seeds_per_dim=cfg.numerics.sphere_seeds)
+    coefs = {  # one sharp constant per distinct t, shared by its rows
+        t: sharp.evaluate_sharp(cs, sharp.SharpRequest(
+            kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics.quad_tol, sphere=sphere,
+        )).value
+        for t in dict.fromkeys(ts)
+    }
 
     def evaluate(task):
         x, t = task
-        if ell is not None:
-            res = solve.directional_derivative(
-                cs, problem, data, x, t, ell, settings=settings
-            )
-        elif problem == "homogeneous":
-            res = solve.solve_homogeneous(cs, phi, x, t)
-        else:
-            res = solve.solve_nonhomogeneous(cs, source, x, t, settings=settings)
-        request = sharp.SharpRequest(
-            kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics.quad_tol,
-            sphere=sphere,
+        res, data_norm = solve.solve_with_norm(
+            cs, problem, data, x, t, p, ell=ell, settings=settings
         )
-        coef = sharp.evaluate_sharp(cs, request).value
-        if problem == "homogeneous":
-            data_norm = norm
-        else:
-            data_norm = solve.spacetime_norm(cs, source, x, t, p, settings=settings)
-        bound_val = coef * data_norm
+        bound_val = coefs[t] * data_norm
         mag = float(np.linalg.norm(res.value))
         ratio = mag / bound_val if bound_val > 0 else math.inf
-        return (
-            list(x)
-            + [t]
-            + [float(v) for v in res.value]
-            + [res.error_estimate, bound_val, ratio]
-        )
+        values = [float(v) for v in res.value]
+        return list(x) + [t] + values + [res.error_estimate, bound_val, ratio]
 
     tasks = [(x, t) for x in points for t in ts]
     header = (
@@ -360,10 +364,7 @@ def main(argv=None) -> int:
             header, rows = cmd_solve(cfg, threads)
         else:
             header, rows, failures = cmd_verify(cfg, threads, tol_override=args.tol)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +41,9 @@ class RunConfig:
     m: int
     T: float
     coefficient_set: object
-    command: str
     request: dict
     numerics: Numerics
     output_path: str | None
-    base_dir: str = field(default=".")
 
 
 def parse_p(token):
@@ -215,9 +213,7 @@ def load_config(path, command=None) -> RunConfig:
         m=m,
         T=T,
         coefficient_set=cs,
-        command=cfg_command,
         request=request,
         numerics=numerics,
         output_path=output_path,
-        base_dir=base_dir,
     )

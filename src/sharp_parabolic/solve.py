@@ -14,6 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CoverageWarning, DomainError
+from .sharp import _validate_ell
 
 __all__ = [
     "GridFunction",
@@ -23,6 +24,7 @@ __all__ = [
     "solve_homogeneous",
     "solve_nonhomogeneous",
     "directional_derivative",
+    "solve_with_norm",
     "spacetime_norm",
 ]
 
@@ -109,12 +111,10 @@ class SourceFunction:
     """Right-hand side f(y, tau) evaluated on the fly.
 
     ``evaluator(points, tau)`` maps an (..., n) array of spatial points and a
-    scalar time to an (..., m) array. ``bound`` is a declared sup norm used
-    for coverage diagnostics.
+    scalar time to an (..., m) array.
     """
 
     evaluator: object
-    bound: float = 1.0
 
     def __call__(self, points, tau):
         vals = np.asarray(self.evaluator(points, tau), dtype=float)
@@ -181,47 +181,53 @@ def solve_homogeneous(cs, phi: GridFunction, x, t) -> SolveResult:
     return _convolve(cs, phi, x, _check_time(cs, t))
 
 
-def _source_slices(cs, x, t, settings):
-    """Midpoint slices in sigma = sqrt(t - tau), each on its own cell grid.
-
-    Yields (time weight, tau, window integrals, open grid axes, cell volume).
-    """
+def _source_quadrature(cs, f, x, t, settings, gradient_ell=None, p=None):
+    """One walk over midpoint slices in sigma = sqrt(t - tau), each on its own
+    cell grid. f is sampled once per slice; the sample feeds the kernel sum
+    and, when ``p`` is given, the discrete ||f||_{p,t} on the same nodes.
+    Returns (solution, norm or None)."""
     d_sigma = math.sqrt(t) / settings.sigma_slices
     sigmas = ((np.arange(settings.sigma_slices) + 0.5) * d_sigma).tolist()
+    total = np.zeros(cs.m)
+    power_sum = sup = 0.0
     for sigma, acc in zip(sigmas, cs.windows(t, np.square(sigmas))):
         axes, spacings, _ = kernels.slice_grid(
             acc, x, settings.truncation_sigmas, settings.grid_points
         )
-        cell = float(np.prod(spacings))
-        yield 2.0 * sigma * d_sigma, t - sigma * sigma, acc, axes, cell
-
-
-def _source_quadrature(cs, f, x, t, settings, gradient_ell=None):
-    total = np.zeros(cs.m)
-    for time_w, tau, acc, axes, cell in _source_slices(cs, x, t, settings):
+        dv = 2.0 * sigma * d_sigma * float(np.prod(spacings))  # time weight * cell
+        vals = f(kernels.grid_nodes(axes), t - sigma * sigma)
         u = kernels.displacement(acc, x, axes)
         weight = kernels.kernel_weight(acc, u, gradient_ell)
-        inner = weight.reshape(-1) @ f(kernels.grid_nodes(axes), tau).reshape(-1, cs.m)
-        total = total + time_w * cell * (acc.exp_ic @ inner)
-    return total
+        inner = weight.reshape(-1) @ vals.reshape(-1, cs.m)
+        total = total + dv * (acc.exp_ic @ inner)
+        if p is not None:
+            mags = np.linalg.norm(vals, axis=-1)
+            if math.isinf(p):
+                sup = max(sup, float(np.max(mags)))
+            else:
+                power_sum += dv * float(np.sum(mags**p))
+    if p is None:
+        return total, None
+    return total, (sup if math.isinf(p) else power_sum ** (1.0 / p))
 
 
-def _source_solution(cs, f, x, t, settings, gradient_ell=None) -> SolveResult:
-    """Source quadrature with its error estimate against a coarser pass."""
+def _source_solution(cs, f, x, t, settings, gradient_ell=None, p=None):
+    """Source quadrature with its error estimate against a coarser pass, and
+    the fine pass's data norm when ``p`` is given."""
     settings = settings or SolveSettings()
-    value = _source_quadrature(cs, f, x, t, settings, gradient_ell)
+    value, norm = _source_quadrature(cs, f, x, t, settings, gradient_ell, p)
     coarse_settings = replace(
         settings,
         sigma_slices=max(2, settings.sigma_slices // 2),
         grid_points=_halve_odd(settings.grid_points),
     )
-    coarse = _source_quadrature(cs, f, x, t, coarse_settings, gradient_ell)
-    return SolveResult(value=value, error_estimate=float(np.linalg.norm(value - coarse)))
+    coarse, _ = _source_quadrature(cs, f, x, t, coarse_settings, gradient_ell)
+    return SolveResult(value=value, error_estimate=float(np.linalg.norm(value - coarse))), norm
 
 
 def solve_nonhomogeneous(cs, f: SourceFunction, x, t, settings=None) -> SolveResult:
     """u(x, t) for source f and zero initial data, by tensor quadrature."""
-    return _source_solution(cs, f, x, _check_time(cs, t), settings)
+    return _source_solution(cs, f, x, _check_time(cs, t), settings)[0]
 
 
 def _halve_odd(points):
@@ -229,41 +235,34 @@ def _halve_odd(points):
     return half if half % 2 == 1 else half + 1
 
 
-def directional_derivative(
-    cs, problem, data, x, t, ell, settings=None
-) -> SolveResult:
-    """(ell, grad_x) u at (x, t) for either problem kind.
+def solve_with_norm(cs, problem, data, x, t, p=None, ell=None, settings=None):
+    """u(x, t), or (ell, grad_x) u when ``ell`` is given, for either problem
+    kind, with the data norm that its pointwise bound multiplies.
 
-    ``problem`` is 'homogeneous' (data: GridFunction) or 'nonhomogeneous'
-    (data: SourceFunction).
+    ``problem`` is 'homogeneous' (data: GridFunction, norm ``phi.norm(p)``)
+    or 'nonhomogeneous' (data: SourceFunction, norm ||f||_{p,t} from the
+    solver's own pass, as ``spacetime_norm`` gives it). Returns
+    (SolveResult, norm); the norm is None without ``p``.
     """
-    ell = np.asarray(ell, dtype=float)
-    if abs(np.linalg.norm(ell) - 1.0) > 1e-12:
-        raise DomainError("direction ell must be a unit vector")
+    if ell is not None:
+        ell = _validate_ell(ell, cs.n)
     t = _check_time(cs, t)
     if problem == "homogeneous":
-        return _convolve(cs, data, x, t, gradient_ell=ell)
+        return _convolve(cs, data, x, t, ell), None if p is None else data.norm(p)
     if problem == "nonhomogeneous":
-        return _source_solution(cs, data, x, t, settings, gradient_ell=ell)
+        return _source_solution(cs, data, x, t, settings, ell, p)
     raise DomainError(f"unknown problem kind {problem!r}")
 
 
-def spacetime_norm(cs, f: SourceFunction, x, t, p, settings=None):
-    """Discrete ||f||_{p,t} on the same tensor grid the source solver uses.
+def directional_derivative(cs, problem, data, x, t, ell, settings=None) -> SolveResult:
+    """(ell, grad_x) u at (x, t) for either problem kind (see solve_with_norm)."""
+    ell = _validate_ell(ell, cs.n)  # a missing ell is not the plain value
+    return solve_with_norm(cs, problem, data, x, t, ell=ell, settings=settings)[0]
 
-    Matching the solver's nodes makes the discrete Hoelder chain, and hence
-    the pointwise bounds, exact on the grid.
-    """
-    settings = settings or SolveSettings()
+
+def spacetime_norm(cs, f: SourceFunction, x, t, p, settings=None):
+    """Discrete ||f||_{p,t}, read from the source solver's own pass: matching
+    its nodes makes the discrete Hoelder chain, and hence the pointwise
+    bounds, exact on the grid."""
     t = _check_time(cs, t)
-    acc_p = 0.0
-    sup = 0.0
-    for time_w, tau, _, axes, cell in _source_slices(cs, x, t, settings):
-        mags = np.linalg.norm(f(kernels.grid_nodes(axes), tau), axis=-1)
-        if math.isinf(p):
-            sup = max(sup, float(np.max(mags)))
-        else:
-            acc_p += time_w * cell * float(np.sum(mags**p))
-    if math.isinf(p):
-        return sup
-    return acc_p ** (1.0 / p)
+    return _source_quadrature(cs, f, x, t, settings or SolveSettings(), p=p)[1]

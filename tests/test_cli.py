@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sharp_parabolic import sharp
+from sharp_parabolic import cli, sharp
 from sharp_parabolic.cli import main
 from sharp_parabolic.config import load_config, parse_p
 from sharp_parabolic.errors import ConfigError
+from sharp_parabolic.solve import SolveSettings
 
 
 def write_config(tmp_path, body, name="run.json"):
@@ -138,7 +139,24 @@ def test_tabulated_sweep_and_verify_csvs_do_not_depend_on_threads(tmp_path):
     sweep["coefficients"]["A"] = {"preset": "tabulated", "path": "a.csv"}
     sweep["coefficients"]["C"] = {"preset": "tabulated", "path": "c.csv"}
     verify = base_config("verify", {"cases": "quick"})
-    for command, body in (("sweep", sweep), ("verify", verify)):
+    solve = base_config(
+        "solve",
+        {
+            "problem": "nonhomogeneous",
+            "data": {"type": "gaussian", "amplitude": [1.0, -0.5], "width": 0.7},
+            "points": [[0.3, -0.2], [0.8, 0.4]],
+            "t": [0.5, 1.0],
+            "p": "inf",
+            "ell": [0.6, 0.8],
+        },
+        n=2, m=2,
+    )
+    solve["coefficients"]["A"] = {
+        "preset": "affine", "value": [[1.0, 0.2], [0.2, 0.7]],
+        "slope": [[0.3, -0.1], [-0.1, 0.2]],
+    }
+    solve["numerics"].update(grid_points=33, sphere_seeds=8)
+    for command, body in (("sweep", sweep), ("verify", verify), ("solve", solve)):
         single = _csv_bytes_at_threads(tmp_path, command, body, 1)
         assert single.count(b"\n") > 4
         assert _csv_bytes_at_threads(tmp_path, command, body, 3) == single
@@ -211,6 +229,7 @@ def test_solve_command_nonhomogeneous_constant_source(tmp_path):
 
 
 def test_solve_command_passes_the_sphere_seeds(tmp_path, monkeypatch):
+    # and computes one constant per distinct t, shared by that t's rows
     requests = []
     evaluate = sharp.evaluate_sharp
 
@@ -219,20 +238,81 @@ def test_solve_command_passes_the_sphere_seeds(tmp_path, monkeypatch):
         return evaluate(cs, request)
 
     monkeypatch.setattr(sharp, "evaluate_sharp", capture)
+    out = str(tmp_path / "s.csv")
     body = base_config(
         "solve",
         {
             "problem": "nonhomogeneous",
             "data": {"type": "constant", "value": [1.5]},
-            "points": [[0.0]],
-            "t": [1.0],
+            "points": [[0.0], [0.4], [-0.3]],
+            "t": [0.5, 1.0, 0.5],
             "p": "inf",
         },
-        out=str(tmp_path / "s.csv"),
+        out=out,
     )
-    body["numerics"]["sphere_seeds"] = 5
+    body["numerics"].update(sphere_seeds=5, grid_points=33)
     assert main(["solve", "--config", write_config(tmp_path, body)]) == 0
-    assert [r.sphere for r in requests] == [sharp.SphereSettings(seeds_per_dim=5)]
+    seeds = sharp.SphereSettings(seeds_per_dim=5)
+    assert [(r.t, r.sphere) for r in requests] == [(0.5, seeds), (1.0, seeds)]
+    assert len(read_rows(out)) == 9
+
+
+def _nonhomogeneous_solve(**request):
+    return {
+        "problem": "nonhomogeneous",
+        "data": {"type": "constant", "value": [1.5]},
+        "points": [[0.0]],
+        "t": [1.0],
+        "p": "inf",
+        **request,
+    }
+
+
+def test_one_solve_row_samples_the_source_once_per_node(tmp_path, monkeypatch):
+    # S slices in the fine pass and S/2 in the coarse one; the data norm is
+    # read from the fine pass's samples
+    calls = []
+    data_callable = cli._data_callable
+
+    def counting(*args):
+        fn = data_callable(*args)
+
+        def counted(pts):
+            calls.append(pts.shape)
+            return fn(pts)
+
+        return counted
+
+    monkeypatch.setattr(cli, "_data_callable", counting)
+    body = base_config("solve", _nonhomogeneous_solve(), out=str(tmp_path / "s.csv"))
+    assert main(["solve", "--config", write_config(tmp_path, body)]) == 0
+    slices = SolveSettings().sigma_slices
+    assert len(calls) == slices + slices // 2
+
+
+# a valid n = m = 2 solve request with one field of the wrong shape
+_SOLVE_2D = {"data": {"type": "constant", "value": [1.0, 2.0]}, "points": [[0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, request_body",
+    [
+        ("solve", dict(_nonhomogeneous_solve(**_SOLVE_2D), problem="homogeneous",
+                       ell=[0.6, 0.8, 0.0])),
+        ("solve", _nonhomogeneous_solve(**_SOLVE_2D, ell=[0.6, 0.8, 0.0])),
+        ("solve", _nonhomogeneous_solve(**dict(_SOLVE_2D, points=[[0.0, 0.0, 0.0]]))),
+        ("solve", _nonhomogeneous_solve(
+            **dict(_SOLVE_2D, data={"type": "constant", "value": [1.0, 2.0, 3.0]}))),
+        ("kernel", {"points": [[0.0, 0.0, 0.0]], "t": [1.0]}),
+    ],
+    ids=["homogeneous-ell", "nonhomogeneous-ell", "point", "source-value", "kernel-point"],
+)
+def test_wrong_shapes_exit_2(tmp_path, capsys, command, request_body):
+    body = base_config(command, request_body, n=2, m=2, out=str(tmp_path / "o.csv"))
+    assert main([command, "--config", write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("seeds", [0, -3])

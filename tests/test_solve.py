@@ -5,7 +5,13 @@ import pytest
 
 import sharp_parabolic as sp
 from sharp_parabolic.errors import CoverageWarning, DomainError
-from sharp_parabolic.solve import GridFunction, SolveSettings, SourceFunction, spacetime_norm
+from sharp_parabolic.solve import (
+    GridFunction,
+    SolveSettings,
+    SourceFunction,
+    solve_with_norm,
+    spacetime_norm,
+)
 
 INF = math.inf
 
@@ -125,6 +131,19 @@ def test_directional_derivative_sign_flip():
     np.testing.assert_allclose(plus, -minus, rtol=1e-12)
 
 
+@pytest.mark.parametrize("problem", ["homogeneous", "nonhomogeneous"])
+def test_directional_derivative_rejects_a_direction_of_the_wrong_shape(problem):
+    cs = sp.coefficient_set(n=2, m=1, T=1.0)
+    data = (
+        GridFunction(center=np.zeros(2), radius=8.0, values=np.ones((17, 17, 1)))
+        if problem == "homogeneous"
+        else SourceFunction(lambda pts, tau: np.ones(pts.shape[:-1] + (1,)))
+    )
+    with pytest.raises(DomainError, match="shape"):
+        sp.directional_derivative(cs, problem, data, np.zeros(2), 0.5,
+                                  np.array([0.6, 0.8, 0.0]))
+
+
 def test_directional_derivative_matches_finite_difference():
     cs = sp.coefficient_set(n=1, m=1, T=1.0, b=np.array([0.3]))
     phi = gaussian_grid(lambda pts: np.exp(-((pts[..., 0] - 0.7) ** 2)))
@@ -203,6 +222,41 @@ def test_spacetime_norm_sup():
     cs = heat()
     f = SourceFunction(lambda pts, tau: 3.0 * np.ones(pts.shape[:-1] + (1,)))
     assert spacetime_norm(cs, f, np.zeros(1), 1.0, INF) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, INF])
+def test_spacetime_norm_is_the_norm_of_the_solver_pass(p):
+    cs = sp.coefficient_set(n=2, m=2, T=1.0, A=np.array([[1.2, 0.3], [0.3, 0.8]]),
+                            b=np.array([0.2, -0.1]))
+    f = SourceFunction(lambda pts, tau: np.stack(
+        [np.exp(-np.sum(pts**2, axis=-1)) * (1.0 + tau), np.cos(pts[..., 0])], axis=-1
+    ))
+    x, t = np.array([0.3, -0.4]), 0.7
+    settings = SolveSettings(sigma_slices=16, grid_points=33)
+    norm = spacetime_norm(cs, f, x, t, p, settings=settings)
+    for ell in (None, np.array([0.6, 0.8])):
+        res, shared = solve_with_norm(cs, "nonhomogeneous", f, x, t, p, ell=ell,
+                                      settings=settings)
+        assert shared == norm
+        assert res.value.shape == (2,)
+
+
+def test_spacetime_norm_of_a_constant_is_the_midpoint_sum_over_slice_boxes():
+    # each sigma-slice box has half-width 8 sqrt(2 a_i) sigma along axis i,
+    # and carries the time weight 2 sigma d_sigma
+    a = np.array([1.5, 0.5])
+    cs = sp.coefficient_set(n=2, m=1, T=1.0, A=np.diag(a))
+    f = SourceFunction(lambda pts, tau: 2.0 * np.ones(pts.shape[:-1] + (1,)))
+    t, slices = 0.8, 16
+    d_sigma = math.sqrt(t) / slices
+    total = 0.0
+    for k in range(slices):
+        sigma = (k + 0.5) * d_sigma
+        box = np.prod(2.0 * 8.0 * np.sqrt(2.0 * a) * sigma)
+        total += 2.0 * sigma * d_sigma * box * 2.0**3
+    settings = SolveSettings(sigma_slices=slices, grid_points=17)
+    norm = spacetime_norm(cs, f, np.array([0.1, 0.2]), t, 3.0, settings=settings)
+    assert norm == pytest.approx(total ** (1.0 / 3.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [-0.5, 0.0, 2.0])
