@@ -69,6 +69,28 @@ def _vector(value, size, context):
     return vec
 
 
+def _numbers(value, context):
+    """A list of finite floats, or ConfigError."""
+    try:
+        numbers = [float(v) for v in value] if isinstance(value, list) else None
+    except (TypeError, ValueError):
+        numbers = None
+    if numbers is None or not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{context}: expected a list of finite numbers, got {value!r}")
+    return numbers
+
+
+def _positive(value, context):
+    """A finite positive float, or ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x > 0.0):
+        raise ConfigError(f"{context}: expected a finite positive number, got {value!r}")
+    return x
+
+
 def _points(cfg):
     return [
         _vector(x, cfg.n, "request.points")
@@ -83,7 +105,7 @@ def _points(cfg):
 def _sharp_tasks(cfg, kinds):
     req = cfg.request
     ps = [parse_p(tok) for tok in req.get("p", [2.0])]
-    ts = [float(t) for t in req.get("t", [cfg.T])]
+    ts = _numbers(req.get("t", [cfg.T]), "request.t")
     if not ps or not ts or not kinds:
         raise ConfigError("request: parameter ranges must be nonempty")
     ells = req.get("ell")
@@ -149,9 +171,9 @@ def cmd_sharp(cfg, threads, sweep=False):
 def cmd_kernel(cfg, threads):
     req = cfg.request
     points = _points(cfg)
-    ts = [float(t) for t in req.get("t", [cfg.T])]
+    ts = _numbers(req.get("t", [cfg.T]), "request.t")
     taus = req.get("tau")
-    tau_list = [None] if taus is None else [float(v) for v in taus]
+    tau_list = [None] if taus is None else _numbers(taus, "request.tau")
     tasks = [(x, t, tau) for x in points for t in ts for tau in tau_list]
 
     def evaluate(task):
@@ -216,7 +238,7 @@ def _data_callable(block, n, m):
         return fn
     if kind == "gaussian":
         amplitude = _vector(block.get("amplitude"), m, "request.data.amplitude")
-        width = float(block.get("width", 1.0))
+        width = _positive(block.get("width", 1.0), "request.data.width")
         center = _vector(block.get("center", [0.0] * n), n, "request.data.center")
 
         def fn(pts):
@@ -242,7 +264,7 @@ def cmd_solve(cfg, threads):
         raise ConfigError("request: solve needs a 'data' object")
     fn = _data_callable(data_block, cfg.n, cfg.m)
     points = _points(cfg)
-    ts = [float(t) for t in req.get("t", [cfg.T])]
+    ts = _numbers(req.get("t", [cfg.T]), "request.t")
     if not points or not ts:
         raise ConfigError("request: parameter ranges must be nonempty")
     p = parse_p(req.get("p", "inf"))
@@ -257,9 +279,10 @@ def cmd_solve(cfg, threads):
     )
     if problem == "homogeneous":
         std = kernels.kernel_std(cs.accumulated(0.0, max(ts)))
-        width = float(data_block.get("width", 1.0))
-        radius = float(
-            data_block.get("radius", cfg.numerics.truncation_sigmas * std + 3.0 * width)
+        width = _positive(data_block.get("width", 1.0), "request.data.width")
+        radius = _positive(
+            data_block.get("radius", cfg.numerics.truncation_sigmas * std + 3.0 * width),
+            "request.data.radius",
         )
         data = GridFunction.from_callable(fn, center=np.zeros(cfg.n), radius=radius,
                                           points_per_axis=settings.grid_points)

@@ -283,6 +283,24 @@ class CoefficientSet:
         """Window integrals for [t - w, t], one per entry of ``w``, in one batch."""
         return integrate_windows(self, t, w)
 
+    def check_window_floor(self, t, w):
+        """Raise DomainError unless the window length w ending at t clears the
+        SPD floor: a window w has smallest eigenvalue about w lambda_min(A(t)),
+        which must clear 1e-12."""
+        lam_min = float(np.linalg.eigvalsh(matfun.symmetrize(self.A(t)))[0])
+        floor = max(WINDOW_FLOOR * self.T, 2e-12 / lam_min)
+        if w < floor:
+            raise DomainError(f"time t={t:g} is too small for the window floor {floor:g}")
+
+    def window_breaks(self, t) -> np.ndarray:
+        """Window lengths at which [t - w, t] reaches a sample time of a
+        tabulated A, b or C, ascending and ending with t itself: the window
+        integrals are smooth in w between two breaks. A sample time within
+        1e-6 t of t makes no break: that piece would put nodes below the floor."""
+        s = [p.times for p in (self.A, self.b, self.C) if isinstance(p, Tabulated)]
+        s = np.concatenate([[]] + s)
+        return np.unique(np.append(t - s[(s > 0.0) & (s < (1.0 - 1e-6) * t)], t))
+
 
 def _spd_check_times(A, T):
     """Times at which A(t) is checked to be SPD at construction.

@@ -13,10 +13,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Kernel matrix at one space-time point.
+    """Kernel matrix at one space-time point, or at an array of points.
 
     ``matrix`` is scalar_part times the coupling exponential, and
-    ``drift_shifted_point`` is the Gaussian argument x + int_b.
+    ``drift_shifted_point`` is the Gaussian argument x + int_b. For points x
+    of shape (..., n) the fields have shapes (..., m, m), (...) and (..., n);
+    for a single point ``scalar_part`` is a float.
     """
 
     matrix: np.ndarray
@@ -89,40 +91,41 @@ def slice_grid(acc, x, truncation, points):
     return axes, spacings, radii
 
 
-def _kernel_value(acc, x):
+def _kernel_values(acc, x, gradient=False):
+    """The kernel at the points x of shape (..., n), or, with ``gradient``,
+    the list of its spatial-derivative components."""
     u = np.asarray(x, dtype=float) + acc.ib
-    s = float(gaussian_field(acc, u))
-    return KernelValue(matrix=s * acc.exp_ic, scalar_part=s, drift_shifted_point=u)
-
-
-def _kernel_gradient(acc, x):
-    u = np.asarray(x, dtype=float) + acc.ib
-    s = float(gaussian_field(acc, u))
-    weights = -0.5 * (acc.ia_inv @ u)
-    return [
-        KernelValue(matrix=w * s * acc.exp_ic, scalar_part=w * s, drift_shifted_point=u)
-        for w in weights
+    parts = [gaussian_field(acc, np.moveaxis(u, -1, 0))]
+    if gradient:
+        weights = -0.5 * (acc.ia_inv @ u[..., None])[..., 0]
+        parts = [weights[..., j] * parts[0] for j in range(u.shape[-1])]
+    values = [
+        KernelValue(part[..., None, None] * acc.exp_ic, part if part.ndim else float(part), u)
+        for part in parts
     ]
+    return values if gradient else values[0]
 
 
 def eval_G(cs, x, t) -> KernelValue:
-    """Initial-value kernel G(x, t) for t > 0."""
-    return _kernel_value(cs.accumulated(0.0, t), x)
+    """Initial-value kernel G(x, t) for t > 0, at one point or at the points
+    of an array of shape (..., n)."""
+    return _kernel_values(cs.accumulated(0.0, t), x)
 
 
 def eval_grad_G(cs, x, t):
-    """Spatial gradient of G: component j is -(1/2){ia_inv (x + int_b)}_j G."""
-    return _kernel_gradient(cs.accumulated(0.0, t), x)
+    """Spatial gradient of G: component j is -(1/2){ia_inv (x + int_b)}_j G,
+    one KernelValue per component; x as in eval_G."""
+    return _kernel_values(cs.accumulated(0.0, t), x, gradient=True)
 
 
 def eval_P(cs, x, t, tau) -> KernelValue:
     """Source kernel P(x, t, tau) for 0 <= tau < t; P(., t, 0) == G(., t)."""
-    return _kernel_value(cs.accumulated(tau, t), x)
+    return _kernel_values(cs.accumulated(tau, t), x)
 
 
 def eval_grad_P(cs, x, t, tau):
     """Spatial gradient of P, window analogue of eval_grad_G."""
-    return _kernel_gradient(cs.accumulated(tau, t), x)
+    return _kernel_values(cs.accumulated(tau, t), x, gradient=True)
 
 
 def kernel_std(acc) -> float:

@@ -14,8 +14,6 @@ __all__ = [
     "as_real_matrix",
     "sym_eigen",
     "spd_roots",
-    "spd_sqrt",
-    "spd_inv_sqrt",
     "spectral_norm",
     "matrix_exp",
     "canonical_sign",
@@ -94,16 +92,6 @@ def spd_roots(m, message=None):
     family = np.einsum("kij,skj,klj->skil", vec, powers, vec)
     root, inv_root, inv = 0.5 * (family + np.swapaxes(family, -1, -2))
     return eig, root, inv_root, inv
-
-
-def spd_sqrt(m) -> np.ndarray:
-    """Symmetric positive definite square root of an SPD matrix."""
-    return spd_roots(symmetrize(m)[None])[1][0]
-
-
-def spd_inv_sqrt(m) -> np.ndarray:
-    """Inverse of the SPD square root of an SPD matrix."""
-    return spd_roots(symmetrize(m)[None])[2][0]
 
 
 def spectral_norm(b):

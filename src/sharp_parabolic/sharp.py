@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import matfun
-from .coeffs import WINDOW_FLOOR, Tabulated
 from .coeffs import window_scaling_exponents  # noqa: F401  (wrapped by bench/tracer.py)
 from .errors import DomainError
 from .quadrature import DEFAULT_TOL
@@ -333,9 +332,8 @@ def converges_C(cs, p) -> bool:
 
 
 # Nodes per piece of a window table: doubled from the start until two tables
-# agree to quad_tol, or up to the cap. A sample time within _MIN_PIECE * t
-# of t does not split the window: that piece would put nodes below the floor.
-_NODES_START, _NODES_CAP, _MIN_PIECE = 16, 512, 1e-6
+# agree to quad_tol, or up to the cap.
+_NODES_START, _NODES_CAP = 16, 512
 
 
 @dataclass(frozen=True)
@@ -367,25 +365,20 @@ def _gauss_jacobi(nodes, e):
 def _window_tables(cs, t, pp, with_gradient, nodes) -> _WindowTables:
     """Node table in w on [0, t] for the integrand w^(-e) * smooth.
 
-    Pieces end where a sample time of a tabulated A or C enters the window.
+    Pieces end at the window breaks of the coefficient set.
     The first piece takes the Gauss-Jacobi rule of the weight w^(-e), with
     w^e folded into its weights; the others take Gauss-Legendre. Raises
-    DomainError when a node is below the SPD floor: a window w has smallest
-    eigenvalue about w lambda_min(A(t)), which must clear 1e-12.
+    DomainError when a node is below the SPD floor (``check_window_floor``).
     """
     e = 0.5 * cs.n * (pp - 1.0) + (0.5 * pp if with_gradient else 0.0)
-    s = np.concatenate([[]] + [p.times for p in (cs.A, cs.C) if isinstance(p, Tabulated)])
-    ends = np.unique(np.append(t - s[(s > 0.0) & (s < (1.0 - _MIN_PIECE) * t)], t))
+    ends = cs.window_breaks(t)
     half = 0.5 * np.diff(ends, prepend=0.0)
     (xj, wj), (xl, wl) = _gauss_jacobi(nodes, e), _gauss_jacobi(nodes, 0.0)
     first = half[0] * (1.0 + xj)
     ws = np.concatenate([first, (ends[:-1, None] + half[1:, None] * (1.0 + xl)).ravel()])
     jacobi = half[0] ** (1.0 - e) * wj * first**e
     rule = np.concatenate([jacobi, np.outer(half[1:], wl).ravel()])
-    lam_min = float(np.linalg.eigvalsh(matfun.symmetrize(cs.A(t)))[0])
-    floor = max(WINDOW_FLOOR * cs.T, 2e-12 / lam_min)
-    if ws[0] < floor:
-        raise DomainError(f"time t={t:g} is too small for the window floor {floor:g}")
+    cs.check_window_floor(t, ws[0])
     accs = cs.windows(t, ws)
     dets = np.array([acc.det_ia_sqrt for acc in accs])
     exps = np.stack([acc.exp_ic_star for acc in accs])

@@ -8,7 +8,7 @@ singularity of the kernel ingredients.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,11 +132,19 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Tensor-quadrature controls for the source problem."""
+    """Tensor-quadrature controls for the source problem: S = ``sigma_slices``
+    angle intervals of Fejer's second rule per piece in sigma (S - 1 nodes,
+    S even and >= 4) and ``grid_points`` cells per axis (odd and >= 3)."""
 
-    sigma_slices: int = 64
+    sigma_slices: int = 32
     grid_points: int = 129
     truncation_sigmas: float = 8.0
+
+    def __post_init__(self):
+        if self.sigma_slices < 4 or self.sigma_slices % 2:
+            raise DomainError("sigma_slices must be even and >= 4")
+        if self.grid_points < 3 or self.grid_points % 2 == 0:
+            raise DomainError("grid_points must be odd and >= 3")
 
 
 def _check_coverage(phi, peak, std):
@@ -181,58 +189,59 @@ def solve_homogeneous(cs, phi: GridFunction, x, t) -> SolveResult:
     return _convolve(cs, phi, x, _check_time(cs, t))
 
 
+def _fejer(intervals):
+    """Fejer's second rule on [0, 1] with ``intervals`` angle intervals: nodes
+    (1 - cos(k pi / S)) / 2 for 0 < k < S, and their positive weights."""
+    theta = np.arange(1, intervals) * math.pi / intervals
+    odd = np.arange(1, intervals, 2)
+    sums = np.sin(np.outer(theta, odd)) @ (1.0 / odd)
+    return np.sin(0.5 * theta) ** 2, 2.0 / intervals * np.sin(theta) * sums
+
+
 def _source_quadrature(cs, f, x, t, settings, gradient_ell=None, p=None):
-    """One walk over midpoint slices in sigma = sqrt(t - tau), each on its own
-    cell grid. f is sampled once per slice; the sample feeds the kernel sum
-    and, when ``p`` is given, the discrete ||f||_{p,t} on the same nodes.
-    Returns (solution, norm or None)."""
-    d_sigma = math.sqrt(t) / settings.sigma_slices
-    sigmas = ((np.arange(settings.sigma_slices) + 0.5) * d_sigma).tolist()
-    total = np.zeros(cs.m)
-    power_sum = sup = 0.0
-    for sigma, acc in zip(sigmas, cs.windows(t, np.square(sigmas))):
+    """One walk over Fejer's second rule in sigma = sqrt(t - tau) on each
+    piece between the square roots of the window breaks; every node has its
+    own cell grid. f is sampled once per node, and that sample feeds the
+    solution, the nested rule of half the intervals (every other node) on
+    the every-other-node subgrid, whose distance from the solution is the
+    error estimate, and, when ``p`` is given, ||f||_{p,t} with the solution's
+    weights. Returns (SolveResult, norm or None)."""
+    nodes, rule = _fejer(settings.sigma_slices)
+    nested = np.zeros_like(rule)
+    nested[1::2] = _fejer(settings.sigma_slices // 2)[1]
+    ends = np.sqrt(np.append(0.0, cs.window_breaks(t)))
+    lengths = np.diff(ends)[:, None]
+    sigmas = (ends[:-1, None] + lengths * nodes).ravel()
+    cs.check_window_floor(t, sigmas[0] ** 2)
+    # weights in tau = t - sigma^2: d tau = 2 sigma d sigma
+    fine_w, half_w = (2.0 * sigmas * (lengths * r).ravel() for r in (rule, nested))
+    sub = (slice(None, None, 2),) * cs.n
+    fine, coarse, norm_terms = np.zeros(cs.m), np.zeros(cs.m), []
+    for sigma, w_fine, w_half, acc in zip(
+        sigmas.tolist(), fine_w.tolist(), half_w.tolist(), cs.windows(t, np.square(sigmas))
+    ):
         axes, spacings, _ = kernels.slice_grid(
             acc, x, settings.truncation_sigmas, settings.grid_points
         )
-        dv = 2.0 * sigma * d_sigma * float(np.prod(spacings))  # time weight * cell
+        cell = float(np.prod(spacings))
         vals = f(kernels.grid_nodes(axes), t - sigma * sigma)
-        u = kernels.displacement(acc, x, axes)
-        weight = kernels.kernel_weight(acc, u, gradient_ell)
-        inner = weight.reshape(-1) @ vals.reshape(-1, cs.m)
-        total = total + dv * (acc.exp_ic @ inner)
+        weight = kernels.kernel_weight(acc, kernels.displacement(acc, x, axes), gradient_ell)
+        fine = fine + w_fine * cell * (acc.exp_ic @ np.tensordot(weight, vals, cs.n))
+        if w_half:
+            inner = np.tensordot(weight[sub], vals[sub], cs.n)
+            coarse = coarse + w_half * 2.0**cs.n * cell * (acc.exp_ic @ inner)
         if p is not None:
             mags = np.linalg.norm(vals, axis=-1)
-            if math.isinf(p):
-                sup = max(sup, float(np.max(mags)))
-            else:
-                power_sum += dv * float(np.sum(mags**p))
+            norm_terms.append(np.max(mags) if math.isinf(p) else w_fine * cell * np.sum(mags**p))
+    result = SolveResult(value=fine, error_estimate=float(np.linalg.norm(fine - coarse)))
     if p is None:
-        return total, None
-    return total, (sup if math.isinf(p) else power_sum ** (1.0 / p))
-
-
-def _source_solution(cs, f, x, t, settings, gradient_ell=None, p=None):
-    """Source quadrature with its error estimate against a coarser pass, and
-    the fine pass's data norm when ``p`` is given."""
-    settings = settings or SolveSettings()
-    value, norm = _source_quadrature(cs, f, x, t, settings, gradient_ell, p)
-    coarse_settings = replace(
-        settings,
-        sigma_slices=max(2, settings.sigma_slices // 2),
-        grid_points=_halve_odd(settings.grid_points),
-    )
-    coarse, _ = _source_quadrature(cs, f, x, t, coarse_settings, gradient_ell)
-    return SolveResult(value=value, error_estimate=float(np.linalg.norm(value - coarse))), norm
+        return result, None
+    return result, float(max(norm_terms) if math.isinf(p) else sum(norm_terms) ** (1.0 / p))
 
 
 def solve_nonhomogeneous(cs, f: SourceFunction, x, t, settings=None) -> SolveResult:
     """u(x, t) for source f and zero initial data, by tensor quadrature."""
-    return _source_solution(cs, f, x, _check_time(cs, t), settings)[0]
-
-
-def _halve_odd(points):
-    half = max(9, points // 2)
-    return half if half % 2 == 1 else half + 1
+    return _source_quadrature(cs, f, x, _check_time(cs, t), settings or SolveSettings())[0]
 
 
 def solve_with_norm(cs, problem, data, x, t, p=None, ell=None, settings=None):
@@ -250,7 +259,7 @@ def solve_with_norm(cs, problem, data, x, t, p=None, ell=None, settings=None):
     if problem == "homogeneous":
         return _convolve(cs, data, x, t, ell), None if p is None else data.norm(p)
     if problem == "nonhomogeneous":
-        return _source_solution(cs, data, x, t, settings, ell, p)
+        return _source_quadrature(cs, data, x, t, settings or SolveSettings(), ell, p)
     raise DomainError(f"unknown problem kind {problem!r}")
 
 

@@ -269,8 +269,8 @@ def _nonhomogeneous_solve(**request):
 
 
 def test_one_solve_row_samples_the_source_once_per_node(tmp_path, monkeypatch):
-    # S slices in the fine pass and S/2 in the coarse one; the data norm is
-    # read from the fine pass's samples
+    # one pass of S - 1 nodes: the nested rule and the data norm read the
+    # same samples
     calls = []
     data_callable = cli._data_callable
 
@@ -287,7 +287,7 @@ def test_one_solve_row_samples_the_source_once_per_node(tmp_path, monkeypatch):
     body = base_config("solve", _nonhomogeneous_solve(), out=str(tmp_path / "s.csv"))
     assert main(["solve", "--config", write_config(tmp_path, body)]) == 0
     slices = SolveSettings().sigma_slices
-    assert len(calls) == slices + slices // 2
+    assert len(calls) == slices - 1
 
 
 # a valid n = m = 2 solve request with one field of the wrong shape
@@ -312,6 +312,26 @@ def test_wrong_shapes_exit_2(tmp_path, capsys, command, request_body):
     assert main([command, "--config", write_config(tmp_path, body)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, request_body",
+    [
+        ("sharp", {"kind": "N", "p": [3.0], "t": 0.5}),
+        ("kernel", {"points": [[0.0]], "t": [1.0], "tau": [0.2, "later"]}),
+        ("solve", _nonhomogeneous_solve(
+            data={"type": "gaussian", "amplitude": [1.0], "width": "wide"})),
+        ("solve", _nonhomogeneous_solve(
+            problem="homogeneous", data={"type": "constant", "value": [1.0], "radius": "big"})),
+    ],
+    ids=["t", "tau", "width", "radius"],
+)
+def test_malformed_numbers_exit_2(tmp_path, capsys, command, request_body):
+    body = base_config(command, request_body, out=str(tmp_path / "o.csv"))
+    assert main([command, "--config", write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: request.")
     assert "Traceback" not in err
 
 

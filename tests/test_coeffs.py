@@ -325,3 +325,18 @@ def test_threads_computing_the_same_windows_agree_bit_for_bit():
         assert not thread.is_alive()
     for got in results:
         _assert_same_windows(got, single)
+
+
+def test_window_breaks_collect_the_sample_times_of_every_tabulated_coefficient():
+    # a window ending at t = 0.8 reaches A's sample 0.3 at length 0.5 and b's
+    # 0.6 at 0.2; C's sample just below t is too close to split it, and 0.9
+    # is past t
+    def tab(times, shape):
+        times = np.array(times)
+        return sp.Tabulated(times, np.ones((times.size,) + shape))
+
+    cs = sp.coefficient_set(n=1, m=1, T=1.0, A=tab([0.0, 0.3, 1.0], (1, 1)),
+                            b=tab([0.0, 0.6, 1.0], (1,)),
+                            C=tab([0.0, 0.8 - 1e-7, 0.9, 1.0], (1, 1)))
+    np.testing.assert_allclose(cs.window_breaks(0.8), [0.2, 0.5, 0.8], rtol=1e-15)
+    assert sp.coefficient_set(n=1, m=1, T=1.0).window_breaks(0.8).tolist() == [0.8]

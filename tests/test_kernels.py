@@ -285,3 +285,28 @@ def test_open_grid_field_matches_dense_reference(cs, directional, grid):
     if grid == "wide":
         assert np.any(tail)
     assert np.all(field[tail] == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_point_arrays_match_single_points_bitwise(n):
+    cs = sp.coefficient_set(n=n, m=2, T=1.5, A=np.array([[1.3, 0.2], [0.2, 0.7]])[:n, :n],
+                            b=np.array([0.4, -0.3])[:n], C=np.array([[0.1, 0.5], [-0.2, 0.3]]))
+    xs = np.random.default_rng(17).normal(scale=2.0, size=(3, 5, n))
+    for evaluate in (lambda x: sp.eval_G(cs, x, 1.2), lambda x: sp.eval_P(cs, x, 1.2, 0.3)):
+        batch = evaluate(xs)
+        assert batch.matrix.shape == (3, 5, 2, 2)
+        for index in np.ndindex(xs.shape[:-1]):
+            single = evaluate(xs[index])
+            assert isinstance(single.scalar_part, float)
+            assert batch.scalar_part[index] == single.scalar_part
+            np.testing.assert_array_equal(batch.matrix[index], single.matrix)
+            np.testing.assert_array_equal(batch.drift_shifted_point[index],
+                                          single.drift_shifted_point)
+    for gradient in (lambda x: sp.eval_grad_G(cs, x, 1.2),
+                     lambda x: sp.eval_grad_P(cs, x, 1.2, 0.3)):
+        batch = gradient(xs)
+        assert len(batch) == n
+        for index in np.ndindex(xs.shape[:-1]):
+            for component, single in zip(batch, gradient(xs[index])):
+                assert component.scalar_part[index] == single.scalar_part
+                np.testing.assert_array_equal(component.matrix[index], single.matrix)

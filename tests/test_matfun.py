@@ -8,6 +8,12 @@ from sharp_parabolic import matfun
 from sharp_parabolic.errors import NotPositiveDefinite
 
 
+def roots(m):
+    """(sqrt, inv_sqrt) of one SPD matrix, from the root family of a stack of one."""
+    _, root, inv_root, _ = matfun.spd_roots(np.asarray(m, dtype=float)[None])
+    return root[0], inv_root[0]
+
+
 def test_sym_eigen_diagonal():
     w, v = matfun.sym_eigen(np.diag([3.0, 1.0]))
     np.testing.assert_allclose(w, [3.0, 1.0])
@@ -42,20 +48,20 @@ def test_sym_eigen_reconstruction_random():
 
 def test_spd_sqrt_diagonal():
     np.testing.assert_allclose(
-        matfun.spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14
+        roots(np.diag([4.0, 9.0]))[0], np.diag([2.0, 3.0]), atol=1e-14
     )
 
 
 def test_spd_sqrt_two_by_two():
     # entries (sqrt(3) +/- 1) / 2 from the eigendecomposition
-    root = matfun.spd_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    root = roots(np.array([[2.0, 1.0], [1.0, 2.0]]))[0]
     a = (math.sqrt(3) + 1) / 2
     b = (math.sqrt(3) - 1) / 2
     np.testing.assert_allclose(root, [[a, b], [b, a]], rtol=1e-14)
 
 
 def test_spd_sqrt_identity():
-    np.testing.assert_allclose(matfun.spd_sqrt(np.eye(5)), np.eye(5), atol=1e-15)
+    np.testing.assert_allclose(roots(np.eye(5))[0], np.eye(5), atol=1e-15)
 
 
 def test_spd_roundtrip_random():
@@ -64,9 +70,8 @@ def test_spd_roundtrip_random():
         order = rng.integers(1, 9)
         g = rng.standard_normal((order, order))
         m = matfun.symmetrize(g @ g.T + 0.1 * np.eye(order))
-        root = matfun.spd_sqrt(m)
+        root, inv_root = roots(m)
         np.testing.assert_allclose(root @ root, m, rtol=1e-9, atol=1e-12)
-        inv_root = matfun.spd_inv_sqrt(m)
         np.testing.assert_allclose(
             root @ inv_root, np.eye(order), rtol=0, atol=1e-10
         )
@@ -74,13 +79,13 @@ def test_spd_roundtrip_random():
 
 def test_spd_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite) as err:
-        matfun.spd_sqrt(np.diag([1.0, -1.0]))
+        roots(np.diag([1.0, -1.0]))
     assert err.value.eigenvalue == pytest.approx(-1.0)
 
 
 def test_spd_rejects_near_singular():
     with pytest.raises(NotPositiveDefinite):
-        matfun.spd_inv_sqrt(np.diag([1.0, 1e-15]))
+        roots(np.diag([1.0, 1e-15]))
 
 
 def test_spd_roots_stack_matches_single_roots():
@@ -90,8 +95,9 @@ def test_spd_roots_stack_matches_single_roots():
     stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
     eig, root, inv_root, inv = matfun.spd_roots(stack)
     for k in range(stack.shape[0]):
-        np.testing.assert_array_equal(root[k], matfun.spd_sqrt(stack[k]))
-        np.testing.assert_array_equal(inv_root[k], matfun.spd_inv_sqrt(stack[k]))
+        single_root, single_inv_root = roots(stack[k])
+        np.testing.assert_array_equal(root[k], single_root)
+        np.testing.assert_array_equal(inv_root[k], single_inv_root)
         np.testing.assert_allclose(inv[k] @ stack[k], np.eye(3), atol=1e-10)
         assert np.all(np.diff(eig[k]) <= 0.0)
     stack[4] = np.diag([1.0, -0.5, 2.0])

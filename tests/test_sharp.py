@@ -65,7 +65,7 @@ def test_H_p1_equals_kernel_sup_by_quadrature():
     cs = sp.coefficient_set(n=1, m=1, T=1.0, A=np.array([[1.6]]))
     value = sp.sharp_H(cs, 1.0, 1.0).value
     xs = np.linspace(-12.0, 12.0, 400001)[:, None]
-    sup = max(sp.eval_G(cs, x, 1.0).scalar_part for x in xs)
+    sup = float(np.max(sp.eval_G(cs, xs, 1.0).scalar_part))
     assert value == pytest.approx(sup, rel=1e-8)
 
 

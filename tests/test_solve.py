@@ -183,7 +183,7 @@ def test_scalar_coupled_constant_source():
 
 def test_gaussian_source_duhamel_closed_form():
     # f(y, tau) = heat kernel at width s + tau: the inner convolution is the
-    # semigroup identity, so u(0, t) = t * G(0, s + t)
+    # semigroup identity, so u(x, t) = t * G(x, s + t)
     s = 0.5
     cs = heat()
 
@@ -194,13 +194,39 @@ def test_gaussian_source_duhamel_closed_form():
             / (2.0 * math.sqrt(math.pi * (s + tau)))
         )[..., None]
 
-    t = 1.0
-    res = sp.solve_nonhomogeneous(
-        cs, SourceFunction(f_eval), np.array([0.0]), t,
-        settings=SolveSettings(sigma_slices=256, grid_points=257),
+    f, x, t = SourceFunction(f_eval), np.array([0.3]), 1.0
+    value = sp.solve_nonhomogeneous(cs, f, x, t).value[0]
+    slope = sp.directional_derivative(cs, "nonhomogeneous", f, x, t, np.array([1.0]))
+    expected = t * math.exp(-x[0] ** 2 / (4.0 * (s + t))) / (2.0 * math.sqrt(math.pi * (s + t)))
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert slope.value[0] == pytest.approx(-x[0] / (2.0 * (s + t)) * expected, rel=1e-12)
+
+
+def test_source_solution_splits_at_a_tabulated_sample_time():
+    # the PCHIP A is only C^1 at its sample time 0.3, and so is the integrand
+    # in sigma at sqrt(t - 0.3): with a piece break there 32 and 512 intervals
+    # agree to rounding, where one piece over [0, sqrt(t)] leaves them 1.1e-7
+    # apart
+    a = sp.Tabulated(np.array([0.0, 0.3, 1.0]), np.array([[[1.0]], [[2.0]], [[0.8]]]))
+    cs = sp.coefficient_set(n=1, m=1, T=1.0, A=a, b=np.array([0.3]))
+    f = SourceFunction(
+        lambda pts, tau: (np.exp(-((pts[..., 0] - 0.2) ** 2)) * (1.0 + tau))[..., None]
     )
-    expected = t / (2.0 * math.sqrt(math.pi * (s + t)))
-    assert res.value[0] == pytest.approx(expected, rel=1e-4)
+    x, t = np.array([0.1]), 1.0
+    coarse, fine = (
+        sp.solve_nonhomogeneous(cs, f, x, t, settings=SolveSettings(sigma_slices=s)).value[0]
+        for s in (32, 512)
+    )
+    assert abs(coarse - fine) <= 1e-12 * abs(fine)
+
+
+@pytest.mark.parametrize(
+    "fields", [{"sigma_slices": 31}, {"sigma_slices": 2}, {"grid_points": 64},
+               {"grid_points": 1}],
+)
+def test_solve_settings_need_an_even_rule_and_an_odd_grid(fields):
+    with pytest.raises(DomainError):
+        SolveSettings(**fields)
 
 
 def test_nonhomogeneous_directional_derivative_sign_flip():
@@ -241,22 +267,19 @@ def test_spacetime_norm_is_the_norm_of_the_solver_pass(p):
         assert res.value.shape == (2,)
 
 
-def test_spacetime_norm_of_a_constant_is_the_midpoint_sum_over_slice_boxes():
-    # each sigma-slice box has half-width 8 sqrt(2 a_i) sigma along axis i,
-    # and carries the time weight 2 sigma d_sigma
+def test_spacetime_norm_of_a_constant_is_the_exact_integral_over_slice_boxes():
+    # each node's box has half-width 8 sqrt(2 a_i) sigma along axis i, so the
+    # integrand 2 sigma * box * 2^3 is a cubic in sigma, which the rule
+    # integrates exactly: 8 * 256 sqrt(3) * t^2 / 2 in all
     a = np.array([1.5, 0.5])
     cs = sp.coefficient_set(n=2, m=1, T=1.0, A=np.diag(a))
     f = SourceFunction(lambda pts, tau: 2.0 * np.ones(pts.shape[:-1] + (1,)))
-    t, slices = 0.8, 16
-    d_sigma = math.sqrt(t) / slices
-    total = 0.0
-    for k in range(slices):
-        sigma = (k + 0.5) * d_sigma
-        box = np.prod(2.0 * 8.0 * np.sqrt(2.0 * a) * sigma)
-        total += 2.0 * sigma * d_sigma * box * 2.0**3
-    settings = SolveSettings(sigma_slices=slices, grid_points=17)
+    t = 0.8
+    total = 2.0**3 * 256.0 * math.sqrt(3.0) * t * t / 2.0
+    settings = SolveSettings(sigma_slices=16, grid_points=17)
     norm = spacetime_norm(cs, f, np.array([0.1, 0.2]), t, 3.0, settings=settings)
     assert norm == pytest.approx(total ** (1.0 / 3.0), rel=1e-12)
+    assert norm == pytest.approx(10.431502, rel=1e-7)
 
 
 @pytest.mark.parametrize("t", [-0.5, 0.0, 2.0])
@@ -304,3 +327,13 @@ def test_pointwise_bounds_hold_for_rough_data():
         u = sp.solve_homogeneous(cs, phi, x, t).value
         bound = sp.sharp_H(cs, p, t).value * phi.norm(p)
         assert np.linalg.norm(u) <= bound * (1.0 + 5e-4) + 1e-12
+
+
+def test_source_solve_below_the_window_floor_is_a_domain_error():
+    # the first Fejer node in sigma is a window of sin^4(pi / 64) t = 5.8e-13
+    # at t = 1e-7, below the SPD floor 2e-12 of A = I
+    f = SourceFunction(lambda pts, tau: np.ones(pts.shape[:-1] + (1,)))
+    with pytest.raises(DomainError, match="window floor"):
+        sp.solve_nonhomogeneous(heat(T=1.0), f, np.zeros(1), 1e-7)
+    assert sp.solve_nonhomogeneous(heat(T=1.0), f, np.zeros(1), 1e-6).value[0] == \
+        pytest.approx(1e-6, rel=1e-12)
