@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import coeffs, kernels, sharp, solve, verification
+from . import coeffs, kernels, matfun, sharp, solve, verification
 from .config import COMMANDS, load_config, parse_p
 from .errors import ConfigError, DomainError
 from .solve import GridFunction, SolveSettings, SourceFunction
@@ -45,11 +45,27 @@ def write_csv(stream, command, header, rows):
         writer.writerow([format_cell(cell) for cell in row])
 
 
+def _pool_size(threads, tasks):
+    """Worker threads for ``tasks``: never more than there are tasks."""
+    return min(threads, len(tasks))
+
+
 def _map_tasks(fn, tasks, threads):
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _pool_size(threads, tasks)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
+
+
+def _thread_count(flag):
+    """``--threads``, else SHARP_PARABOLIC_THREADS (an integer, or
+    ConfigError), else 1; at least 1."""
+    value = flag if flag is not None else os.environ.get("SHARP_PARABOLIC_THREADS", "1")
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ConfigError(f"SHARP_PARABOLIC_THREADS: expected an integer, got {value!r}") from None
 
 
 def _vector_cells(vec, size):
@@ -174,26 +190,32 @@ def cmd_kernel(cfg, threads):
     ts = _numbers(req.get("t", [cfg.T]), "request.t")
     taus = req.get("tau")
     tau_list = [None] if taus is None else _numbers(taus, "request.tau")
-    tasks = [(x, t, tau) for x in points for t in ts for tau in tau_list]
+    xs = np.reshape(points, (len(points), cfg.n))
+    # one window and one kernel call per distinct (t, tau), over all points
+    windows = list(dict.fromkeys((t, tau) for t in ts for tau in tau_list))
 
-    def evaluate(task):
-        x, t, tau = task
+    def evaluate(window):
+        t, tau = window
         if tau is None:
-            kv = kernels.eval_G(cfg.coefficient_set, x, t)
+            kv = kernels.eval_G(cfg.coefficient_set, xs, t)
         else:
-            kv = kernels.eval_P(cfg.coefficient_set, x, t, tau)
-        return (
-            list(x)
-            + [t, tau, kv.scalar_part]
-            + [float(v) for v in kv.matrix.reshape(-1)]
-        )
+            kv = kernels.eval_P(cfg.coefficient_set, xs, t, tau)
+        return [
+            [t, tau, scalar] + [float(v) for v in matrix.reshape(-1)]
+            for scalar, matrix in zip(kv.scalar_part, kv.matrix)
+        ]
 
+    cells = dict(zip(windows, _map_tasks(evaluate, windows, threads)))
+    rows = [
+        list(x) + cells[t, tau][i]
+        for i, x in enumerate(points) for t in ts for tau in tau_list
+    ]
     header = (
         [f"x_{i + 1}" for i in range(cfg.n)]
         + ["t", "tau", "scalar_part"]
         + [f"g_{i + 1}{j + 1}" for i in range(cfg.m) for j in range(cfg.m)]
     )
-    return header, _map_tasks(evaluate, tasks, threads)
+    return header, rows
 
 
 def cmd_coeffs(cfg):
@@ -242,8 +264,11 @@ def _data_callable(block, n, m):
         center = _vector(block.get("center", [0.0] * n), n, "request.data.center")
 
         def fn(pts):
-            d2 = np.sum((pts - center) ** 2, axis=-1)
-            return np.exp(-d2 / (2.0 * width * width))[..., None] * amplitude
+            g = np.exp(-matfun.squared_distances(pts, center) / (2.0 * width * width))
+            out = np.empty(g.shape + amplitude.shape)
+            for k, a_k in enumerate(amplitude):  # one pass per component
+                np.multiply(g, a_k, out=out[..., k])
+            return out
 
         return fn
     raise ConfigError(f"request.data: unknown data type {block.get('type')!r}")
@@ -365,12 +390,8 @@ def main(argv=None) -> int:
                         help="override quad_tol (verify: the pass tolerance)")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SHARP_PARABOLIC_THREADS", "1"))
-    threads = max(1, threads)
-
     try:
+        threads = _thread_count(args.threads)
         cfg = load_config(args.config, command=args.command)
         if args.tol is not None and args.command != "verify":
             cfg.numerics.quad_tol = args.tol

@@ -1,7 +1,8 @@
 """Dense matrix functions on small real matrices.
 
 Symmetric eigendecomposition, SPD square roots, spectral norm and the
-matrix exponential, sized for coefficient matrices of modest order.
+matrix exponential, sized for coefficient matrices of modest order, and
+norms over the short component axis of grid data.
 """
 
 import numpy as np
@@ -17,6 +18,8 @@ __all__ = [
     "spectral_norm",
     "matrix_exp",
     "canonical_sign",
+    "component_norms",
+    "squared_distances",
 ]
 
 MAX_ORDER = 64
@@ -47,6 +50,30 @@ def canonical_sign(vec) -> np.ndarray:
     v = np.asarray(vec, dtype=float) + 0.0  # drop negative zeros
     w = -v + 0.0
     return v if tuple(v) <= tuple(w) else w
+
+
+def component_norms(values) -> np.ndarray:
+    """Euclidean norms over the last axis, sqrt(((v_0^2 + v_1^2) + v_2^2) + ...).
+
+    One elementwise pass per component: numpy's reduction over a short
+    trailing axis runs an inner loop per element. Below eight components
+    numpy sums in the same order, so this equals
+    ``np.linalg.norm(values, axis=-1)`` bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    total = np.square(values[..., 0])
+    for k in range(1, values.shape[-1]):
+        total += np.square(values[..., k])
+    return np.sqrt(total, out=total)
+
+
+def squared_distances(points, center) -> np.ndarray:
+    """sum_i (points[..., i] - center[i])^2, one pass per axis in axis order,
+    as ``np.sum((points - center) ** 2, axis=-1)`` sums it for n < 8."""
+    total = np.square(points[..., 0] - center[0])
+    for i in range(1, points.shape[-1]):
+        total += np.square(points[..., i] - center[i])
+    return total
 
 
 def sym_eigen(m):

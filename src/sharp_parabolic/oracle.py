@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, sharp
+from . import kernels, matfun, sharp
 from .errors import DomainError, TruncationError
 from .solve import GridFunction, SolveSettings, directional_derivative, solve_homogeneous
 
@@ -161,11 +161,11 @@ def _z_max(weights, exps_t, pp, m, settings=None):
     if math.isinf(pp):
 
         def objective(z):
-            return float(np.max(weights * np.linalg.norm(exps_t @ z, axis=1)))
+            return float(np.max(weights * matfun.component_norms(exps_t @ z)))
 
         def gradient(z):  # subgradient of the active term w_k |E_k z|
             vecs = exps_t @ z
-            k = int(np.argmax(weights * np.linalg.norm(vecs, axis=1)))
+            k = int(np.argmax(weights * matfun.component_norms(vecs)))
             return weights[k] / np.linalg.norm(vecs[k]) * (exps_t[k].T @ vecs[k])
 
     else:
@@ -196,9 +196,9 @@ def opnorm_bruteforce(spec: IntegralOperatorSpec, endpoint_gap=0.0, rel_tol=1e-6
     err = abs(value - value_c)
 
     if math.isinf(pp):
-        tail_value = float(np.max(tails * np.linalg.norm(exps_t @ z, axis=1)))
+        tail_value = float(np.max(tails * matfun.component_norms(exps_t @ z)))
     else:
-        tail_f = float(np.dot(tails, np.linalg.norm(exps_t @ z, axis=1) ** pp))
+        tail_f = float(np.dot(tails, matfun.component_norms(exps_t @ z) ** pp))
         tail_value = (best + tail_f) ** (1.0 / pp) - value
     if value > 0.0 and tail_value > rel_tol * value:
         raise TruncationError(
@@ -230,8 +230,7 @@ def _transposed_kernel_field(spec, z, resolution):
 
 def _default_profile(center, width):
     def profile(pts):
-        d2 = np.sum((pts - center) ** 2, axis=-1)
-        return np.exp(-d2 / (2.0 * width * width))
+        return np.exp(-matfun.squared_distances(pts, center) / (2.0 * width * width))
 
     return profile
 
@@ -252,7 +251,7 @@ def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
     z = z / np.linalg.norm(z)
     resolution = resolution or spec.grid_resolution
     field, axes, center, radius = _transposed_kernel_field(spec, z, resolution)
-    mags = np.linalg.norm(field, axis=-1)
+    mags = matfun.component_norms(field)
     nonzero = mags > 0.0
     if mode == "p-power":
         if spec.p <= 1.0:

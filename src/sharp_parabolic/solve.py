@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, matfun
 from .errors import CoverageWarning, DomainError
 from .sharp import _validate_ell
 
@@ -89,7 +89,7 @@ class GridFunction:
 
     def norm(self, p) -> float:
         """Discrete L^p norm (midpoint rule); p may be math.inf."""
-        mags = np.linalg.norm(self.values, axis=-1)
+        mags = matfun.component_norms(self.values)
         if math.isinf(p):
             return float(np.max(mags))
         cell = self.spacing**self.n
@@ -231,7 +231,7 @@ def _source_quadrature(cs, f, x, t, settings, gradient_ell=None, p=None):
             inner = np.tensordot(weight[sub], vals[sub], cs.n)
             coarse = coarse + w_half * 2.0**cs.n * cell * (acc.exp_ic @ inner)
         if p is not None:
-            mags = np.linalg.norm(vals, axis=-1)
+            mags = matfun.component_norms(vals)
             norm_terms.append(np.max(mags) if math.isinf(p) else w_fine * cell * np.sum(mags**p))
     result = SolveResult(value=fine, error_estimate=float(np.linalg.norm(fine - coarse)))
     if p is None:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sharp_parabolic import cli, sharp
+from sharp_parabolic import cli, kernels, sharp
 from sharp_parabolic.cli import main
 from sharp_parabolic.config import load_config, parse_p
 from sharp_parabolic.errors import ConfigError
@@ -156,7 +156,10 @@ def test_tabulated_sweep_and_verify_csvs_do_not_depend_on_threads(tmp_path):
         "slope": [[0.3, -0.1], [-0.1, 0.2]],
     }
     solve["numerics"].update(grid_points=33, sphere_seeds=8)
-    for command, body in (("sweep", sweep), ("verify", verify), ("solve", solve)):
+    solve_value = json.loads(json.dumps(solve))
+    del solve_value["request"]["ell"]
+    for command, body in (("sweep", sweep), ("verify", verify), ("solve", solve),
+                          ("solve", solve_value)):
         single = _csv_bytes_at_threads(tmp_path, command, body, 1)
         assert single.count(b"\n") > 4
         assert _csv_bytes_at_threads(tmp_path, command, body, 3) == single
@@ -172,6 +175,72 @@ def test_kernel_command_peak_value(tmp_path):
     rows = read_rows(out)
     assert float(rows[0]["g_11"]) == pytest.approx(0.2820947917738781, abs=1e-12)
     assert rows[0]["tau"] == ""
+
+
+def test_kernel_rows_match_single_points_at_any_thread_count(tmp_path):
+    # rows are computed per (t, tau) over all points and keep their order
+    (tmp_path / "a.csv").write_text(
+        "t,entry_11,entry_12,entry_22\n"
+        "0,1.1,0.3,0.7\n0.5,0.9,0.1,0.6\n1,1.3,-0.2,0.8\n"
+    )
+    points = [[0.3, -0.2], [0.8, 0.4], [-1.1, 0.05]]
+    body = base_config("kernel", {"points": points, "t": [1.0, 0.5], "tau": [0.1, 0.37]},
+                       n=2, m=2)
+    body["coefficients"]["A"] = {"preset": "tabulated", "path": "a.csv"}
+    body["coefficients"]["C"]["value"] = [[0.2, 0.6], [-0.3, -0.1]]
+    single = _csv_bytes_at_threads(tmp_path, "kernel", body, 1)
+    assert _csv_bytes_at_threads(tmp_path, "kernel", body, 3) == single
+    cs = load_config(str(tmp_path / "kernel.json"), command="kernel").coefficient_set
+    expected = []
+    for x in points:
+        for t in (1.0, 0.5):
+            for tau in (0.1, 0.37):
+                kv = kernels.eval_P(cs, np.array(x), t, tau)
+                expected.append(x + [t, tau, kv.scalar_part] + list(kv.matrix.reshape(-1)))
+    lines = single.decode().splitlines()[2:]
+    assert lines == [",".join(cli.format_cell(v) for v in row) for row in expected]
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 1), (3, 3)])
+def test_data_callables_equal_the_array_expressions_bitwise(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    pts = rng.uniform(-3.0, 3.0, (17,) * n + (n,))
+    amplitude, center, width = rng.uniform(-2.0, 2.0, m), rng.uniform(-0.5, 0.5, n), 0.7
+    gaussian = cli._data_callable({"type": "gaussian", "amplitude": amplitude.tolist(),
+                                   "width": width, "center": center.tolist()}, n, m)
+    d2 = np.sum((pts - center) ** 2, axis=-1)
+    reference = np.exp(-d2 / (2.0 * width * width))[..., None] * amplitude
+    np.testing.assert_array_equal(gaussian(pts), reference)
+    value = rng.uniform(-2.0, 2.0, m)
+    constant = cli._data_callable({"type": "constant", "value": value.tolist()}, n, m)
+    np.testing.assert_array_equal(constant(pts), np.broadcast_to(value, pts.shape[:-1] + (m,)))
+
+
+def test_thread_count_reads_a_checked_environment_value(monkeypatch):
+    monkeypatch.setenv("SHARP_PARABOLIC_THREADS", "3")
+    assert cli._thread_count(None) == 3
+    assert cli._thread_count(2) == 2
+    assert cli._thread_count(0) == 1
+    monkeypatch.setenv("SHARP_PARABOLIC_THREADS", "two")
+    with pytest.raises(ConfigError, match="SHARP_PARABOLIC_THREADS"):
+        cli._thread_count(None)
+    assert cli._thread_count(2) == 2  # the flag wins over the environment
+
+
+def test_a_malformed_thread_environment_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SHARP_PARABOLIC_THREADS", "two")
+    body = base_config("kernel", {"points": [[0.0]], "t": [1.0]}, out=str(tmp_path / "k.csv"))
+    assert main(["kernel", "--config", write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: SHARP_PARABOLIC_THREADS")
+    assert not (tmp_path / "k.csv").exists()
+
+
+def test_pool_size_is_at_most_the_task_count():
+    assert cli._pool_size(8, range(3)) == 3
+    assert cli._pool_size(2, range(144)) == 2
+    assert cli._pool_size(10**6, range(2)) == 2
+    assert cli._pool_size(4, []) == 0
 
 
 def test_coeffs_command_constant_window(tmp_path):

@@ -191,3 +191,12 @@ def test_symmetrize_rejects_bad_input():
         matfun.symmetrize(np.ones((2, 3)))
     with pytest.raises(ValueError):
         matfun.symmetrize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_component_norms_equal_numpy_norm_bitwise(m):
+    rng = np.random.default_rng(m)
+    values = rng.standard_normal((33, 17, m)) * 10.0 ** rng.uniform(-8, 8, (33, 17, m))
+    constant = np.broadcast_to(values[0, 0], (33, 17, m))  # stride-0 grid axes
+    for v in (values, values[::2, ::3], values[:, 0], constant):
+        np.testing.assert_array_equal(matfun.component_norms(v), np.linalg.norm(v, axis=-1))
