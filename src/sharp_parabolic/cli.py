@@ -355,18 +355,15 @@ def cmd_verify(cfg, threads, tol_override=None):
         raise ConfigError(f"request.cases: {exc}") from exc
     tol = tol_override if tol_override is not None else req.get("tolerance")
 
-    def evaluate(case):
-        row = verification.run_case(case, tol_override=tol)
+    def evaluate(family):
         return [
-            row.name,
-            row.closed_form,
-            row.oracle,
-            row.rel_diff,
-            row.tol,
-            "pass" if row.passed else "FAIL",
+            [row.name, row.closed_form, row.oracle, row.rel_diff, row.tol,
+             "pass" if row.passed else "FAIL"]
+            for row in verification.run_cases(family, tol_override=tol)
         ]
 
-    rows = _map_tasks(evaluate, cases, threads)
+    families = verification.families(cases)
+    rows = [row for chunk in _map_tasks(evaluate, families, threads) for row in chunk]
     header = ["name", "closed_form", "oracle", "rel_diff", "tol", "status"]
     failures = sum(1 for row in rows if row[-1] == "FAIL")
     return header, rows, failures

@@ -44,10 +44,11 @@ def gaussian_field(acc, u):
     return np.exp(logs, out=logs)
 
 
-def kernel_weight(acc, u, ell=None):
+def kernel_weight(acc, u, ell=None, gaussian=None):
     """Scalar kernel factor at the displacement ``u`` (as in gaussian_field),
-    times the gradient weight -(1/2) (ia_inv u, ell) when a direction is given."""
-    weight = gaussian_field(acc, u)
+    times the gradient weight -(1/2) (ia_inv u, ell) when a direction is given.
+    ``gaussian`` is gaussian_field(acc, u) when the caller already has it."""
+    weight = gaussian_field(acc, u) if gaussian is None else gaussian
     if ell is not None:
         v = acc.ia_inv @ np.asarray(ell, dtype=float)
         weight = weight * (-0.5 * sum(u_i * v_i for u_i, v_i in zip(u, v)))

@@ -9,6 +9,7 @@ estimates.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,10 @@ class IntegralOperatorSpec:
         if self.kind not in HOMOGENEOUS_KINDS + SOURCE_KINDS:
             raise DomainError(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        if self.truncation_radius < 6.0:
+        if not self.truncation_radius >= 6.0:  # NaN fails too
             raise DomainError("truncation radius must be at least 6 standard deviations")
+        if not isinstance(self.sigma_slices, numbers.Integral) or self.sigma_slices < 2:
+            raise DomainError("sigma_slices must be an integer >= 2")
         if self.grid_resolution < 17 or self.grid_resolution % 2 == 0:
             raise DomainError("grid resolution must be odd and >= 17")
         if self.p < 1.0:
@@ -89,32 +92,67 @@ class SaturationResult:
     refined_ratio: float | None
 
 
-def _kernel_field(spec, acc, axes):
-    """Scalar kernel factor on an open grid, including the gradient weight."""
-    ell = spec.ell if spec.gradient else None
-    return kernels.kernel_weight(acc, kernels.displacement(acc, spec.x, axes), ell)
-
-
 def _boundary_max(mag):
     """Largest magnitude on the faces of the grid box."""
     return max(float(np.max(np.take(mag, [0, -1], axis=axis))) for axis in range(mag.ndim))
 
 
-def _refined_sup(spec, acc, resolution, zoom_levels=3):
-    """Supremum of the field magnitude: grid argmax plus local zooming."""
-    axes, spacings, _ = kernels.slice_grid(acc, spec.x, spec.truncation_radius, resolution)
-    mag = np.abs(_kernel_field(spec, acc, axes))
-    best, boundary = -math.inf, _boundary_max(mag)
-    for level in range(zoom_levels + 1):
-        if level > 0:  # a box four cells wide around the best node so far
-            axes, spacings = kernels.cell_grid(center, 2.0 * spacings, resolution)
-            mag = np.abs(_kernel_field(spec, acc, axes))
-        local = float(np.max(mag))
+def _magnitude(spec, acc, u, gaussian):
+    """|kernel factor| of ``spec`` on a grid whose Gaussian is given. The
+    Gaussian is >= 0, so only a gradient-weighted field is abs'd, in place."""
+    if not spec.gradient:
+        return gaussian
+    mag = kernels.kernel_weight(acc, u, spec.ell, gaussian)
+    return np.abs(mag, out=mag)
+
+
+def _grid_sup(mag, axes):
+    """Largest magnitude on an open grid and the node where it sits."""
+    index = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    return float(np.max(mag)), np.array([axis.ravel()[i] for axis, i in zip(axes, index)])
+
+
+def _zoom(spec, acc, resolution, best, center, spacings, levels=3):
+    """Refine a grid supremum on boxes four cells wide around the best node."""
+    for _ in range(levels):
+        axes, spacings = kernels.cell_grid(center, 2.0 * spacings, resolution)
+        u = kernels.displacement(acc, spec.x, axes)
+        local, node = _grid_sup(_magnitude(spec, acc, u, kernels.gaussian_field(acc, u)), axes)
         if local > best:
-            best = local
-            index = np.unravel_index(int(np.argmax(mag)), mag.shape)
-            center = np.array([axis.ravel()[i] for axis, i in zip(axes, index)])
-    return best, boundary
+            best, center = local, node
+    return best
+
+
+def _slice_terms(specs, pps, acc, time_w, resolution):
+    """(weight, tail) of every spec of a family on one slice, all reduced
+    from one Gaussian: the quadrature of |field|^p' and a bound on its part
+    beyond the grid, or at p' = inf the field's sup and boundary max. The
+    sup zooms run after that Gaussian is released, so a zoom box never
+    shares memory with it."""
+    head = specs[0]
+    axes, spacings, radii = kernels.slice_grid(acc, head.x, head.truncation_radius, resolution)
+    cell, box = float(np.prod(spacings)), float(np.prod(2.0 * radii))
+    u = kernels.displacement(acc, head.x, axes)
+    gaussian = kernels.gaussian_field(acc, u)
+
+    def reduce(spec, pp, mag):  # (weight or grid sup, tail, node of the sup)
+        if math.isinf(pp):
+            sup, node = _grid_sup(mag, axes)
+            return sup, _boundary_max(mag), node
+        tail = time_w * _boundary_max(mag) ** pp * box
+        if pp != 1.0:  # x**1.0 == x; a weighted field is ours to overwrite
+            if spec.gradient:
+                mag **= pp
+            else:
+                mag = mag**pp
+        return time_w * cell * float(np.sum(mag)), tail, None
+
+    level = [reduce(spec, pp, _magnitude(spec, acc, u, gaussian)) for spec, pp in zip(specs, pps)]
+    del gaussian
+    return [
+        (weight if node is None else _zoom(spec, acc, resolution, weight, node, spacings), tail)
+        for spec, (weight, tail, node) in zip(specs, level)
+    ]
 
 
 def _slices(spec, endpoint_gap, sigma_slices):
@@ -131,29 +169,16 @@ def _slices(spec, endpoint_gap, sigma_slices):
     return [(2.0 * sigma * d_sigma, acc) for sigma, acc in zip(sigmas.tolist(), accs)]
 
 
-def _collect(spec, resolution, sigma_slices, pp, endpoint_gap):
-    """Per-slice quadrature of |field|^p' plus transposed coupling factors."""
-    slices = _slices(spec, endpoint_gap, sigma_slices)
-    weights = np.empty(len(slices))
-    exps_t = np.empty((len(slices), spec.cs.m, spec.cs.m))
-    tails = np.empty(len(slices))
-    for k, (time_w, acc) in enumerate(slices):
-        if math.isinf(pp):
-            sup, boundary = _refined_sup(spec, acc, resolution)
-            weights[k] = sup  # sup over y; combined by max across slices
-            tails[k] = boundary
-        else:
-            axes, spacings, radii = kernels.slice_grid(
-                acc, spec.x, spec.truncation_radius, resolution
-            )
-            mag = np.abs(_kernel_field(spec, acc, axes))
-            cell = float(np.prod(spacings))
-            weights[k] = time_w * cell * float(np.sum(mag**pp))
-            tails[k] = (
-                time_w * _boundary_max(mag) ** pp * float(np.prod(2.0 * radii))
-            )
-        exps_t[k] = acc.exp_ic.T
-    return weights, exps_t, tails
+def _collect(specs, pps, resolution, sigma_slices, endpoint_gap):
+    """Per spec: slice weights (|field|^p' quadratures; sups at p' = inf),
+    the transposed coupling factors and the slice tails."""
+    slices = _slices(specs[0], endpoint_gap, sigma_slices)
+    terms = [_slice_terms(specs, pps, acc, time_w, resolution) for time_w, acc in slices]
+    exps_t = np.array([acc.exp_ic.T for _, acc in slices])
+    return [
+        (np.array(weights), exps_t, np.array(tails))
+        for weights, tails in (zip(*per_slice) for per_slice in zip(*terms))
+    ]
 
 
 def _z_max(weights, exps_t, pp, m, settings=None):
@@ -173,25 +198,46 @@ def _z_max(weights, exps_t, pp, m, settings=None):
     return sharp.sphere_max(objective, m, settings, gradient=gradient)
 
 
-def opnorm_bruteforce(spec: IntegralOperatorSpec, endpoint_gap=0.0, rel_tol=1e-6):
-    """Operator norm of the solution functional by grid quadrature.
+def family_key(spec):
+    """Specs with equal keys form one oracle family: they share every slice
+    grid and its Gaussian, and may differ in kind, p and ell."""
+    return (id(spec.cs), spec.kind in HOMOGENEOUS_KINDS, spec.t, tuple(spec.x.tolist()),
+            spec.truncation_radius, spec.grid_resolution, spec.sigma_slices)
 
-    For the source kinds a positive ``endpoint_gap`` truncates the time
-    integral to tau <= t - gap, which is how divergent cases are probed.
-    Raises TruncationError when the spatial tail bound exceeds ``rel_tol``
-    of the computed value.
+
+def opnorm_family(specs, endpoint_gap=0.0, rel_tol=1e-6) -> list[OracleResult]:
+    """Operator norms of a family of solution functionals by grid quadrature.
+
+    One pass over the slices serves every spec: each slice builds its grid
+    and Gaussian once. For the source kinds a positive ``endpoint_gap``
+    truncates the time integral to tau <= t - gap, which is how divergent
+    cases are probed. Raises DomainError when the specs are not one family
+    (see family_key), and TruncationError when a spec's spatial tail bound
+    exceeds ``rel_tol`` of its computed value.
     """
-    pp = sharp.holder_conjugate(spec.p)
-    weights, exps_t, tails = _collect(
-        spec, spec.grid_resolution, spec.sigma_slices, pp, endpoint_gap
-    )
+    specs = list(specs)
+    if len({family_key(spec) for spec in specs}) != 1:
+        raise DomainError("an oracle family is one or more specs with one family_key")
+    pps = [sharp.holder_conjugate(spec.p) for spec in specs]
+    head = specs[0]
+    fine = _collect(specs, pps, head.grid_resolution, head.sigma_slices, endpoint_gap)
+    coarse_res = _odd(max(17, head.grid_resolution // 2))
+    coarse = _collect(specs, pps, coarse_res, max(2, head.sigma_slices // 2), endpoint_gap)
+    return [_result(*args, rel_tol) for args in zip(specs, pps, fine, coarse)]
+
+
+def opnorm_bruteforce(spec: IntegralOperatorSpec, endpoint_gap=0.0, rel_tol=1e-6):
+    """Operator norm of one solution functional: its own family's pass."""
+    return opnorm_family([spec], endpoint_gap, rel_tol)[0]
+
+
+def _result(spec, pp, fine, coarse, rel_tol):
+    """A spec's OracleResult from its fine and coarse slice terms; the
+    coarse pass gives the error estimate."""
+    weights, exps_t, tails = fine
     z, best = _z_max(weights, exps_t, pp, spec.cs.m)
     value = best if math.isinf(pp) else best ** (1.0 / pp)
-
-    coarse_res = _odd(max(17, spec.grid_resolution // 2))
-    coarse_slices = max(2, spec.sigma_slices // 2)
-    w_c, e_c, _ = _collect(spec, coarse_res, coarse_slices, pp, endpoint_gap)
-    _, best_c = _z_max(w_c, e_c, pp, spec.cs.m)
+    _, best_c = _z_max(coarse[0], coarse[1], pp, spec.cs.m)
     value_c = best_c if math.isinf(pp) else best_c ** (1.0 / pp)
     err = abs(value - value_c)
 
@@ -224,7 +270,9 @@ def _transposed_kernel_field(spec, z, resolution):
     center = spec.x + acc.ib
     radius = spec.truncation_radius * kernels.kernel_std(acc)
     axes, _ = kernels.cell_grid(center, radius, resolution)
-    field = _kernel_field(spec, acc, axes)[..., None] * (acc.exp_ic.T @ z)
+    ell = spec.ell if spec.gradient else None
+    field = kernels.kernel_weight(acc, kernels.displacement(acc, spec.x, axes), ell)
+    field = field[..., None] * (acc.exp_ic.T @ z)
     return field, axes, center, radius
 
 

@@ -4,13 +4,20 @@ Used by the `verify` command and by the acceptance test suite, so both run
 the same matrix of constant-coefficient presets.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import coefficient_set
-from .oracle import IntegralOperatorSpec, opnorm_bruteforce, sharp_value
+from .oracle import (
+    IntegralOperatorSpec,
+    family_key,
+    opnorm_bruteforce,
+    opnorm_family,
+    sharp_value,
+)
 
 HOMOGENEOUS_TOL = 1e-3
 NONHOMOGENEOUS_TOL = 5e-3
@@ -155,35 +162,37 @@ def closed_form_value(case, quad_tol=1e-10, sphere=None):
     return sharp_value(case, quad_tol=quad_tol, sphere=sphere)
 
 
-def oracle_value(case, resolution=None, sigma_slices=64, truncation=8.0):
-    if resolution is None:
-        # the |.|^(p'-1) kink of the gradient kinds converges at O(spacing^2)
-        resolution = 513 if case.cs.n == 1 else 257
-    spec = IntegralOperatorSpec(
-        kind=case.kind,
-        cs=case.cs,
-        x=np.zeros(case.cs.n),
-        t=case.t,
-        p=case.p,
-        ell=case.ell,
-        truncation_radius=truncation,
-        grid_resolution=resolution,
-        sigma_slices=sigma_slices,
+def _oracle_spec(case):
+    # the |.|^(p'-1) kink of the gradient kinds converges at O(spacing^2)
+    resolution = 513 if case.cs.n == 1 else 257
+    return IntegralOperatorSpec(
+        kind=case.kind, cs=case.cs, x=np.zeros(case.cs.n), t=case.t, p=case.p,
+        ell=case.ell, grid_resolution=resolution,
     )
-    return opnorm_bruteforce(spec)
 
 
-def run_case(case, tol_override=None, resolution=None, sigma_slices=64,
-             truncation=8.0) -> CheckRow:
-    closed = closed_form_value(case)
-    oracle = oracle_value(case, resolution, sigma_slices, truncation)
-    rel = abs(closed - oracle.value) / max(abs(closed), 1e-300)
-    tol = case.tol if tol_override is None else tol_override
-    return CheckRow(
-        name=case.name,
-        closed_form=closed,
-        oracle=oracle.value,
-        rel_diff=rel,
-        tol=tol,
-        passed=rel <= tol,
-    )
+def oracle_value(case):  # one case alone; bench/tracer.py times it by this name
+    return opnorm_bruteforce(_oracle_spec(case))
+
+
+def families(cases):
+    """Runs of consecutive cases whose oracle specs form one family; the
+    check matrices list each preset's cases together."""
+    groups = itertools.groupby(cases, key=lambda case: family_key(_oracle_spec(case)))
+    return [list(group) for _, group in groups]
+
+
+def run_cases(cases, tol_override=None) -> list[CheckRow]:
+    """Check rows in case order; each family of cases shares one oracle pass."""
+    rows = []
+    for family in families(cases):
+        for case, oracle in zip(family, opnorm_family(map(_oracle_spec, family))):
+            closed = closed_form_value(case)
+            rel = abs(closed - oracle.value) / max(abs(closed), 1e-300)
+            tol = case.tol if tol_override is None else tol_override
+            rows.append(CheckRow(case.name, closed, oracle.value, rel, tol, rel <= tol))
+    return rows
+
+
+def run_case(case, tol_override=None) -> CheckRow:
+    return run_cases([case], tol_override)[0]

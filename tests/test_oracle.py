@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sharp_parabolic.oracle import (
     IntegralOperatorSpec,
     build_extremal,
     opnorm_bruteforce,
+    opnorm_family,
     saturation_ratio,
 )
 
@@ -39,6 +41,18 @@ def test_spec_validation():
                              grid_resolution=16)
     with pytest.raises(DomainError):
         IntegralOperatorSpec(kind="K", cs=heat(), x=np.zeros(1), t=1.0, p=2.0)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"sigma_slices": -3}, {"sigma_slices": 0}, {"sigma_slices": 2.5},
+     {"truncation_radius": math.nan}],
+    ids=["slices=-3", "slices=0", "slices=2.5", "radius=nan"],
+)
+def test_spec_rejects_slice_counts_and_radii_that_give_wrong_norms(field):
+    # these used to give 0.0, a bare ZeroDivisionError and nan
+    with pytest.raises(DomainError):
+        IntegralOperatorSpec(kind="N", cs=heat(), x=np.zeros(1), t=1.0, p=INF, **field)
 
 
 def test_opnorm_matches_solution_constant():
@@ -239,3 +253,79 @@ def test_oracle_matches_sharp_on_non_diagonal_A(case):
     # kernel field's cross term
     row = verification.run_case(case)
     assert row.passed, row
+
+
+def family(cs, kinds, ps, t=0.75, res=65, slices=16):
+    """One oracle family: each kind at each p, gradient kinds along every
+    direction of the check matrices."""
+    specs = []
+    for p in ps:
+        for kind in kinds:
+            ells = verification._directions(cs.n) if kind in ("K", "C") else [None]
+            specs += [
+                IntegralOperatorSpec(kind=kind, cs=cs, x=np.zeros(cs.n), t=t, p=p, ell=ell,
+                                     grid_resolution=res, sigma_slices=slices)
+                for ell in ells
+            ]
+    return specs
+
+
+PRESETS = {
+    **{f"n{n}m{m}": verification.constant_presets(n, m)[1][1]
+       for n, m in ((1, 1), (1, 2), (2, 1), (2, 2))},
+    "n2m2-offdiag": NON_DIAGONAL,
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize(
+    "kinds, ps", [("HK", (1.0, 2.0, 3.0, INF)), ("NC", (INF, 2.0))], ids=["HK", "NC"]
+)
+def test_family_pass_equals_per_spec_calls(preset, kinds, ps):
+    specs = family(PRESETS[preset], kinds, ps)
+    for spec, got in zip(specs, opnorm_family(specs)):
+        want = opnorm_bruteforce(spec)
+        assert got.value == want.value, (spec.kind, spec.p, spec.ell)
+        assert np.array_equal(got.argmax_z, want.argmax_z)
+        assert got.error_estimate == want.error_estimate
+        assert got.truncation_bound == want.truncation_bound
+
+
+def test_family_rejects_specs_that_do_not_share_their_slices():
+    cs = heat()
+    base = hspec("H", 2.0, cs=cs)
+    for other in (hspec("H", 2.0, cs=heat()), hspec("H", 2.0, cs=cs, t=0.5),
+                  hspec("N", 2.0, cs=cs)):
+        with pytest.raises(DomainError):
+            opnorm_family([base, other])
+    with pytest.raises(DomainError):
+        opnorm_family([])
+
+
+def test_run_cases_equals_run_case_per_case():
+    cases = verification.quick_cases()
+    assert verification.run_cases(cases) == [verification.run_case(c) for c in cases]
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kinds, ps", [("NC", (INF,)), ("HK", (1.0,))], ids=["NC", "HK-p1"])
+def test_family_peak_memory_is_that_of_one_spec(kinds, ps):
+    # The n2m2-aniso verify family against its specs one at a time at
+    # p = inf, where nothing zooms. At p = 1 each spec also zooms, which
+    # must wait until the shared Gaussian is released.
+    cs = PRESETS["n2m2"]
+    specs = family(cs, kinds, ps, res=257, slices=64)
+    singles = max(traced_peak(lambda spec=spec: opnorm_bruteforce(spec))
+                  for spec in family(cs, kinds, (INF,), res=257, slices=64))
+    grid_bytes = 257**2 * 8
+    # the family keeps a few result tuples per spec beyond one spec's pass;
+    # a second live grid would add grid_bytes
+    assert traced_peak(lambda: opnorm_family(specs)) <= singles + grid_bytes // 16
