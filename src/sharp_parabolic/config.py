@@ -16,6 +16,7 @@ leading t column.
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -127,6 +128,18 @@ def _parse_preset(block, name, shape, base_dir):
     raise ConfigError(f"{context}: unknown preset kind {kind!r}")
 
 
+def _numeric(block, key, default, ok, rule, kind=float):
+    """numerics.<key>: a finite number (an integer if ``kind`` is int; never a
+    boolean) for which ``ok`` holds. NaN fails every bound."""
+    value = block.get(key, default)
+    number = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, number) or not (
+        math.isfinite(value) and ok(value)
+    ):
+        raise ConfigError(f"numerics.{key} must be {rule}, got {value!r}")
+    return kind(value)
+
+
 def load_config(path, command=None) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     if not os.path.exists(path):
@@ -180,28 +193,16 @@ def load_config(path, command=None) -> RunConfig:
     if cfg_command not in COMMANDS:
         raise ConfigError(f"request.command must be one of {COMMANDS}")
 
-    numerics_block = raw.get("numerics", {})
-    if not isinstance(numerics_block, dict):
+    block = raw.get("numerics", {})
+    if not isinstance(block, dict):
         raise ConfigError("numerics: expected an object")
-    try:
-        numerics = Numerics(
-            quad_tol=float(numerics_block.get("quad_tol", 1e-10)),
-            sphere_seeds=int(numerics_block.get("sphere_seeds", 64)),
-            truncation_sigmas=float(numerics_block.get("truncation_sigmas", 8.0)),
-            grid_points=int(numerics_block.get("grid_points", 257)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"numerics: {exc}") from exc
-    if (
-        numerics.quad_tol <= 0
-        or numerics.truncation_sigmas < 6.0
-        or numerics.sphere_seeds < 1
-    ):
-        raise ConfigError(
-            "numerics: quad_tol must be > 0, truncation_sigmas >= 6, sphere_seeds >= 1"
-        )
-    if numerics.grid_points < 17 or numerics.grid_points % 2 == 0:
-        raise ConfigError("numerics.grid_points must be odd and >= 17")
+    numerics = Numerics(
+        quad_tol=_numeric(block, "quad_tol", 1e-10, lambda v: v > 0, "> 0"),
+        sphere_seeds=_numeric(block, "sphere_seeds", 64, lambda v: v >= 1, "an integer >= 1", int),
+        truncation_sigmas=_numeric(block, "truncation_sigmas", 8.0, lambda v: v >= 6, ">= 6"),
+        grid_points=_numeric(block, "grid_points", 257, lambda v: v >= 17 and v % 2 == 1,
+                             "an odd integer >= 17", int),
+    )
 
     output = raw.get("output", {})
     output_path = output.get("path")

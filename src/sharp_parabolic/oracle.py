@@ -48,6 +48,7 @@ class IntegralOperatorSpec:
         if self.kind not in HOMOGENEOUS_KINDS + SOURCE_KINDS:
             raise DomainError(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
+        object.__setattr__(self, "t", sharp._validate_time(self.cs, self.t))
         if not self.truncation_radius >= 6.0:  # NaN fails too
             raise DomainError("truncation radius must be at least 6 standard deviations")
         if not isinstance(self.sigma_slices, numbers.Integral) or self.sigma_slices < 2:
@@ -182,20 +183,9 @@ def _collect(specs, pps, resolution, sigma_slices, endpoint_gap):
 
 
 def _z_max(weights, exps_t, pp, m, settings=None):
-    """Sphere search of the discrete objective; trivial for m = 1."""
-    if math.isinf(pp):
-
-        def objective(z):
-            return float(np.max(weights * matfun.component_norms(exps_t @ z)))
-
-        def gradient(z):  # subgradient of the active term w_k |E_k z|
-            vecs = exps_t @ z
-            k = int(np.argmax(weights * matfun.component_norms(vecs)))
-            return weights[k] / np.linalg.norm(vecs[k]) * (exps_t[k].T @ vecs[k])
-
-    else:
-        objective, gradient = sharp._z_objective(weights, exps_t, pp)
-    return sharp.sphere_max(objective, m, settings, gradient=gradient)
+    """(argmax z, value) of the discrete objective over the slices: the
+    node-table maximizer of ``sharp``, at p' = inf of max_k w_k |E_k z|."""
+    return sharp._maximize_z(weights, exps_t, pp, settings)[:2]
 
 
 def family_key(spec):

@@ -402,31 +402,37 @@ def _z_objective(weights, exps, pp):
     return objective, gradient
 
 
-def _gram_maximizer(tables, ell_factors=None):
-    """Exact z-maximizer at p'=2: top eigenvector of the Gram matrix."""
-    w = tables.weights if ell_factors is None else tables.weights * ell_factors
-    gram = np.einsum("k,kji,kjl->il", w, tables.exps, tables.exps)
-    vals, vecs = matfun.sym_eigen(gram)
-    return vecs[:, 0], float(vals[0])
+def _maximize_z(weights, exps, pp, settings, ell_factors=None):
+    """Maximizer over unit z of sum_k w_k |exps_k z|^p', or of max_k w_k
+    |exps_k z| at p' = inf, with w = weights * ``ell_factors``.
 
-
-def _maximize_z(tables, pp, settings, ell_factors=None):
-    """z-maximizer of the node-table objective, weighted by ``ell_factors``.
-
-    Exact at p'=2; otherwise the best lattice seed, polished. Returns
-    (z, search residual).
+    Returns (z, value, search residual), z sign-canonicalized for m > 1.
+    At m = 1, z = [1]. With one term or at p' = inf the maximum is
+    max_k w_k sigma_k^p' (w_k sigma_k at p' = inf), exact by one batched
+    SVD; at p' = 2 it is the Gram matrix's top eigenpair. Otherwise the best
+    lattice seed, polished.
     """
+    w = weights if ell_factors is None else weights * ell_factors
+    m = exps.shape[1]
+    if m == 1:
+        mags = np.linalg.norm(exps[:, :, 0], axis=1)
+        value = np.max(w * mags) if math.isinf(pp) else np.dot(w, mags**pp)
+        return np.array([1.0]), float(value), 0.0
+    if len(w) == 1 or math.isinf(pp):
+        _, sigmas, vts = np.linalg.svd(exps)
+        tops = w * (sigmas[:, 0] if math.isinf(pp) else sigmas[:, 0] ** pp)
+        k = int(np.argmax(tops))
+        return matfun.canonical_sign(vts[k, 0]), float(tops[k]), 0.0
     if pp == 2.0:
-        return _gram_maximizer(tables, ell_factors)[0], 0.0
+        vals, vecs = matfun.sym_eigen(np.einsum("k,kji,kjl->il", w, exps, exps))
+        return matfun.canonical_sign(vecs[:, 0]), float(vals[0]), 0.0
     settings = settings or SphereSettings()
-    m = tables.exps.shape[1]
     seeds = sphere_lattice(m, settings.seeds_per_dim * m)
-    mags = np.linalg.norm(np.einsum("kij,sj->ksi", tables.exps, seeds), axis=2)
-    w = tables.weights if ell_factors is None else tables.weights * ell_factors
+    mags = np.linalg.norm(np.einsum("kij,sj->ksi", exps, seeds), axis=2)
     z0 = seeds[int(np.argmax(w @ mags**pp))]
-    objective, gradient = _z_objective(w, tables.exps, pp)
-    z, _, residual = _polish_on_sphere(objective, gradient, z0, settings)
-    return z, residual
+    objective, gradient = _z_objective(w, exps, pp)
+    z, value, residual = _polish_on_sphere(objective, gradient, z0, settings)
+    return matfun.canonical_sign(z), value, residual
 
 
 def _joint_objective(tables, pp):
@@ -486,16 +492,12 @@ def _table_maximum(kind, cs, t, pp, ell, sphere, nodes):
     source time.
     """
     tables = _window_tables(cs, t, pp, kind != "N", nodes)
-    if cs.m == 1 and (kind != "C" or cs.n == 1):
-        z, residual = np.array([1.0]), 0.0
-        ell = np.array([1.0]) if kind == "C" else ell
-    elif kind == "C":
+    if kind == "C" and cs.m * cs.n > 1:
         ell, z, residual = _maximize_ell_z(cs, tables, pp, sphere)
     else:
-        factors = None
-        if ell is not None:
-            factors = np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
-        z, residual = _maximize_z(tables, pp, sphere, factors)
+        ell = np.array([1.0]) if kind == "C" else ell
+        factors = None if ell is None else np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
+        z, _, residual = _maximize_z(tables.weights, tables.exps, pp, sphere, factors)
     return _tau_integral(tables, pp, z, ell), z, ell, residual, tables.sigmas.size
 
 

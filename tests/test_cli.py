@@ -414,6 +414,24 @@ def test_nonpositive_sphere_seeds_exit_2(tmp_path, seeds):
     assert main(["sharp", "--config", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("quad_tol", math.nan), ("sphere_seeds", 2.7), ("sphere_seeds", True),
+     ("truncation_sigmas", math.nan), ("grid_points", 33.5), ("quad_tol", "1e-10")],
+    ids=["quad_tol=nan", "seeds=2.7", "seeds=true", "sigmas=nan", "grid=33.5", "tol=str"],
+)
+def test_numerics_that_would_change_the_run_silently_exit_2(tmp_path, capsys, field, value):
+    # NaN passed every bound (a NaN quad_tol ran every doubling to the cap),
+    # 2.7 seeds became 2 and true became 1
+    body = base_config("sharp", {"kind": "N", "p": [3.0], "t": [1.0]})
+    body["numerics"][field] = value
+    path = write_config(tmp_path, body)
+    with pytest.raises(ConfigError, match=f"numerics.{field}"):
+        load_config(path)
+    assert main(["sharp", "--config", path]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_tabulated_ingestion(tmp_path):
     ts = np.linspace(0.0, 1.0, 21)
     a_path = tmp_path / "a.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sharp_parabolic as sp
-from sharp_parabolic import matfun, oracle, verification
+from sharp_parabolic import matfun, oracle, sharp, verification
 from sharp_parabolic.errors import DomainError, TruncationError
 from sharp_parabolic.oracle import (
     IntegralOperatorSpec,
@@ -53,6 +53,15 @@ def test_spec_rejects_slice_counts_and_radii_that_give_wrong_norms(field):
     # these used to give 0.0, a bare ZeroDivisionError and nan
     with pytest.raises(DomainError):
         IntegralOperatorSpec(kind="N", cs=heat(), x=np.zeros(1), t=1.0, p=INF, **field)
+
+
+@pytest.mark.parametrize("kind", ["H", "N"])
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, 2.0], ids=["-1", "0", "nan", "T+1"])
+def test_spec_rejects_times_outside_the_horizon(kind, t):
+    # a source spec at t = -1 ended in a bare math domain error, and at
+    # t = nan in a misleading empty-window error
+    with pytest.raises(DomainError, match="outside"):
+        IntegralOperatorSpec(kind=kind, cs=heat(T=1.0), x=np.zeros(1), t=t, p=INF)
 
 
 def test_opnorm_matches_solution_constant():
@@ -226,6 +235,50 @@ def test_z_max_p1_on_one_slice_is_the_spectral_norm(m):
     sigma, z_top = matfun.spectral_norm(e)
     assert value == pytest.approx(w * sigma, rel=1e-14)
     assert abs(abs(np.dot(z, z_top)) - 1.0) < 1e-9
+
+
+def _searched_z_max(weights, exps, pp):
+    """The same objective by lattice seeds and power iteration (sphere_max)."""
+    if math.isinf(pp):
+
+        def objective(z):
+            return float(np.max(weights * np.linalg.norm(exps @ z, axis=1)))
+
+        def gradient(z):  # subgradient of the active term w_k |E_k z|
+            vecs = exps @ z
+            k = int(np.argmax(weights * np.linalg.norm(vecs, axis=1)))
+            return weights[k] / np.linalg.norm(vecs[k]) * (exps[k].T @ vecs[k])
+
+    else:
+        objective, gradient = sharp._z_objective(weights, exps, pp)
+    settings = sp.SphereSettings(rel_tol=1e-12)
+    return sp.sphere_max(objective, exps.shape[1], settings, gradient=gradient)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize(
+    "k, pp", [(1, 1.0), (1, 1.5), (1, 3.0), (1, INF), (5, INF)],
+    ids=["K1-pp1", "K1-pp1.5", "K1-pp3", "K1-ppinf", "K5-ppinf"],
+)
+def test_exact_z_max_matches_the_sphere_search(m, k, pp):
+    # one term, or terms combined by a max: the maximum is a spectral norm
+    rng = np.random.default_rng(100 * m + k)
+    for _ in range(4):
+        exps = rng.standard_normal((k, m, m))
+        weights = rng.uniform(0.5, 1.5, k)
+        z, exact = oracle._z_max(weights, exps, pp, m)
+        _, searched = _searched_z_max(weights, exps, pp)
+        assert exact == pytest.approx(searched, rel=1e-12)
+        assert exact >= searched * (1.0 - 1e-15)
+        assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(z, matfun.canonical_sign(z))
+
+
+@pytest.mark.parametrize("kind, p", [("H", 3.0), ("K", INF), ("N", 2.0), ("C", INF)])
+def test_one_component_maximizer_is_one(kind, p):
+    ell = np.array([1.0]) if kind in ("K", "C") else None
+    result = opnorm_bruteforce(hspec(kind, p, ell=ell, res=129, slices=16))
+    assert np.array_equal(result.argmax_z, [1.0])
 
 
 NON_DIAGONAL = sp.coefficient_set(

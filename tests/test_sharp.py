@@ -269,7 +269,7 @@ def test_gram_route_matches_direct_search():
     c = rng.standard_normal((3, 3))
     cs = sp.coefficient_set(n=1, m=3, T=1.0, C=c)
     tables = sharp._window_tables(cs, 1.0, 2.0, with_gradient=False, nodes=32)
-    z_gram, gram_value = sharp._gram_maximizer(tables)
+    z_gram, gram_value, _ = sharp._maximize_z(tables.weights, tables.exps, 2.0, None)
     objective, gradient = sharp._z_objective(tables.weights, tables.exps, 2.0)
     z_search, search_value = sp.sphere_max(
         objective, 3, sp.SphereSettings(rel_tol=1e-12), gradient=gradient
