@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.interpolate import PchipInterpolator
 
 from . import matfun
 from .errors import DomainError, NotPositiveDefinite
@@ -112,6 +110,41 @@ def _left_integral(d, w):
     return w * (d[0] - w * (0.5 * d[1] - w * (d[2] / 3.0 - 0.25 * w * d[3])))
 
 
+def _sorted_unique(values):
+    """np.unique without the numpy.ma import of numpy's set functions."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """Moler's one-sided three-point end derivative, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    keep = np.sign(d) == np.sign(m0)
+    overshoot = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(overshoot, 3.0 * m0, np.where(keep, d, 0.0))
+
+
+def _pchip_cubics(h, values):
+    """PCHIP coefficients per piece, highest power first, in u = s - times[i],
+    by the formulas of scipy's ``PchipInterpolator(times, values, axis=0).c``
+    operation for operation (Fritsch-Carlson weighted harmonic mean inside,
+    the secant for two samples), so they are bit-identical. ``h`` holds the
+    piece lengths shaped to broadcast against ``values``."""
+    slope = np.diff(values, axis=0) / h
+    if values.shape[0] == 2:
+        d = np.concatenate([slope, slope])
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(slope[1:]) != np.sign(slope[:-1])) | (slope[1:] == 0) | (slope[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / slope[:-1] + w2 / slope[1:]) / (w1 + w2))
+        d = np.concatenate([[_pchip_end(h[0], h[1], slope[0], slope[1])],
+                            np.where(flat, 0.0, inner),
+                            [_pchip_end(h[-1], h[-2], slope[-1], slope[-2])]])
+    t = (d[:-1] + d[1:] - 2 * slope) / h
+    return np.stack([t / h, (slope - d[:-1]) / h - t, d[:-1], values[:-1]])
+
+
 class Tabulated:
     """Coefficient given by samples, joined by monotone cubic interpolation."""
 
@@ -130,13 +163,12 @@ class Tabulated:
             raise DomainError("tabulated values must be finite")
         self.times = times
         self.values = values
-        self._interp = PchipInterpolator(times, values, axis=0)
         # per piece: the cubic's coefficients, highest power first, in
         # u = s - times[i]; its Taylor coefficients at the right end; its
         # whole integral; and a bound on its entries
-        self._cubics = self._interp.c
         lengths = np.diff(times)
         col = _column(lengths, values.ndim)
+        self._cubics = _pchip_cubics(col, values)
         self._right = _taylor(self._cubics, col)
         self._whole = _left_integral(self._right, col)
         powers = col ** np.arange(3, -1, -1).reshape((4,) + (1,) * values.ndim)
@@ -150,7 +182,11 @@ class Tabulated:
             raise DomainError(
                 f"tabulated samples cover [{lo:g}, {hi:g}], requested t={t:g}"
             )
-        return self._interp(t)
+        # as scipy's PPoly: the piece x_i <= t < x_(i+1) (the last for t = hi)
+        i = min(int(np.searchsorted(self.times, t, side="right")) - 1, self.times.size - 2)
+        u = t - self.times[i]
+        c0, c1, c2, c3 = self._cubics[:, i]
+        return ((c3 + c2 * u) + c1 * (u * u)) + c0 * (u * u * u)
 
     def span(self):
         return float(self.times[0]), float(self.times[-1])
@@ -299,7 +335,7 @@ class CoefficientSet:
         1e-6 t of t makes no break: that piece would put nodes below the floor."""
         s = [p.times for p in (self.A, self.b, self.C) if isinstance(p, Tabulated)]
         s = np.concatenate([[]] + s)
-        return np.unique(np.append(t - s[(s > 0.0) & (s < (1.0 - 1e-6) * t)], t))
+        return _sorted_unique(np.append(t - s[(s > 0.0) & (s < (1.0 - 1e-6) * t)], t))
 
 
 def _spd_check_times(A, T):
@@ -314,17 +350,19 @@ def _spd_check_times(A, T):
         return [0.0]
     if isinstance(A, Affine):
         return [0.0, T]
-    return np.union1d([0.0, T], A.times[(A.times >= 0.0) & (A.times <= T)])
+    return _sorted_unique(np.append([0.0, T], A.times[(A.times >= 0.0) & (A.times <= T)]))
 
 
 def _singular_times(A, T):
     """Times in [0, T] between sample times where a tabulated A(t) is singular.
 
-    On the piece from x_i of length h, A(x_i + u) = c0 u^3 + c1 u^2 + c2 u + c3,
-    so its singular points are the finite eigenvalues u in (0, h] of the
-    pencil (M, B), M = [[0, I, 0], [0, 0, I], [-c3, -c2, -c1]] and
-    B = diag(I, I, c0). An A that is SPD at one point of a piece and nowhere
-    singular on it is SPD on the whole piece. Other presets give [].
+    About lo, the start of a piece or 0 if later, A(lo + u) = d0 + d1 u +
+    d2 u^2 + d3 u^3, so its singular points are the eigenvalues u > 0 of the
+    pencil (M, B), M = [[0, I, 0], [0, 0, I], [-d0, -d1, -d2]] and
+    B = diag(I, I, d3): u = 1/mu for the eigenvalues mu != 0 of M^-1 B. M is
+    invertible, as A(lo) was found SPD. An A that is SPD at one point of a
+    piece and nowhere singular on it is SPD on the whole piece. Other
+    presets give [].
     """
     if not isinstance(A, Tabulated):
         return []
@@ -332,14 +370,16 @@ def _singular_times(A, T):
     eye, zero = np.eye(n), np.zeros((n, n))
     found = []
     for i, h in enumerate(np.diff(A.times)):
-        lo = A.times[i]
-        if lo >= T or A.times[i + 1] <= 0.0:
+        lo, hi = max(A.times[i], 0.0), A.times[i + 1]
+        if lo >= min(T, hi):
             continue
-        c0, c1, c2, c3 = (matfun.symmetrize(c) for c in A._cubics[:, i])
-        pencil = np.block([[zero, eye, zero], [zero, zero, eye], [-c3, -c2, -c1]])
-        u = scipy.linalg.eigvals(pencil, scipy.linalg.block_diag(eye, eye, c0))
-        u = u[np.isfinite(u) & (np.abs(u.imag) <= _REAL_ROOT_TOL * h)].real
-        found.extend(float(s) for s in lo + u[(u > 0.0) & (u <= h)] if 0.0 <= s <= T)
+        d0, d1, d2, d3 = (matfun.symmetrize(d) for d in _taylor(A._cubics[:, i], lo - A.times[i]))
+        pencil = np.block([[zero, eye, zero], [zero, zero, eye], [-d0, -d1, -d2]])
+        b = np.block([[eye, zero, zero], [zero, eye, zero], [zero, zero, d3]])
+        mu = np.linalg.eigvals(np.linalg.solve(pencil, b))
+        u = 1.0 / mu[mu != 0.0]
+        u = u[np.abs(u.imag) <= _REAL_ROOT_TOL * h].real
+        found.extend(float(s) for s in lo + u[(u > 0.0) & (u <= hi - lo)] if s <= T)
     return found
 
 

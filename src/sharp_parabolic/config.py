@@ -128,15 +128,16 @@ def _parse_preset(block, name, shape, base_dir):
     raise ConfigError(f"{context}: unknown preset kind {kind!r}")
 
 
-def _numeric(block, key, default, ok, rule, kind=float):
-    """numerics.<key>: a finite number (an integer if ``kind`` is int; never a
-    boolean) for which ``ok`` holds. NaN fails every bound."""
-    value = block.get(key, default)
+def _numeric(block, key, default, ok, rule, kind=float, context="numerics"):
+    """<context>.<key>: a finite number (an integer if ``kind`` is int; never a
+    boolean) for which ``ok`` holds, required if ``default`` is None. NaN
+    fails every bound."""
+    value = _require(block, key, context) if default is None else block.get(key, default)
     number = numbers.Integral if kind is int else numbers.Real
     if isinstance(value, bool) or not isinstance(value, number) or not (
         math.isfinite(value) and ok(value)
     ):
-        raise ConfigError(f"numerics.{key} must be {rule}, got {value!r}")
+        raise ConfigError(f"{context}.{key} must be {rule}, got {value!r}")
     return kind(value)
 
 
@@ -154,14 +155,9 @@ def load_config(path, command=None) -> RunConfig:
     problem = _require(raw, "problem", "config")
     if not isinstance(problem, dict):
         raise ConfigError("problem: expected an object with n, m, T")
-    try:
-        n = int(_require(problem, "n", "problem"))
-        m = int(_require(problem, "m", "problem"))
-        T = float(_require(problem, "T", "problem"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"problem: {exc}") from exc
-    if n < 1 or m < 1 or not T > 0:
-        raise ConfigError("problem: need n >= 1, m >= 1 and T > 0")
+    n = _numeric(problem, "n", None, lambda v: v >= 1, "an integer >= 1", int, "problem")
+    m = _numeric(problem, "m", None, lambda v: v >= 1, "an integer >= 1", int, "problem")
+    T = _numeric(problem, "T", None, lambda v: v > 0, "> 0", float, "problem")
 
     coeffs_block = raw.get("coefficients", {})
     if not isinstance(coeffs_block, dict):

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sharp_parabolic
 from sharp_parabolic import cli, kernels, sharp
 from sharp_parabolic.cli import main
 from sharp_parabolic.config import load_config, parse_p
@@ -430,6 +434,67 @@ def test_numerics_that_would_change_the_run_silently_exit_2(tmp_path, capsys, fi
         load_config(path)
     assert main(["sharp", "--config", path]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 2.7), ("n", True), ("m", 1.5), ("m", False), ("T", math.inf), ("T", "1")],
+    ids=["n=2.7", "n=true", "m=1.5", "m=false", "T=inf", "T=str"],
+)
+def test_problem_sizes_that_would_change_the_run_silently_exit_2(tmp_path, capsys, field, value):
+    # int() ran n = 2.7 as n = 2 and n = true as n = 1; float() let T = Infinity in
+    body = base_config("sharp", {"kind": "H", "p": [2.0], "t": [0.5]})
+    body["problem"][field] = value
+    path = write_config(tmp_path, body)
+    with pytest.raises(ConfigError, match=f"problem.{field}"):
+        load_config(path)
+    assert main(["sharp", "--config", path]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_IMPORT_GUARD = """
+import sys
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "numpy.ma" or m.startswith("numpy.ma."))
+
+from sharp_parabolic import cli
+from sharp_parabolic.config import load_config
+print("import", heavy())
+load_config(sys.argv[1], command="sweep")
+print("load", heavy())
+assert cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("sweep", heavy())
+"""
+
+
+def test_the_cli_path_imports_neither_scipy_nor_numpy_ma(tmp_path):
+    # a fresh interpreter: importing scipy costs more than most CLI runs, and
+    # numpy's set functions (np.unique, np.union1d) import numpy.ma on first use
+    (tmp_path / "a.csv").write_text(
+        "t,entry_11,entry_12,entry_22\n"
+        "0,1.1,0.3,0.7\n0.5,0.9,0.1,0.6\n1,1.3,-0.2,0.8\n"
+    )
+    (tmp_path / "c.csv").write_text(
+        "t,entry_11,entry_12,entry_21,entry_22\n"
+        "0,0.2,0.6,-0.3,-0.1\n0.5,0.4,0.5,-0.05,-0.25\n1,0.2,0.6,-0.3,-0.1\n"
+    )
+    body = base_config("sweep", {"kinds": ["H", "N", "C"], "p": ["inf", 3], "t": [0.75]},
+                       n=2, m=2)
+    body["coefficients"]["A"] = {"preset": "tabulated", "path": "a.csv"}
+    body["coefficients"]["C"] = {"preset": "tabulated", "path": "c.csv"}
+    body["numerics"]["sphere_seeds"] = 8
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sharp_parabolic.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, write_config(tmp_path, body),
+         str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:3] == ["import []", "load []", "sweep []"]
+    assert len(read_rows(str(tmp_path / "out.csv"))) == 6
 
 
 def test_tabulated_ingestion(tmp_path):

@@ -6,11 +6,12 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.interpolate import PchipInterpolator
 
 import sharp_parabolic as sp
 from sharp_parabolic.cli import main
-from sharp_parabolic.coeffs import commutation_defect, integrate_windows
+from sharp_parabolic.coeffs import _singular_times, commutation_defect, integrate_windows
 from sharp_parabolic.errors import DomainError, NotPositiveDefinite
 
 
@@ -143,6 +144,71 @@ def test_construction_rejects_tabulated_A_singular_between_samples():
         sp.coefficient_set(n=2, m=1, T=1.0, A=_dipping_A())
     # the singular points lie after T = 0.12, so A is SPD on [0, T]
     sp.coefficient_set(n=2, m=1, T=0.12, A=_dipping_A())
+
+
+def _pchip_tables(rng):
+    """Random sample tables of 2 to 8 samples with scalar, vector and matrix
+    values, rounded to halves so that flat runs and sign changes are common."""
+    for k in range(300):
+        size = 2 + k % 7
+        shape = [(), (3,), (2, 2)][k % 3]
+        times = np.cumsum(rng.uniform(0.05, 1.0, size)) - 0.3
+        yield times, np.round(2.0 * rng.normal(size=(size,) + shape)) / 2.0
+
+
+def test_pchip_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for times, values in _pchip_tables(rng):
+        tab = sp.Tabulated(times, values)
+        ref = PchipInterpolator(times, values, axis=0)
+        assert np.array_equal(tab._cubics, ref.c)
+        for t in np.concatenate([times, rng.uniform(times[0], times[-1], 8)]):
+            assert np.array_equal(tab(t), ref(t))
+
+
+def _singular_times_by_qz(A, T):
+    """_singular_times with every piece expanded about its start and the
+    pencil's roots taken from scipy's generalized eigenvalues (QZ)."""
+    n = A.values.shape[-1]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    found = []
+    for i, h in enumerate(np.diff(A.times)):
+        c0, c1, c2, c3 = (0.5 * (c + c.T) for c in A._cubics[:, i])
+        pencil = np.block([[zero, eye, zero], [zero, zero, eye], [-c3, -c2, -c1]])
+        u = scipy.linalg.eigvals(pencil, scipy.linalg.block_diag(eye, eye, c0))
+        u = u[np.isfinite(u) & (np.abs(u.imag) <= 1e-8 * h)].real
+        found.extend(s for s in A.times[i] + u[(u > 0.0) & (u <= h)] if 0.0 <= s <= T)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("data", ["random", "linear", "partly linear"])
+def test_singular_times_match_the_generalized_eigenvalues(data):
+    # "linear" pieces have c0 = c1 = 0 and "partly linear" ones a singular
+    # c0 != 0, so the pencil has infinite eigenvalues; the first table
+    # starts before 0, where its first piece is expanded about 0. QZ places
+    # a few roots up to 1.5e-8 away, where A(s) is still 1e-4 from singular;
+    # the roots found here leave A(s) singular to roundoff
+    rng = np.random.default_rng(21)
+    hits = 0
+    for k in range(40):
+        inner = np.sort(rng.uniform(0.05, 0.95, 2 + k % 3))
+        times = np.concatenate([[-0.2 if k == 0 else 0.0], inner, [1.0 + 0.1 * (k % 2)]])
+        values = rng.normal(size=(times.size, 3, 3))
+        values = values + np.swapaxes(values, 1, 2)
+        if data == "linear":
+            values = values[0] + times[:, None, None] * values[1]
+        elif data == "partly linear":
+            values[:, 0, :] = values[0, 0] + times[:, None] * values[1, 0]
+            values[:, :, 0] = values[:, 0, :]
+        A = sp.Tabulated(times, values)
+        got, want = sorted(_singular_times(A, 1.0)), _singular_times_by_qz(A, 1.0)
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7)
+        for s in got:
+            eig = np.abs(np.linalg.eigvalsh(A(s)))
+            assert eig.min() <= 1e-12 * eig.max()
+        hits += len(got)
+    assert hits > 10
 
 
 def test_window_scaling_exponents_constant():

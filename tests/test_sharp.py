@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import gamma, gammainc, hyp1f1
 
 import sharp_parabolic as sp
@@ -334,6 +334,22 @@ def test_searched_source_constants_meet_the_search_tolerance(p):
         for result in (sp.sharp_N(cs, p, 1.0), sp.sharp_C(cs, p, 1.0)):
             assert result.convergent
             assert result.diagnostics.search_residual <= rel_tol
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 512])
+@pytest.mark.parametrize("e", [0.0, 0.3, 0.9])
+def test_gauss_jacobi_matches_the_tridiagonal_eigensolver(nodes, e):
+    # the Jacobi matrix of the weight (1 + x)^(-e), solved as a tridiagonal
+    b = -e
+    k = np.arange(1, nodes, dtype=float)
+    s = 2.0 * k + b
+    diag = np.concatenate([[b / (b + 2.0)], b * b / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vecs = eigh_tridiagonal(diag, off)
+    w = 2.0 ** (1.0 + b) / (1.0 + b) * vecs[0] ** 2
+    got_x, got_w = sharp._gauss_jacobi(nodes, e)
+    np.testing.assert_allclose(got_x, x, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(got_w, w, rtol=1e-14, atol=0.0)
 
 
 def test_radial_gauss_identity_by_quadrature():
