@@ -85,6 +85,13 @@ def _vector(value, size, context):
     return vec
 
 
+def _list(value, context):
+    """A nonempty JSON list, or ConfigError."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{context}: expected a nonempty list, got {value!r}")
+    return value
+
+
 def _numbers(value, context):
     """A list of finite floats, or ConfigError."""
     try:
@@ -110,7 +117,7 @@ def _positive(value, context):
 def _points(cfg):
     return [
         _vector(x, cfg.n, "request.points")
-        for x in cfg.request.get("points", [[0.0] * cfg.n])
+        for x in _list(cfg.request.get("points", [[0.0] * cfg.n]), "request.points")
     ]
 
 
@@ -120,13 +127,14 @@ def _points(cfg):
 
 def _sharp_tasks(cfg, kinds):
     req = cfg.request
-    ps = [parse_p(tok) for tok in req.get("p", [2.0])]
+    ps = [parse_p(tok) for tok in _list(req.get("p", [2.0]), "request.p")]
     ts = _numbers(req.get("t", [cfg.T]), "request.t")
-    if not ps or not ts or not kinds:
+    if not ts:
         raise ConfigError("request: parameter ranges must be nonempty")
     ells = req.get("ell")
     ell_list = (
-        [np.asarray(e, dtype=float) for e in ells] if ells is not None else [None]
+        [_vector(e, cfg.n, "request.ell") for e in _list(ells, "request.ell")]
+        if ells is not None else [None]
     )
     tasks = []
     for kind in kinds:
@@ -145,9 +153,7 @@ def _sharp_tasks(cfg, kinds):
 def cmd_sharp(cfg, threads, sweep=False):
     req = cfg.request
     if sweep:
-        kinds = req.get("kinds")
-        if not kinds:
-            raise ConfigError("request: sweep needs a 'kinds' list")
+        kinds = _list(req.get("kinds"), "request.kinds")
     else:
         kinds = [req.get("kind", "H")]
     tasks = _sharp_tasks(cfg, kinds)
@@ -220,21 +226,15 @@ def cmd_kernel(cfg, threads):
 
 def cmd_coeffs(cfg):
     req = cfg.request
-    windows = req.get("windows")
-    if not windows:
-        raise ConfigError("request: coeffs needs a 'windows' list of [tau, t] pairs")
     cs = cfg.coefficient_set
-    spans = [(float(a), float(b)) for a, b in windows]
+    spans = [_vector(pair, 2, "request.windows").tolist()
+             for pair in _list(req.get("windows"), "request.windows")]
     lengths = [coeffs.window_length(cs, tau, t) for tau, t in spans]
-    accs = cs.windows([t for _, t in spans], lengths)
-    rows = [
-        [tau, t]
-        + [acc.ia[i, j] for i in range(cfg.n) for j in range(i, cfg.n)]
-        + [float(v) for v in acc.ib]
-        + [float(v) for v in acc.ic.reshape(-1)]
-        + [acc.det_ia_sqrt, acc.quad_error]
-        for (tau, t), acc in zip(spans, accs)
-    ]
+    batch = cs.windows([t for _, t in spans], lengths)
+    upper = np.triu_indices(cfg.n)
+    table = np.hstack([batch.ia[:, upper[0], upper[1]], batch.ib, batch.ic.reshape(len(batch), -1),
+                       batch.det_ia_sqrt[:, None], batch.quad_error[:, None]])
+    rows = [[tau, t] + cells for (tau, t), cells in zip(spans, table.tolist())]
     header = (
         ["tau", "t"]
         + [f"ia_{i + 1}{j + 1}" for i in range(cfg.n) for j in range(i, cfg.n)]
@@ -353,7 +353,9 @@ def cmd_verify(cfg, threads, tol_override=None):
         cases = verification.cases_for(selection)
     except ValueError as exc:
         raise ConfigError(f"request.cases: {exc}") from exc
-    tol = tol_override if tol_override is not None else req.get("tolerance")
+    tol = tol_override
+    if tol is None and req.get("tolerance") is not None:
+        tol = _positive(req["tolerance"], "request.tolerance")
 
     def evaluate(family):
         return [

@@ -272,6 +272,43 @@ class AccumulatedIntegrals:
 
 
 @dataclass(frozen=True)
+class WindowBatch:
+    """The fields of AccumulatedIntegrals for K windows, each stacked along
+    a leading axis of length K (``exp_ic_star`` C-contiguous). ``batch[k]``
+    and iteration give the windows as AccumulatedIntegrals whose arrays are
+    read-only views of the batch."""
+
+    tau: np.ndarray
+    t: np.ndarray
+    ia: np.ndarray
+    ib: np.ndarray
+    ic: np.ndarray
+    ia_sqrt: np.ndarray
+    ia_inv_sqrt: np.ndarray
+    ia_inv: np.ndarray
+    ia_eigenvalues: np.ndarray
+    det_ia_sqrt: np.ndarray
+    exp_ic: np.ndarray
+    exp_ic_star: np.ndarray
+    quad_error: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.setflags(write=False)
+
+    def __len__(self):
+        return self.t.size
+
+    def __getitem__(self, k) -> AccumulatedIntegrals:
+        return AccumulatedIntegrals(**{
+            name: float(v[k]) if v.ndim == 1 else v[k] for name, v in vars(self).items()
+        })
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+@dataclass(frozen=True)
 class CoefficientSet:
     """The triple (A(t), b(t), C(t)) on [0, T] for an n-dim, m-component system."""
 
@@ -315,7 +352,7 @@ class CoefficientSet:
         """Window integrals for [tau, t]; see integrate_coefficients."""
         return integrate_coefficients(self, tau, t)
 
-    def windows(self, t, w) -> list:
+    def windows(self, t, w) -> "WindowBatch":
         """Window integrals for [t - w, t], one per entry of ``w``, in one batch."""
         return integrate_windows(self, t, w)
 
@@ -425,14 +462,15 @@ def integrate_coefficients(cs, tau, t) -> AccumulatedIntegrals:
     return integrate_windows(cs, float(t), [window_length(cs, tau, t)])[0]
 
 
-def integrate_windows(cs, t, w) -> list:
+def integrate_windows(cs, t, w) -> "WindowBatch":
     """Closed-form window integrals of (A, b, C) over [t - w, t], batched.
 
     ``w`` is a sequence of window lengths and ``t`` a scalar or one end per
-    window. Every window of a batch is bit-identical to the same window
-    computed alone. Raises NotPositiveDefinite when an accumulated diffusion
-    integral is degenerate and DomainError when a window is not inside
-    [0, T] or is shorter than the window floor.
+    window. Returns a WindowBatch: each field stacked over the windows, with
+    window k as ``batch[k]``. Every window of a batch is bit-identical to the
+    same window computed alone. Raises NotPositiveDefinite when an
+    accumulated diffusion integral is degenerate and DomainError when a
+    window is not inside [0, T] or is shorter than the window floor.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     t = np.array(np.broadcast_to(np.asarray(t, dtype=float), w.shape))
@@ -448,37 +486,19 @@ def integrate_windows(cs, t, w) -> list:
 
     ia = cs.A.integral(t, w)
     ia = 0.5 * (ia + np.swapaxes(ia, -1, -2))
-    ib = cs.b.integral(t, w)
     ic = cs.C.integral(t, w)
     scale = np.maximum(np.maximum(cs.A.bound(t), cs.b.bound(t)), cs.C.bound(t))
-    quad_err = _ROUNDING_ULPS * np.finfo(float).eps * w * scale
-
     eig, ia_sqrt, ia_inv_sqrt, ia_inv = matfun.spd_roots(
         ia, "accumulated A integral is degenerate"
     )
-    det = np.prod(np.sqrt(eig), axis=1)
     exp_ic = matfun.matrix_exp(ic)
-    # copies, so that every window is C-contiguous: exp_ic[k].T alone is an
-    # F-ordered view, and tables stacked from such views round the later
-    # sums differently (m = 2 N/C values and maximizers move by an ulp)
-    return [
-        AccumulatedIntegrals(
-            tau=float(t[k] - w[k]),
-            t=float(t[k]),
-            ia=ia[k].copy(),
-            ib=ib[k].copy(),
-            ic=ic[k].copy(),
-            ia_sqrt=ia_sqrt[k].copy(),
-            ia_inv_sqrt=ia_inv_sqrt[k].copy(),
-            ia_inv=ia_inv[k].copy(),
-            ia_eigenvalues=eig[k].copy(),
-            det_ia_sqrt=float(det[k]),
-            exp_ic=exp_ic[k].copy(),
-            exp_ic_star=exp_ic[k].T.copy(),
-            quad_error=float(quad_err[k]),
-        )
-        for k in range(w.size)
-    ]
+    return WindowBatch(
+        tau=t - w, t=t, ia=ia, ib=cs.b.integral(t, w), ic=ic, ia_sqrt=ia_sqrt,
+        ia_inv_sqrt=ia_inv_sqrt, ia_inv=ia_inv, ia_eigenvalues=eig,
+        det_ia_sqrt=np.prod(np.sqrt(eig), axis=1), exp_ic=exp_ic,
+        exp_ic_star=np.ascontiguousarray(np.swapaxes(exp_ic, -1, -2)),
+        quad_error=_ROUNDING_ULPS * np.finfo(float).eps * w * scale,
+    )
 
 
 def window_scaling_exponents(cs, t):

@@ -49,14 +49,12 @@ class RunConfig:
 
 def parse_p(token):
     """Exponent from a config/CSV token; the literal string 'inf' is infinity."""
-    if isinstance(token, str):
-        if token.strip().lower() == "inf":
-            return math.inf
-        try:
-            return float(token)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse exponent p from {token!r}") from exc
-    return float(token)
+    if isinstance(token, str) and token.strip().lower() == "inf":
+        return math.inf
+    try:
+        return float(token)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse exponent p from {token!r}") from exc
 
 
 def _require(mapping, key, context):

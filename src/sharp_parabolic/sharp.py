@@ -378,11 +378,9 @@ def _window_tables(cs, t, pp, with_gradient, nodes) -> _WindowTables:
     jacobi = half[0] ** (1.0 - e) * wj * first**e
     rule = np.concatenate([jacobi, np.outer(half[1:], wl).ravel()])
     cs.check_window_floor(t, ws[0])
-    accs = cs.windows(t, ws)
-    dets = np.array([acc.det_ia_sqrt for acc in accs])
-    exps = np.stack([acc.exp_ic_star for acc in accs])
-    inv_sqrts = np.stack([acc.ia_inv_sqrt for acc in accs]) if with_gradient else None
-    return _WindowTables(np.sqrt(ws), rule * dets ** (1.0 - pp), exps, inv_sqrts)
+    batch = cs.windows(t, ws)
+    return _WindowTables(np.sqrt(ws), rule * batch.det_ia_sqrt ** (1.0 - pp), batch.exp_ic_star,
+                         batch.ia_inv_sqrt if with_gradient else None)
 
 
 def _z_objective(weights, exps, pp):

@@ -50,8 +50,9 @@ def test_parse_p_tokens():
     assert parse_p("inf") == math.inf
     assert parse_p("2") == 2.0
     assert parse_p(3) == 3.0
-    with pytest.raises(ConfigError):
-        parse_p("two")
+    for token in ("two", None, [2.0]):
+        with pytest.raises(ConfigError):
+            parse_p(token)
 
 
 def test_sharp_command_heat_constant(tmp_path):
@@ -397,8 +398,18 @@ def test_wrong_shapes_exit_2(tmp_path, capsys, command, request_body):
             data={"type": "gaussian", "amplitude": [1.0], "width": "wide"})),
         ("solve", _nonhomogeneous_solve(
             problem="homogeneous", data={"type": "constant", "value": [1.0], "radius": "big"})),
+        *[("coeffs", {"windows": windows})
+          for windows in ([[0.1]], [[0.1, 0.2, 0.3]], [["a", "b"]], [[None, 0.5]], 5)],
+        ("sweep", {"kinds": ["K_ell"], "p": [3.0], "t": [0.5], "ell": [["a", 1]]}),
+        ("sweep", {"kinds": ["K_ell"], "p": [3.0], "t": [0.5], "ell": 5}),
+        ("sweep", {"kinds": ["H"], "p": 2, "t": [0.5]}),
+        ("sweep", {"kinds": "HK", "p": [3.0], "t": [0.5]}),
+        ("kernel", {"points": 5, "t": [1.0]}),
+        ("verify", {"cases": "quick", "tolerance": "x"}),
     ],
-    ids=["t", "tau", "width", "radius"],
+    ids=["t", "tau", "width", "radius", "window-1", "window-3", "window-str", "window-null",
+         "windows-scalar", "ell-str", "ell-scalar", "p-scalar", "kinds-str", "points-scalar",
+         "tolerance-str"],
 )
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, request_body):
     body = base_config(command, request_body, out=str(tmp_path / "o.csv"))

@@ -10,8 +10,12 @@ import scipy.linalg
 from scipy.interpolate import PchipInterpolator
 
 import sharp_parabolic as sp
-from sharp_parabolic.cli import main
-from sharp_parabolic.coeffs import _singular_times, commutation_defect, integrate_windows
+from sharp_parabolic import coeffs, sharp
+from sharp_parabolic.cli import format_cell, main
+from sharp_parabolic.coeffs import (
+    AccumulatedIntegrals, _singular_times, commutation_defect, integrate_windows,
+)
+from sharp_parabolic.config import load_config
 from sharp_parabolic.errors import DomainError, NotPositiveDefinite
 
 
@@ -391,6 +395,119 @@ def test_threads_computing_the_same_windows_agree_bit_for_bit():
         assert not thread.is_alive()
     for got in results:
         _assert_same_windows(got, single)
+
+
+def _scalar_tabulated_set(times=SAMPLE_TIMES):
+    """The n = m = 1 counterpart of _tabulated_set: the (1, 1) entries."""
+    a, c = _smooth_samples(times)
+    return sp.coefficient_set(n=1, m=1, T=1.0, A=sp.Tabulated(times, a[:, :1, :1]),
+                              b=sp.Affine(np.array([0.3]), np.array([0.5])),
+                              C=sp.Tabulated(times, c[:, :1, :1]))
+
+
+@pytest.mark.parametrize("make", [lambda: _tabulated_set()[0], _scalar_tabulated_set],
+                         ids=["n2m2", "n1m1"])
+def test_window_batch_fields_are_the_stacked_windows(make):
+    cs = make()
+    lengths = np.linspace(1e-3, 0.9, 17)
+    batch = cs.windows(0.95, lengths)
+    assert len(batch) == lengths.size
+    items = list(batch)
+    for f in dataclasses.fields(batch):
+        stacked = getattr(batch, f.name)
+        assert stacked.shape[0] == lengths.size
+        for k, item in enumerate(items):
+            assert np.array_equal(getattr(item, f.name), stacked[k]), f.name
+            assert np.array_equal(getattr(batch[k], f.name), stacked[k]), f.name
+    assert batch.exp_ic_star.flags.c_contiguous
+    assert np.array_equal(batch.exp_ic_star, np.swapaxes(batch.exp_ic, -1, -2))
+    assert isinstance(batch[0].det_ia_sqrt, float) and isinstance(batch[0].tau, float)
+    with pytest.raises(ValueError):
+        batch.ia[0, 0, 0] = 1.0  # read-only: items are views of the batch
+
+
+def test_window_tables_read_the_batch_arrays():
+    cs, _, _ = _tabulated_set()
+    pp = 1.2  # e = 0.8 < 1 with the gradient at n = 2
+    tables = sharp._window_tables(cs, 0.9, pp, with_gradient=True, nodes=16)
+    # the node table's rule, as _window_tables builds it
+    e = 0.5 * cs.n * (pp - 1.0) + 0.5 * pp
+    ends = cs.window_breaks(0.9)
+    half = 0.5 * np.diff(ends, prepend=0.0)
+    (xj, wj), (xl, wl) = sharp._gauss_jacobi(16, e), sharp._gauss_jacobi(16, 0.0)
+    first = half[0] * (1.0 + xj)
+    ws = np.concatenate([first, (ends[:-1, None] + half[1:, None] * (1.0 + xl)).ravel()])
+    rule = np.concatenate([half[0] ** (1.0 - e) * wj * first**e, np.outer(half[1:], wl).ravel()])
+    items = list(cs.windows(0.9, ws))
+    dets = np.array([acc.det_ia_sqrt for acc in items])
+    assert np.array_equal(tables.weights, rule * dets ** (1.0 - pp))
+    for got, name in ((tables.exps, "exp_ic_star"), (tables.inv_sqrts, "ia_inv_sqrt")):
+        want = np.stack([getattr(acc, name) for acc in items])
+        assert np.array_equal(got, want) and got.flags.c_contiguous, name
+
+
+def _count_windows(monkeypatch):
+    """Count the AccumulatedIntegrals that the package builds from here on."""
+    made = []
+
+    def counting(**fields):
+        made.append(1)
+        return AccumulatedIntegrals(**fields)
+
+    monkeypatch.setattr(coeffs, "AccumulatedIntegrals", counting)
+    return made
+
+
+def test_node_tables_and_coeffs_rows_build_no_window_objects(monkeypatch, tmp_path):
+    cs, _, _ = _tabulated_set()
+    made = _count_windows(monkeypatch)
+    cs.windows(0.5, [0.1, 0.2])[1]
+    assert len(made) == 1  # the counter sees items built on demand
+    made.clear()
+    sharp._window_tables(cs, 0.9, 1.2, with_gradient=True, nodes=16)
+    _write_coeffs_csv(tmp_path, 2, [[0.1, 0.9], [0.0, 0.5], [0.45, 0.55]])
+    assert made == []
+
+
+def _write_coeffs_csv(tmp_path, n, windows):
+    """Run the coeffs command on _tabulated_set's samples (their leading
+    n x n blocks, b = 0) and return the set, the CSV header and its rows."""
+    a, c = _smooth_samples(SAMPLE_TIMES)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    square = [(i, j) for i in range(n) for j in range(n)]
+    for name, samples, entries in (("a.csv", a, upper), ("c.csv", c, square)):
+        lines = [",".join(["t"] + [f"entry_{i + 1}{j + 1}" for i, j in entries])]
+        lines += [",".join(f"{v:.17g}" for v in [s, *(m[i, j] for i, j in entries)])
+                  for s, m in zip(SAMPLE_TIMES, samples)]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    body = {
+        "problem": {"n": n, "m": n, "T": 1.0},
+        "coefficients": {"A": {"preset": "tabulated", "path": "a.csv"},
+                         "C": {"preset": "tabulated", "path": "c.csv"}},
+        "request": {"command": "coeffs", "windows": windows},
+    }
+    (tmp_path / "coeffs.json").write_text(json.dumps(body))
+    out = tmp_path / "coeffs.csv"
+    assert main(["coeffs", "--config", str(tmp_path / "coeffs.json"), "--out", str(out)]) == 0
+    with open(out) as handle:
+        header, *rows = list(csv.reader(line for line in handle if not line.startswith("#")))
+    return load_config(str(tmp_path / "coeffs.json")).coefficient_set, header, rows
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_coeffs_rows_print_the_per_window_fields(tmp_path, n):
+    rng = np.random.default_rng(5)
+    ends = rng.uniform(0.05, 1.0, 20)
+    windows = [[float(t - w), float(t)] for t, w in zip(ends, ends * rng.uniform(1e-6, 1.0, 20))]
+    cs, header, rows = _write_coeffs_csv(tmp_path, n, windows)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    assert header[2:2 + len(upper)] == [f"ia_{i + 1}{j + 1}" for i, j in upper]
+    assert len(rows) == len(windows)
+    for row, (tau, t) in zip(rows, windows):
+        acc = cs.accumulated(tau, t)
+        want = ([tau, t] + [acc.ia[i, j] for i, j in upper] + list(acc.ib)
+                + list(acc.ic.reshape(-1)) + [acc.det_ia_sqrt, acc.quad_error])
+        assert row == [format_cell(v) for v in want]
 
 
 def test_window_breaks_collect_the_sample_times_of_every_tabulated_coefficient():
