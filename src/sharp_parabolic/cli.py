@@ -282,7 +282,7 @@ def cmd_solve(cfg, threads):
     # the whole request is parsed and checked before anything is evaluated
     req = cfg.request
     problem = req.get("problem", "homogeneous")
-    if problem not in _SOLVE_KINDS:
+    if not isinstance(problem, str) or problem not in _SOLVE_KINDS:
         raise ConfigError("request.problem must be homogeneous or nonhomogeneous")
     data_block = req.get("data")
     if not isinstance(data_block, dict):
@@ -391,9 +391,10 @@ def main(argv=None) -> int:
 
     try:
         threads = _thread_count(args.threads)
+        tol = None if args.tol is None else _positive(args.tol, "--tol")
         cfg = load_config(args.config, command=args.command)
-        if args.tol is not None and args.command != "verify":
-            cfg.numerics.quad_tol = args.tol
+        if tol is not None and args.command != "verify":
+            cfg.numerics.quad_tol = tol
         failures = 0
         if args.command == "sharp":
             header, rows = cmd_sharp(cfg, threads)
@@ -406,7 +407,7 @@ def main(argv=None) -> int:
         elif args.command == "solve":
             header, rows = cmd_solve(cfg, threads)
         else:
-            header, rows, failures = cmd_verify(cfg, threads, tol_override=args.tol)
+            header, rows, failures = cmd_verify(cfg, threads, tol_override=tol)
     except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -99,24 +99,32 @@ def _tabulated(path, name, shape, context):
     return Tabulated(times, values)
 
 
+def _array(block, key, shape, context):
+    """<context>.<key>: finite numbers of the given shape, as a float array."""
+    try:
+        value = np.asarray(_require(block, key, context), dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.shape != shape or not np.all(np.isfinite(value)):
+        raise ConfigError(f"{context}.{key}: expected finite numbers of shape {shape}, "
+                          f"got {block[key]!r}")
+    return value
+
+
 def _parse_preset(block, name, shape, base_dir):
     context = f"coefficients.{name}"
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected an object with a 'preset' field")
     kind = _require(block, "preset", context)
     if kind == "constant":
-        value = np.asarray(_require(block, "value", context), dtype=float)
-        if value.shape != shape:
-            raise ConfigError(f"{context}: value shape {value.shape}, expected {shape}")
-        return Constant(value)
+        return Constant(_array(block, "value", shape, context))
     if kind == "affine":
-        value = np.asarray(_require(block, "value", context), dtype=float)
-        slope = np.asarray(_require(block, "slope", context), dtype=float)
-        if value.shape != shape or slope.shape != shape:
-            raise ConfigError(f"{context}: value/slope shape must be {shape}")
-        return Affine(value, slope)
+        return Affine(_array(block, "value", shape, context),
+                      _array(block, "slope", shape, context))
     if kind == "tabulated":
         path = _require(block, "path", context)
+        if not isinstance(path, str):
+            raise ConfigError(f"{context}.path: expected a string, got {path!r}")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         try:
@@ -199,7 +207,11 @@ def load_config(path, command=None) -> RunConfig:
     )
 
     output = raw.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("output: expected an object")
     output_path = output.get("path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError(f"output.path: expected a string, got {output_path!r}")
     if output.get("format", "csv") != "csv":
         raise ConfigError("output.format: only 'csv' is supported")
 

@@ -182,12 +182,6 @@ def _collect(specs, pps, resolution, sigma_slices, endpoint_gap):
     ]
 
 
-def _z_max(weights, exps_t, pp, m, settings=None):
-    """(argmax z, value) of the discrete objective over the slices: the
-    node-table maximizer of ``sharp``, at p' = inf of max_k w_k |E_k z|."""
-    return sharp._maximize_z(weights, exps_t, pp, settings)[:2]
-
-
 def family_key(spec):
     """Specs with equal keys form one oracle family: they share every slice
     grid and its Gaussian, and may differ in kind, p and ell."""
@@ -225,9 +219,9 @@ def _result(spec, pp, fine, coarse, rel_tol):
     """A spec's OracleResult from its fine and coarse slice terms; the
     coarse pass gives the error estimate."""
     weights, exps_t, tails = fine
-    z, best = _z_max(weights, exps_t, pp, spec.cs.m)
+    z, best = sharp._maximize_z(weights, exps_t, pp, None)[:2]
     value = best if math.isinf(pp) else best ** (1.0 / pp)
-    _, best_c = _z_max(coarse[0], coarse[1], pp, spec.cs.m)
+    best_c = sharp._maximize_z(coarse[0], coarse[1], pp, None)[1]
     value_c = best_c if math.isinf(pp) else best_c ** (1.0 / pp)
     err = abs(value - value_c)
 

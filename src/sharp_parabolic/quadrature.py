@@ -1,10 +1,11 @@
-"""Adaptive composite Gauss-Legendre quadrature.
-
-7-point panels with an embedded 5-point estimate; panels bisect where the
-two rules disagree beyond their share of the tolerance. Works for scalar,
-vector and matrix valued integrands.
+"""Quadrature rules: ``fejer_rule``, the nested rule of every source-time
+integral, and ``adaptive_quadrature``, adaptive composite Gauss-Legendre
+(7-point panels with an embedded 5-point estimate; panels bisect where the
+two rules disagree beyond their share of the tolerance; scalar, vector and
+matrix valued integrands).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,33 @@ _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X5, _W5 = np.polynomial.legendre.leggauss(5)
 
 DEFAULT_TOL = 1e-10
+
+
+@functools.lru_cache(maxsize=64)
+def fejer_rule(K, e=0.0):
+    """Fejer's second rule on [0, 1] for integrands u^(-e) * smooth, e < 1:
+    read-only (nodes, weights). The nodes sin^2(k pi / (2K + 2)), k = 1..K,
+    ascending, are the zeros of U_K in x = 2u - 1; those of K are those of
+    2K + 1 at [1::2], bit for bit. The weights integrate u^(-e) times the
+    smooth factor's interpolant exactly, from the Chebyshev moments of
+    (1 + x)^(-e) by QUADPACK ``dqmomo``'s forward recurrence (Piessens and
+    Branders 1973); for e > 1/2 they alternate in sign.
+    """
+    a, k = -float(e), np.arange(1, K + 1)
+    t = [2.0 ** (1.0 + a) / (1.0 + a)]  # t_j = int (1 + x)^a T_j(x) dx
+    t.append(t[0] * a / (a + 2.0))
+    for j in range(2, K):
+        t.append(-(2.0 ** (1.0 + a) + j * (j - a - 2.0) * t[-1]) / ((j - 1.0) * (j + a + 1.0)))
+    t = np.array(t[:K])
+    u = np.empty(K)  # the same for U_j = 2 (T_j + T_(j-2) + ...), less T_0 for even j
+    u[0::2], u[1::2] = 2.0 * np.cumsum(t[0::2]) - t[0], 2.0 * np.cumsum(t[1::2])
+    sines = np.sin(np.pi * (np.outer(k, k) % (2 * K + 2)) / (K + 1))  # sin(j k pi / (K + 1))
+    # interpolation in U_j at x = -cos(k pi / (K + 1)), where U_j(x) =
+    # (-1)^j U_j(-x); 2^(e - 1) maps the weight (1 + x)^(-e) to u^(-e) on [0, 1]
+    weights = 2.0**e / (K + 1) * sines[0] * (sines @ (u * (-1.0) ** np.arange(K)))
+    nodes = np.sin(k * np.pi / (2 * K + 2)) ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)

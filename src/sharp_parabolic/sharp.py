@@ -8,7 +8,6 @@ vectors. The p=1 and p=infinity branches are explicit code paths carrying
 the analytic limits of the general-p formulas.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 from . import matfun
 from .coeffs import window_scaling_exponents  # noqa: F401  (wrapped by bench/tracer.py)
 from .errors import DomainError
-from .quadrature import DEFAULT_TOL
+from .quadrature import DEFAULT_TOL, fejer_rule
 from .quadrature import adaptive_quadrature  # noqa: F401  (wrapped by bench/tracer.py)
 
 INF = math.inf
@@ -85,7 +84,9 @@ def _polish_on_sphere(objective, gradient, z0, settings):
     """Monotone power iteration from z0; returns (z, value, residual).
 
     Each step sets z <- g/|g| with g = grad f(z). For a convex f it cannot
-    lower f: f(g/|g|) >= f(z) + g.(g/|g| - z) >= f(z), as |g| >= g.z. For a
+    lower f: f(g/|g|) >= f(z) + g.(g/|g| - z) >= f(z), as |g| >= g.z. A
+    node-table sum with weights of both signs (e > 1/2) is convex only up to
+    its quadrature error, and so is monotone only up to it. For a
     product of spheres ``z0`` is a tuple of start vectors, ``objective`` and
     ``gradient`` take one vector per sphere, the gradient returns one block
     per sphere, the blocks step in turn and ``z`` is a tuple. The residual
@@ -330,9 +331,9 @@ def converges_C(cs, p) -> bool:
 # source-problem constants (window integrals over the source time)
 
 
-# Nodes per piece of a window table: doubled from the start until two tables
-# agree to quad_tol, or up to the cap.
-_NODES_START, _NODES_CAP = 16, 512
+# Nodes per piece of a window table: 2K + 1 from the start while a table's
+# rule and its nested rule disagree beyond quad_tol, up to the cap.
+_NODES_START, _NODES_CAP = 31, 511
 
 
 @dataclass(frozen=True)
@@ -341,45 +342,39 @@ class _WindowTables:
 
     sigmas: np.ndarray  # sqrt(w) per node
     weights: np.ndarray  # rule weight * det^(1 - p')
+    nested: np.ndarray  # the same for the nested rule; 0 off its nodes
     exps: np.ndarray  # exp_ic_star per node, (K, m, m)
     inv_sqrts: np.ndarray | None  # ia_inv_sqrt per node, (K, n, n)
-
-
-@functools.lru_cache(maxsize=64)
-def _gauss_jacobi(nodes, e):
-    """Gauss rule on [-1, 1] for the weight (1 + x)^(-e), by Golub-Welsch.
-
-    e = 0 is Gauss-Legendre. At 512 nodes this stays at roundoff, where
-    scipy's ``roots_jacobi`` loses up to 1e-9 of an integral.
-    """
-    b = -e
-    k = np.arange(1, nodes, dtype=float)
-    s = 2.0 * k + b
-    diag = np.concatenate([[b / (b + 2.0)], b * b / (s * (s + 2.0))])
-    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))  # eigh reads the lower triangle
-    return x, 2.0 ** (1.0 + b) / (1.0 + b) * vecs[0] ** 2
 
 
 def _window_tables(cs, t, pp, with_gradient, nodes) -> _WindowTables:
     """Node table in w on [0, t] for the integrand w^(-e) * smooth.
 
-    Pieces end at the window breaks of the coefficient set.
-    The first piece takes the Gauss-Jacobi rule of the weight w^(-e), with
-    w^e folded into its weights; the others take Gauss-Legendre. Raises
+    Pieces end at the window breaks of the coefficient set, and each takes
+    ``nodes`` nodes of Fejer's second rule (``fejer_rule``, ``nodes`` odd).
+    The first piece takes the product weights of w^(-e), with w^e folded
+    in; the others take those of e = 0. The nested rule of nodes // 2 nodes
+    sits on every other node, so only the weights depend on p. Raises
     DomainError when a node is below the SPD floor (``check_window_floor``).
     """
     e = 0.5 * cs.n * (pp - 1.0) + (0.5 * pp if with_gradient else 0.0)
     ends = cs.window_breaks(t)
-    half = 0.5 * np.diff(ends, prepend=0.0)
-    (xj, wj), (xl, wl) = _gauss_jacobi(nodes, e), _gauss_jacobi(nodes, 0.0)
-    first = half[0] * (1.0 + xj)
-    ws = np.concatenate([first, (ends[:-1, None] + half[1:, None] * (1.0 + xl)).ravel()])
-    jacobi = half[0] ** (1.0 - e) * wj * first**e
-    rule = np.concatenate([jacobi, np.outer(half[1:], wl).ravel()])
+    starts = np.append(0.0, ends[:-1])
+    lengths = (ends - starts)[:, None]
+    u = fejer_rule(nodes)[0]
+    ws = (starts[:, None] + lengths * u).ravel()
+
+    def rule(size, on):  # weights of the size-node rule on the nodes u[on]
+        weights = np.zeros((len(ends), nodes))
+        weights[:, on] = lengths * fejer_rule(size)[1]
+        weights[0, on] = lengths[0] * fejer_rule(size, e)[1] * u[on] ** e
+        return weights.ravel()
+
     cs.check_window_floor(t, ws[0])
     batch = cs.windows(t, ws)
-    return _WindowTables(np.sqrt(ws), rule * batch.det_ia_sqrt ** (1.0 - pp), batch.exp_ic_star,
+    dets = batch.det_ia_sqrt ** (1.0 - pp)
+    return _WindowTables(np.sqrt(ws), rule(nodes, slice(None)) * dets,
+                         rule(nodes // 2, slice(1, None, 2)) * dets, batch.exp_ic_star,
                          batch.ia_inv_sqrt if with_gradient else None)
 
 
@@ -473,40 +468,25 @@ def _maximize_ell_z(cs, tables, pp, settings):
     return ell, z, residual
 
 
-def _tau_integral(tables, pp, z, ell=None):
-    """Node-table sum of the window integrand at the maximizers z (and ell)."""
-    terms = tables.weights * np.linalg.norm(tables.exps @ z, axis=1) ** pp
+def _tau_integral(tables, pp, z, ell=None, weights=None):
+    """Node-table sum of the window integrand at the maximizers z (and ell),
+    by the table's rule or by ``weights``."""
+    terms = np.linalg.norm(tables.exps @ z, axis=1) ** pp
     if ell is not None:
         terms = terms * np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
-    return float(np.sum(terms))
-
-
-def _table_maximum(kind, cs, t, pp, ell, sphere, nodes):
-    """(integral, z, ell, search residual, node count) on one node table.
-
-    The C maximization runs over both spheres jointly: it does not separate
-    because the direction factor under the window integral depends on the
-    source time.
-    """
-    tables = _window_tables(cs, t, pp, kind != "N", nodes)
-    if kind == "C" and cs.m * cs.n > 1:
-        ell, z, residual = _maximize_ell_z(cs, tables, pp, sphere)
-    else:
-        ell = np.array([1.0]) if kind == "C" else ell
-        factors = None if ell is None else np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
-        z, _, residual = _maximize_z(tables.weights, tables.exps, pp, sphere, factors)
-    return _tau_integral(tables, pp, z, ell), z, ell, residual, tables.sigmas.size
+    return float(np.dot(tables.weights if weights is None else weights, terms))
 
 
 def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
-    """N, C_ell or C: maximizers and window integral on one node table.
+    """N, C_ell or C: one node table and one search per level.
 
-    The nodes per piece double until the maxima on K and 2K nodes agree to
-    ``quad_tol`` relative, or until ``_NODES_CAP``. The integral's error is
-    their difference, at least the rounding of a sum of that many terms plus
-    that of |exp(int C)|^p', about eps p' |int C| relative, where every window
-    has |int C|_F <= m t sup|C_ij|. So a ``quad_error`` above
-    ``quad_tol * value`` means the cap ran out.
+    C is maximized over both spheres jointly: the direction factor under the
+    window integral depends on the source time. The error is the distance
+    from the nested rule's sum at the same maximizers, at least the rounding
+    of sum |weight * term| (the weights alternate in sign for e > 1/2) over
+    that many terms plus that of |exp(int C)|^p', about eps p' m t sup|C_ij|
+    relative. K -> 2K + 1 nodes per piece until the error is within
+    ``quad_tol`` relative or K is ``_NODES_CAP``, where it may stay above.
     """
     pp = holder_conjugate(p)
     t = _validate_time(cs, t)
@@ -518,23 +498,27 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
         )
     ic_bound = cs.m * t * cs.C.bound(t)
     nodes = _NODES_START
-    coarse = _table_maximum(kind, cs, t, pp, ell, sphere, nodes)[0]
     while True:
-        nodes *= 2
-        integral, z, ell_star, residual, size = _table_maximum(
-            kind, cs, t, pp, ell, sphere, nodes
-        )
-        rounding = (size + pp * ic_bound) * np.finfo(float).eps * integral
-        error = max(abs(integral - coarse), rounding)
+        tables = _window_tables(cs, t, pp, kind != "N", nodes)
+        if kind == "C" and cs.m * cs.n > 1:
+            ell, z, residual = _maximize_ell_z(cs, tables, pp, sphere)
+        else:
+            ell = np.array([1.0]) if kind == "C" else ell
+            factors = None if ell is None else np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
+            z, _, residual = _maximize_z(tables.weights, tables.exps, pp, sphere, factors)
+        integral, nested, magnitude = (_tau_integral(tables, pp, z, ell, w) for w in (
+            tables.weights, tables.nested, np.abs(tables.weights)))
+        rounding = (tables.sigmas.size + pp * ic_bound) * np.finfo(float).eps * magnitude
+        error = max(abs(integral - nested), rounding)
         if error <= quad_tol * integral or nodes >= _NODES_CAP:
             break
-        coarse = integral
+        nodes = 2 * nodes + 1
     prefactor = _solution_prefactor if kind == "N" else _gradient_prefactor
     value = prefactor(cs.n, p, pp) * integral ** (1.0 / pp)
     return SharpResult(
         value=value,
         maximizer_z=matfun.canonical_sign(z),
-        maximizer_ell=None if ell_star is None else matfun.canonical_sign(ell_star),
+        maximizer_ell=None if ell is None else matfun.canonical_sign(ell),
         convergent=True,
         diagnostics=SharpDiagnostics(
             quad_error=value * error / (pp * integral), search_residual=residual

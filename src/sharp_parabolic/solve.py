@@ -14,6 +14,7 @@ import numpy as np
 
 from . import kernels, matfun
 from .errors import CoverageWarning, DomainError
+from .quadrature import fejer_rule
 from .sharp import _validate_ell
 
 __all__ = [
@@ -189,15 +190,6 @@ def solve_homogeneous(cs, phi: GridFunction, x, t) -> SolveResult:
     return _convolve(cs, phi, x, _check_time(cs, t))
 
 
-def _fejer(intervals):
-    """Fejer's second rule on [0, 1] with ``intervals`` angle intervals: nodes
-    (1 - cos(k pi / S)) / 2 for 0 < k < S, and their positive weights."""
-    theta = np.arange(1, intervals) * math.pi / intervals
-    odd = np.arange(1, intervals, 2)
-    sums = np.sin(np.outer(theta, odd)) @ (1.0 / odd)
-    return np.sin(0.5 * theta) ** 2, 2.0 / intervals * np.sin(theta) * sums
-
-
 def _source_quadrature(cs, f, x, t, settings, gradient_ell=None, p=None):
     """One walk over Fejer's second rule in sigma = sqrt(t - tau) on each
     piece between the square roots of the window breaks; every node has its
@@ -206,9 +198,9 @@ def _source_quadrature(cs, f, x, t, settings, gradient_ell=None, p=None):
     the every-other-node subgrid, whose distance from the solution is the
     error estimate, and, when ``p`` is given, ||f||_{p,t} with the solution's
     weights. Returns (SolveResult, norm or None)."""
-    nodes, rule = _fejer(settings.sigma_slices)
+    nodes, rule = fejer_rule(settings.sigma_slices - 1)
     nested = np.zeros_like(rule)
-    nested[1::2] = _fejer(settings.sigma_slices // 2)[1]
+    nested[1::2] = fejer_rule(settings.sigma_slices // 2 - 1)[1]
     ends = np.sqrt(np.append(0.0, cs.window_breaks(t)))
     lengths = np.diff(ends)[:, None]
     sigmas = (ends[:-1, None] + lengths * nodes).ravel()

@@ -463,6 +463,63 @@ def test_problem_sizes_that_would_change_the_run_silently_exit_2(tmp_path, capsy
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sharp", "verify", "sweep", "kernel", "coeffs", "solve"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_a_tol_that_is_not_finite_and_positive_exits_2(tmp_path, capsys, command, tol):
+    # --tol nan ran every doubling of an N row to the cap (sharp) and failed
+    # every check with exit 1 (verify); it now meets numerics.quad_tol's rule
+    body = base_config(command, {"kind": "N", "p": [3.0], "t": [1.0]})
+    assert main([command, "--config", write_config(tmp_path, body), "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --tol") and "Traceback" not in err
+
+
+def _tabulated_A(body):
+    body["coefficients"]["A"] = {"preset": "tabulated", "path": "a.csv"}
+
+
+def _affine_b(body):
+    body["coefficients"]["b"] = {"preset": "affine", "value": [0.0], "slope": [0.0]}
+
+
+# (block, setup, keys to the fuzzed field); every junk value must exit 2
+_FUZZED_FIELDS = {
+    "A": (None, ("coefficients", "A")),
+    "A.value": (None, ("coefficients", "A", "value")),
+    "A.path": (_tabulated_A, ("coefficients", "A", "path")),
+    "b.value": (_affine_b, ("coefficients", "b", "value")),
+    "b.slope": (_affine_b, ("coefficients", "b", "slope")),
+    "C.value": (None, ("coefficients", "C", "value")),
+    "output": (None, ("output",)),
+    "output.path": (None, ("output", "path")),
+    "request.problem": (None, ("request", "problem")),
+}
+_JUNK = [5, "x", True, [], {}, None, [math.nan], [[math.nan]], [[math.inf]], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize("field", sorted(_FUZZED_FIELDS))
+def test_fuzzed_config_blocks_exit_2(tmp_path, capsys, field):
+    # each of these ended in a traceback (exit 1) or ran on silently: "x" or
+    # NaN in a preset value, a NaN affine b (kernel printed nan), a number as
+    # the tabulated path, output 5, output.path 7 or true (the CSV went to
+    # fd 1, which was then closed) and an unhashable solve problem
+    setup, keys = _FUZZED_FIELDS[field]
+    for junk in _JUNK:
+        if (field, junk) in (("output", {}), ("output.path", None), ("output.path", "x")):
+            continue  # valid: a path, or none (the CSV goes to stdout)
+        body = base_config("solve", _nonhomogeneous_solve(), out=str(tmp_path / "o.csv"))
+        if setup is not None:
+            setup(body)
+        parent = body
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = junk
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2, junk
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err, junk
+    assert not (tmp_path / "o.csv").exists()
+
+
 _IMPORT_GUARD = """
 import sys
 

@@ -17,6 +17,7 @@ from sharp_parabolic.coeffs import (
 )
 from sharp_parabolic.config import load_config
 from sharp_parabolic.errors import DomainError, NotPositiveDefinite
+from sharp_parabolic.quadrature import fejer_rule
 
 
 def test_constant_coefficients_integrate_exactly():
@@ -429,18 +430,24 @@ def test_window_batch_fields_are_the_stacked_windows(make):
 def test_window_tables_read_the_batch_arrays():
     cs, _, _ = _tabulated_set()
     pp = 1.2  # e = 0.8 < 1 with the gradient at n = 2
-    tables = sharp._window_tables(cs, 0.9, pp, with_gradient=True, nodes=16)
-    # the node table's rule, as _window_tables builds it
+    tables = sharp._window_tables(cs, 0.9, pp, with_gradient=True, nodes=31)
+    # the node table's rule and its nested rule, as _window_tables builds them
     e = 0.5 * cs.n * (pp - 1.0) + 0.5 * pp
     ends = cs.window_breaks(0.9)
-    half = 0.5 * np.diff(ends, prepend=0.0)
-    (xj, wj), (xl, wl) = sharp._gauss_jacobi(16, e), sharp._gauss_jacobi(16, 0.0)
-    first = half[0] * (1.0 + xj)
-    ws = np.concatenate([first, (ends[:-1, None] + half[1:, None] * (1.0 + xl)).ravel()])
-    rule = np.concatenate([half[0] ** (1.0 - e) * wj * first**e, np.outer(half[1:], wl).ravel()])
+    starts = np.append(0.0, ends[:-1])
+    u = fejer_rule(31)[0]
+    ws = (starts[:, None] + (ends - starts)[:, None] * u).ravel()
+    rules = []
+    for size, on in ((31, slice(None)), (15, slice(1, None, 2))):
+        rule = np.zeros((len(ends), 31))
+        rule[:, on] = (ends - starts)[:, None] * fejer_rule(size)[1]
+        rule[0, on] = ends[0] * fejer_rule(size, e)[1] * u[on] ** e
+        rules.append(rule.ravel())
     items = list(cs.windows(0.9, ws))
-    dets = np.array([acc.det_ia_sqrt for acc in items])
-    assert np.array_equal(tables.weights, rule * dets ** (1.0 - pp))
+    dets = np.array([acc.det_ia_sqrt for acc in items]) ** (1.0 - pp)
+    assert np.array_equal(tables.sigmas, np.sqrt(ws))
+    assert np.array_equal(tables.weights, rules[0] * dets)
+    assert np.array_equal(tables.nested, rules[1] * dets)
     for got, name in ((tables.exps, "exp_ic_star"), (tables.inv_sqrts, "ia_inv_sqrt")):
         want = np.stack([getattr(acc, name) for acc in items])
         assert np.array_equal(got, want) and got.flags.c_contiguous, name
@@ -464,7 +471,7 @@ def test_node_tables_and_coeffs_rows_build_no_window_objects(monkeypatch, tmp_pa
     cs.windows(0.5, [0.1, 0.2])[1]
     assert len(made) == 1  # the counter sees items built on demand
     made.clear()
-    sharp._window_tables(cs, 0.9, 1.2, with_gradient=True, nodes=16)
+    sharp._window_tables(cs, 0.9, 1.2, with_gradient=True, nodes=31)
     _write_coeffs_csv(tmp_path, 2, [[0.1, 0.9], [0.0, 0.5], [0.45, 0.55]])
     assert made == []
 

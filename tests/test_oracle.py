@@ -231,7 +231,7 @@ def test_z_max_p1_on_one_slice_is_the_spectral_norm(m):
     rng = np.random.default_rng(40 + m)
     e = rng.standard_normal((m, m))
     w = 0.7
-    z, value = oracle._z_max(np.array([w]), e[None], INF, m)
+    z, value = sharp._maximize_z(np.array([w]), e[None], INF, None)[:2]
     sigma, z_top = matfun.spectral_norm(e)
     assert value == pytest.approx(w * sigma, rel=1e-14)
     assert abs(abs(np.dot(z, z_top)) - 1.0) < 1e-9
@@ -266,7 +266,7 @@ def test_exact_z_max_matches_the_sphere_search(m, k, pp):
     for _ in range(4):
         exps = rng.standard_normal((k, m, m))
         weights = rng.uniform(0.5, 1.5, k)
-        z, exact = oracle._z_max(weights, exps, pp, m)
+        z, exact = sharp._maximize_z(weights, exps, pp, None)[:2]
         _, searched = _searched_z_max(weights, exps, pp)
         assert exact == pytest.approx(searched, rel=1e-12)
         assert exact >= searched * (1.0 - 1e-15)

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from sharp_parabolic.quadrature import adaptive_quadrature
+import sharp_parabolic as sp
+from sharp_parabolic import coeffs, sharp
+from sharp_parabolic.quadrature import adaptive_quadrature, fejer_rule
+
+EPS = np.finfo(float).eps
 
 
 def test_polynomial_exact():
@@ -46,3 +51,64 @@ def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         adaptive_quadrature(lambda x: x, 1.0, 1.0)
 
+
+
+# ---------------------------------------------------------------------------
+# Fejer's second rule with product weights for u^(-e)
+
+
+@pytest.mark.parametrize("K", [15, 31, 511])
+@pytest.mark.parametrize("e", [0.0, 0.3, 0.9, 0.99])
+def test_fejer_rule_integrates_monomials_against_the_singular_weight(K, e):
+    # for e > 1/2 the weights alternate in sign and cancel (at e = 0.99 and
+    # K = 511 the plain relative error is 2.3e-11), so the bound is a few
+    # eps of sum |w u^j|
+    nodes, weights = fejer_rule(K, e)
+    assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < 1.0
+    for j in range(min(K, 16)):
+        terms = weights * nodes**j
+        assert abs(terms.sum() - 1.0 / (j + 1.0 - e)) <= 32.0 * EPS * np.abs(terms).sum(), j
+
+
+@pytest.mark.parametrize("K", [31, 63, 511])
+@pytest.mark.parametrize("e", [0.0, 0.3, 0.9, 0.99])
+def test_fejer_rule_matches_qaws_on_a_smooth_factor(K, e):
+    smooth = lambda u: np.exp(-3.0 * u) * np.cos(2.0 * u)
+    want = quad(smooth, 0.0, 1.0, weight="alg", wvar=(-e, 0.0), epsabs=1e-15, epsrel=1e-13)[0]
+    nodes, weights = fejer_rule(K, e)
+    terms = weights * smooth(nodes)
+    assert abs(terms.sum() - want) <= 1e-14 * abs(want) + 16.0 * EPS * np.abs(terms).sum()
+
+
+@pytest.mark.parametrize("K", [1, 3, 7, 15, 31, 255])
+def test_fejer_rule_nests_bit_for_bit(K):
+    assert np.array_equal(fejer_rule(K)[0], fejer_rule(2 * K + 1)[0][1::2])
+    assert np.array_equal(fejer_rule(K, 0.7)[0], fejer_rule(K)[0])  # nodes do not depend on e
+
+
+@pytest.mark.parametrize("intervals", [4, 8, 32, 64])
+def test_fejer_rule_is_the_solvers_sigma_rule(intervals):
+    # the closed form that the source solver used before, with S intervals
+    theta = np.arange(1, intervals) * math.pi / intervals
+    odd = np.arange(1, intervals, 2)
+    sums = np.sin(np.outer(theta, odd)) @ (1.0 / odd)
+    nodes, weights = fejer_rule(intervals - 1)
+    assert np.array_equal(nodes, np.sin(0.5 * theta) ** 2)
+    want = 2.0 / intervals * np.sin(theta) * sums
+    np.testing.assert_allclose(weights, want, rtol=0.0, atol=1e-14)
+
+
+def test_a_source_row_that_converges_at_once_makes_one_batch_and_one_search(monkeypatch):
+    # C sampled at 0, 0.5 and 1 splits [0, 1] into two pieces of 31 nodes
+    ts = np.array([0.0, 0.5, 1.0])
+    c = np.array([[[0.1, 0.4], [-0.2, 0.3]], [[0.0, 0.5], [0.1, -0.2]], [[0.3, 0.2], [0.0, 0.1]]])
+    cs = sp.coefficient_set(n=2, m=2, T=1.0, A=np.diag([1.0, 0.5]), C=sp.Tabulated(ts, c))
+    batches, searches = [], []
+    integrate, polish = coeffs.integrate_windows, sharp._polish_on_sphere
+    monkeypatch.setattr(coeffs, "integrate_windows",
+                        lambda cs, t, w: batches.append(len(w)) or integrate(cs, t, w))
+    monkeypatch.setattr(sharp, "_polish_on_sphere",
+                        lambda *args: searches.append(1) or polish(*args))
+    result = sp.sharp_N(cs, 3.0, 1.0)
+    assert batches == [2 * 31] and len(searches) == 1
+    assert 0.0 < result.diagnostics.quad_error <= sharp.DEFAULT_TOL * result.value
