@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import coeffs, kernels, matfun, sharp, solve, verification
-from .config import COMMANDS, load_config, parse_p
+from .config import COMMANDS, POSITIVE, _number, load_config
 from .errors import ConfigError, DomainError
 from .solve import GridFunction, SolveSettings, SourceFunction
 
@@ -74,101 +74,27 @@ def _vector_cells(vec, size):
     return [float(v) for v in np.asarray(vec, dtype=float)]
 
 
-def _vector(value, size, context):
-    """A request vector with ``size`` finite components, or ConfigError."""
-    try:
-        vec = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-    if vec.shape != (size,) or not np.all(np.isfinite(vec)):
-        raise ConfigError(f"{context}: expected {size} finite components, got {value!r}")
-    return vec
-
-
-def _list(value, context):
-    """A nonempty JSON list, or ConfigError."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{context}: expected a nonempty list, got {value!r}")
-    return value
-
-
-def _numbers(value, context):
-    """A list of finite floats, or ConfigError."""
-    try:
-        numbers = [float(v) for v in value] if isinstance(value, list) else None
-    except (TypeError, ValueError):
-        numbers = None
-    if numbers is None or not all(map(math.isfinite, numbers)):
-        raise ConfigError(f"{context}: expected a list of finite numbers, got {value!r}")
-    return numbers
-
-
-def _positive(value, context):
-    """A finite positive float, or ConfigError."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not (math.isfinite(x) and x > 0.0):
-        raise ConfigError(f"{context}: expected a finite positive number, got {value!r}")
-    return x
-
-
-def _points(cfg):
-    return [
-        _vector(x, cfg.n, "request.points")
-        for x in _list(cfg.request.get("points", [[0.0] * cfg.n]), "request.points")
-    ]
-
-
 # ---------------------------------------------------------------------------
 # sharp / sweep
 
 
-def _sharp_tasks(cfg, kinds):
+def cmd_sharp(cfg, threads):
     req = cfg.request
-    ps = [parse_p(tok) for tok in _list(req.get("p", [2.0]), "request.p")]
-    ts = _numbers(req.get("t", [cfg.T]), "request.t")
-    if not ts:
-        raise ConfigError("request: parameter ranges must be nonempty")
-    ells = req.get("ell")
-    ell_list = (
-        [_vector(e, cfg.n, "request.ell") for e in _list(ells, "request.ell")]
-        if ells is not None else [None]
-    )
-    tasks = []
-    for kind in kinds:
-        if kind not in sharp.KINDS:
-            raise ConfigError(f"request: unknown sharp kind {kind!r}")
-        needs_ell = kind in ("K_ell", "C_ell")
-        if needs_ell and ells is None:
-            raise ConfigError(f"request: kind {kind} requires 'ell' directions")
-        for p in ps:
-            for t in ts:
-                for ell in ell_list if needs_ell else [None]:
-                    tasks.append((kind, p, t, ell))
-    return tasks
-
-
-def cmd_sharp(cfg, threads, sweep=False):
-    req = cfg.request
-    if sweep:
-        kinds = _list(req.get("kinds"), "request.kinds")
-    else:
-        kinds = [req.get("kind", "H")]
-    tasks = _sharp_tasks(cfg, kinds)
     settings = sharp.SphereSettings(seeds_per_dim=cfg.numerics.sphere_seeds)
+    ells = [None] if req["ell"] is None else list(req["ell"])
+    # every request is built, and so checked, before any is evaluated
+    requests = [
+        sharp.SharpRequest(kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics.quad_tol,
+                           sphere=settings)
+        for kind in req["kinds"] for p in req["p"] for t in req["t"]
+        for ell in (ells if kind in ("K_ell", "C_ell") else [None])
+    ]
 
-    def evaluate(task):
-        kind, p, t, ell = task
-        request = sharp.SharpRequest(
-            kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics.quad_tol,
-            sphere=settings,
-        )
+    def evaluate(request):
         result = sharp.evaluate_sharp(cfg.coefficient_set, request)
         return (
-            [kind, p, t]
-            + _vector_cells(ell, cfg.n)
+            [request.kind, request.p, request.t]
+            + _vector_cells(request.ell, cfg.n)
             + [result.value, result.convergent]
             + _vector_cells(result.maximizer_z, cfg.m)
             + _vector_cells(result.maximizer_ell, cfg.n)
@@ -183,7 +109,7 @@ def cmd_sharp(cfg, threads, sweep=False):
         + [f"maximizer_ell_{i + 1}" for i in range(cfg.n)]
         + ["quad_error", "search_residual"]
     )
-    return header, _map_tasks(evaluate, tasks, threads)
+    return header, _map_tasks(evaluate, requests, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +118,16 @@ def cmd_sharp(cfg, threads, sweep=False):
 
 def cmd_kernel(cfg, threads):
     req = cfg.request
-    points = _points(cfg)
-    ts = _numbers(req.get("t", [cfg.T]), "request.t")
-    taus = req.get("tau")
-    tau_list = [None] if taus is None else _numbers(taus, "request.tau")
-    xs = np.reshape(points, (len(points), cfg.n))
+    points, ts, tau_list = req["points"], req["t"], req["tau"]
     # one window and one kernel call per distinct (t, tau), over all points
     windows = list(dict.fromkeys((t, tau) for t in ts for tau in tau_list))
 
     def evaluate(window):
         t, tau = window
         if tau is None:
-            kv = kernels.eval_G(cfg.coefficient_set, xs, t)
+            kv = kernels.eval_G(cfg.coefficient_set, points, t)
         else:
-            kv = kernels.eval_P(cfg.coefficient_set, xs, t, tau)
+            kv = kernels.eval_P(cfg.coefficient_set, points, t, tau)
         return [
             [t, tau, scalar] + [float(v) for v in matrix.reshape(-1)]
             for scalar, matrix in zip(kv.scalar_part, kv.matrix)
@@ -225,10 +147,8 @@ def cmd_kernel(cfg, threads):
 
 
 def cmd_coeffs(cfg):
-    req = cfg.request
     cs = cfg.coefficient_set
-    spans = [_vector(pair, 2, "request.windows").tolist()
-             for pair in _list(req.get("windows"), "request.windows")]
+    spans = cfg.request["windows"]
     lengths = [coeffs.window_length(cs, tau, t) for tau, t in spans]
     batch = cs.windows([t for _, t in spans], lengths)
     upper = np.triu_indices(cfg.n)
@@ -250,28 +170,25 @@ def cmd_coeffs(cfg):
 
 
 def _data_callable(block, n, m):
-    kind = block.get("type")
-    if kind == "constant":
-        value = _vector(block.get("value"), m, "request.data.value")
+    """The data function of a ``request.data`` block that the config checked
+    for n dimensions and m components."""
+    if block["type"] == "constant":
+        value = block["value"]
 
         def fn(pts):
             return np.broadcast_to(value, pts.shape[:-1] + value.shape)
 
         return fn
-    if kind == "gaussian":
-        amplitude = _vector(block.get("amplitude"), m, "request.data.amplitude")
-        width = _positive(block.get("width", 1.0), "request.data.width")
-        center = _vector(block.get("center", [0.0] * n), n, "request.data.center")
+    amplitude, width, center = block["amplitude"], block["width"], block["center"]
 
-        def fn(pts):
-            g = np.exp(-matfun.squared_distances(pts, center) / (2.0 * width * width))
-            out = np.empty(g.shape + amplitude.shape)
-            for k, a_k in enumerate(amplitude):  # one pass per component
-                np.multiply(g, a_k, out=out[..., k])
-            return out
+    def fn(pts):
+        g = np.exp(-matfun.squared_distances(pts, center) / (2.0 * width * width))
+        out = np.empty(g.shape + amplitude.shape)
+        for k, a_k in enumerate(amplitude):  # one pass per component
+            np.multiply(g, a_k, out=out[..., k])
+        return out
 
-        return fn
-    raise ConfigError(f"request.data: unknown data type {block.get('type')!r}")
+    return fn
 
 
 # sharp kind of the bound: (without ell, with ell) per problem
@@ -279,22 +196,9 @@ _SOLVE_KINDS = {"homogeneous": ("H", "K_ell"), "nonhomogeneous": ("N", "C_ell")}
 
 
 def cmd_solve(cfg, threads):
-    # the whole request is parsed and checked before anything is evaluated
     req = cfg.request
-    problem = req.get("problem", "homogeneous")
-    if not isinstance(problem, str) or problem not in _SOLVE_KINDS:
-        raise ConfigError("request.problem must be homogeneous or nonhomogeneous")
-    data_block = req.get("data")
-    if not isinstance(data_block, dict):
-        raise ConfigError("request: solve needs a 'data' object")
-    fn = _data_callable(data_block, cfg.n, cfg.m)
-    points = _points(cfg)
-    ts = _numbers(req.get("t", [cfg.T]), "request.t")
-    if not points or not ts:
-        raise ConfigError("request: parameter ranges must be nonempty")
-    p = parse_p(req.get("p", "inf"))
-    ell = req.get("ell")
-    ell = None if ell is None else _vector(ell, cfg.n, "request.ell")
+    problem, block, ts, p, ell = req["problem"], req["data"], req["t"], req["p"], req["ell"]
+    fn = _data_callable(block, cfg.n, cfg.m)
     kind = _SOLVE_KINDS[problem][ell is not None]
 
     cs = cfg.coefficient_set
@@ -303,12 +207,10 @@ def cmd_solve(cfg, threads):
         truncation_sigmas=cfg.numerics.truncation_sigmas,
     )
     if problem == "homogeneous":
-        std = kernels.kernel_std(cs.accumulated(0.0, max(ts)))
-        width = _positive(data_block.get("width", 1.0), "request.data.width")
-        radius = _positive(
-            data_block.get("radius", cfg.numerics.truncation_sigmas * std + 3.0 * width),
-            "request.data.radius",
-        )
+        radius = block["radius"]
+        if radius is None:
+            std = kernels.kernel_std(cs.accumulated(0.0, max(ts)))
+            radius = cfg.numerics.truncation_sigmas * std + 3.0 * block["width"]
         data = GridFunction.from_callable(fn, center=np.zeros(cfg.n), radius=radius,
                                           points_per_axis=settings.grid_points)
     else:
@@ -332,7 +234,7 @@ def cmd_solve(cfg, threads):
         values = [float(v) for v in res.value]
         return list(x) + [t] + values + [res.error_estimate, bound_val, ratio]
 
-    tasks = [(x, t) for x in points for t in ts]
+    tasks = [(x, t) for x in req["points"] for t in ts]
     header = (
         [f"x_{i + 1}" for i in range(cfg.n)]
         + ["t"]
@@ -346,16 +248,12 @@ def cmd_solve(cfg, threads):
 # verify
 
 
-def cmd_verify(cfg, threads, tol_override=None):
-    req = cfg.request
-    selection = req.get("cases", "quick")
+def cmd_verify(cfg, threads):
     try:
-        cases = verification.cases_for(selection)
+        cases = verification.cases_for(cfg.request["cases"])
     except ValueError as exc:
         raise ConfigError(f"request.cases: {exc}") from exc
-    tol = tol_override
-    if tol is None and req.get("tolerance") is not None:
-        tol = _positive(req["tolerance"], "request.tolerance")
+    tol = cfg.request["tolerance"]
 
     def evaluate(family):
         return [
@@ -391,15 +289,15 @@ def main(argv=None) -> int:
 
     try:
         threads = _thread_count(args.threads)
-        tol = None if args.tol is None else _positive(args.tol, "--tol")
+        tol = None if args.tol is None else _number(args.tol, "--tol", *POSITIVE)
         cfg = load_config(args.config, command=args.command)
-        if tol is not None and args.command != "verify":
+        if tol is not None and args.command == "verify":
+            cfg.request["tolerance"] = tol
+        elif tol is not None:
             cfg.numerics.quad_tol = tol
         failures = 0
-        if args.command == "sharp":
+        if args.command in ("sharp", "sweep"):
             header, rows = cmd_sharp(cfg, threads)
-        elif args.command == "sweep":
-            header, rows = cmd_sharp(cfg, threads, sweep=True)
         elif args.command == "kernel":
             header, rows = cmd_kernel(cfg, threads)
         elif args.command == "coeffs":
@@ -407,7 +305,7 @@ def main(argv=None) -> int:
         elif args.command == "solve":
             header, rows = cmd_solve(cfg, threads)
         else:
-            header, rows, failures = cmd_verify(cfg, threads, tol_override=tol)
+            header, rows, failures = cmd_verify(cfg, threads)
     except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,14 @@ The configuration is a single JSON file with the field tree::
 Tabulated coefficients come from CSV files: row-major upper triangle for A
 (symmetry enforced), full rows for C, plain columns for b, all with a
 leading t column.
+
+Every field is checked here, when the config loads, and ``RunConfig.request``
+holds the checked request of its command with its defaults filled in. A
+number is a finite JSON number, never a boolean or a string; only exponents
+``p`` also take the tokens of ``parse_p``. The config checks form (type,
+shape, finiteness) and the bounds only it defines; the library checks the
+rest (sharp kinds, case selections, t in (0, T], p >= 1, unit directions,
+window order) when the request runs.
 """
 
 import csv
@@ -42,19 +50,22 @@ class RunConfig:
     m: int
     T: float
     coefficient_set: object
-    request: dict
+    request: dict  # the checked fields of its command, defaults filled in
     numerics: Numerics
     output_path: str | None
 
 
-def parse_p(token):
-    """Exponent from a config/CSV token; the literal string 'inf' is infinity."""
+def parse_p(token, context="p"):
+    """Exponent from a config/CSV token: a number or a numeric string, where
+    the string 'inf' is infinity; never a boolean."""
     if isinstance(token, str) and token.strip().lower() == "inf":
         return math.inf
     try:
-        return float(token)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse exponent p from {token!r}") from exc
+        if not isinstance(token, bool):
+            return float(token)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{context}: cannot parse exponent p from {token!r}")
 
 
 def _require(mapping, key, context):
@@ -99,15 +110,53 @@ def _tabulated(path, name, shape, context):
     return Tabulated(times, values)
 
 
-def _array(block, key, shape, context):
-    """<context>.<key>: finite numbers of the given shape, as a float array."""
+def _is_number(value):
+    """A finite JSON number: never a boolean, a string, or an integer too
+    large for a float."""
     try:
-        value = np.asarray(_require(block, key, context), dtype=float)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or value.shape != shape or not np.all(np.isfinite(value)):
-        raise ConfigError(f"{context}.{key}: expected finite numbers of shape {shape}, "
-                          f"got {block[key]!r}")
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+POSITIVE = (lambda v: v > 0, "a number > 0")  # the ``ok, rule`` of a number > 0
+
+
+def _number(value, context, ok, rule, kind=float):
+    """``value`` as a finite number (an integer if ``kind`` is int) for which
+    ``ok`` holds, or ConfigError naming ``context``. NaN fails every bound."""
+    if not (_is_number(value) and (kind is float or isinstance(value, numbers.Integral))
+            and ok(value)):
+        raise ConfigError(f"{context} must be {rule}, got {value!r}")
+    return kind(value)
+
+
+def _array(value, shape, context):
+    """``value`` as a float array of ``shape`` whose entries are numbers; a
+    None in ``shape`` is any length >= 1."""
+    try:
+        cells = np.array(value, dtype=object)
+    except ValueError:  # ragged below the first axis
+        cells = np.empty(0, dtype=object)
+    if cells.ndim != len(shape) or not all(
+        d == s or (s is None and d > 0) for d, s in zip(cells.shape, shape)
+    ) or not all(map(_is_number, cells.flat)):
+        expected = str(tuple(shape)).replace("None", "k")
+        raise ConfigError(f"{context}: expected finite numbers of shape {expected}, got {value!r}")
+    return cells.astype(float)
+
+
+def _list(value, context):
+    """A nonempty JSON list, or ConfigError."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{context}: expected a nonempty list, got {value!r}")
+    return value
+
+
+def _string(value, context):
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: expected a string, got {value!r}")
     return value
 
 
@@ -116,15 +165,16 @@ def _parse_preset(block, name, shape, base_dir):
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected an object with a 'preset' field")
     kind = _require(block, "preset", context)
+
+    def array(key):
+        return _array(_require(block, key, context), shape, f"{context}.{key}")
+
     if kind == "constant":
-        return Constant(_array(block, "value", shape, context))
+        return Constant(array("value"))
     if kind == "affine":
-        return Affine(_array(block, "value", shape, context),
-                      _array(block, "slope", shape, context))
+        return Affine(array("value"), array("slope"))
     if kind == "tabulated":
-        path = _require(block, "path", context)
-        if not isinstance(path, str):
-            raise ConfigError(f"{context}.path: expected a string, got {path!r}")
+        path = _string(_require(block, "path", context), f"{context}.path")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         try:
@@ -134,21 +184,66 @@ def _parse_preset(block, name, shape, base_dir):
     raise ConfigError(f"{context}: unknown preset kind {kind!r}")
 
 
-def _numeric(block, key, default, ok, rule, kind=float, context="numerics"):
-    """<context>.<key>: a finite number (an integer if ``kind`` is int; never a
-    boolean) for which ``ok`` holds, required if ``default`` is None. NaN
-    fails every bound."""
-    value = _require(block, key, context) if default is None else block.get(key, default)
-    number = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, number) or not (
-        math.isfinite(value) and ok(value)
-    ):
-        raise ConfigError(f"{context}.{key} must be {rule}, got {value!r}")
-    return kind(value)
+def _optional(value, read, *args):
+    return None if value is None else read(value, *args)
+
+
+def _data(block, n, m):
+    """request.data of ``solve``: the data function's parameters, plus the
+    grid ``width`` and ``radius`` (None: derived from the kernel)."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"request.data: expected an object, got {block!r}")
+    kind = block.get("type")
+    data = {
+        "type": kind,
+        "width": _number(block.get("width", 1.0), "request.data.width", *POSITIVE),
+        "radius": _optional(block.get("radius"), _number, "request.data.radius", *POSITIVE),
+    }
+    if kind == "constant":
+        data["value"] = _array(block.get("value"), (m,), "request.data.value")
+    elif kind == "gaussian":
+        data["amplitude"] = _array(block.get("amplitude"), (m,), "request.data.amplitude")
+        data["center"] = _array(block.get("center", [0.0] * n), (n,), "request.data.center")
+    else:
+        raise ConfigError(f"request.data.type: unknown data type {kind!r}")
+    return data
+
+
+def _request(raw, command, n, m, T):
+    """The request fields of ``command``, checked, with their defaults."""
+    req = {"command": command}
+    if command in ("sharp", "sweep", "kernel", "solve"):
+        req["t"] = _array(raw.get("t", [T]), (None,), "request.t").tolist()
+    if command in ("kernel", "solve"):
+        req["points"] = _array(raw.get("points", [[0.0] * n]), (None, n), "request.points")
+    if command in ("sharp", "sweep"):
+        if command == "sweep":
+            req["kinds"] = [_string(k, "request.kinds")
+                            for k in _list(raw.get("kinds"), "request.kinds")]
+        else:
+            req["kinds"] = [_string(raw.get("kind", "H"), "request.kind")]
+        req["p"] = [parse_p(tok, "request.p") for tok in _list(raw.get("p", [2.0]), "request.p")]
+        req["ell"] = _optional(raw.get("ell"), _array, (None, n), "request.ell")
+    elif command == "kernel":
+        tau = raw.get("tau")
+        req["tau"] = [None] if tau is None else _array(tau, (None,), "request.tau").tolist()
+    elif command == "coeffs":
+        req["windows"] = _array(raw.get("windows"), (None, 2), "request.windows").tolist()
+    elif command == "solve":
+        req["problem"] = raw.get("problem", "homogeneous")
+        if req["problem"] not in ("homogeneous", "nonhomogeneous"):
+            raise ConfigError("request.problem must be homogeneous or nonhomogeneous")
+        req["data"] = _data(raw.get("data"), n, m)
+        req["p"] = parse_p(raw.get("p", "inf"), "request.p")
+        req["ell"] = _optional(raw.get("ell"), _array, (n,), "request.ell")
+    else:
+        req["cases"] = raw.get("cases", "quick")
+        req["tolerance"] = _optional(raw.get("tolerance"), _number, "request.tolerance", *POSITIVE)
+    return req
 
 
 def load_config(path, command=None) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+    """Parse and validate a JSON run configuration, its request included."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} does not exist")
     with open(path) as handle:
@@ -161,9 +256,11 @@ def load_config(path, command=None) -> RunConfig:
     problem = _require(raw, "problem", "config")
     if not isinstance(problem, dict):
         raise ConfigError("problem: expected an object with n, m, T")
-    n = _numeric(problem, "n", None, lambda v: v >= 1, "an integer >= 1", int, "problem")
-    m = _numeric(problem, "m", None, lambda v: v >= 1, "an integer >= 1", int, "problem")
-    T = _numeric(problem, "T", None, lambda v: v > 0, "> 0", float, "problem")
+    n = _number(_require(problem, "n", "problem"), "problem.n", lambda v: v >= 1,
+                "an integer >= 1", int)
+    m = _number(_require(problem, "m", "problem"), "problem.m", lambda v: v >= 1,
+                "an integer >= 1", int)
+    T = _number(_require(problem, "T", "problem"), "problem.T", *POSITIVE)
 
     coeffs_block = raw.get("coefficients", {})
     if not isinstance(coeffs_block, dict):
@@ -194,24 +291,25 @@ def load_config(path, command=None) -> RunConfig:
         )
     if cfg_command not in COMMANDS:
         raise ConfigError(f"request.command must be one of {COMMANDS}")
+    request = _request(request, cfg_command, n, m, T)
 
     block = raw.get("numerics", {})
     if not isinstance(block, dict):
         raise ConfigError("numerics: expected an object")
     numerics = Numerics(
-        quad_tol=_numeric(block, "quad_tol", 1e-10, lambda v: v > 0, "> 0"),
-        sphere_seeds=_numeric(block, "sphere_seeds", 64, lambda v: v >= 1, "an integer >= 1", int),
-        truncation_sigmas=_numeric(block, "truncation_sigmas", 8.0, lambda v: v >= 6, ">= 6"),
-        grid_points=_numeric(block, "grid_points", 257, lambda v: v >= 17 and v % 2 == 1,
-                             "an odd integer >= 17", int),
+        quad_tol=_number(block.get("quad_tol", 1e-10), "numerics.quad_tol", *POSITIVE),
+        sphere_seeds=_number(block.get("sphere_seeds", 64), "numerics.sphere_seeds",
+                             lambda v: v >= 1, "an integer >= 1", int),
+        truncation_sigmas=_number(block.get("truncation_sigmas", 8.0),
+                                  "numerics.truncation_sigmas", lambda v: v >= 6, "a number >= 6"),
+        grid_points=_number(block.get("grid_points", 257), "numerics.grid_points",
+                            lambda v: v >= 17 and v % 2 == 1, "an odd integer >= 17", int),
     )
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output: expected an object")
-    output_path = output.get("path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError(f"output.path: expected a string, got {output_path!r}")
+    output_path = _optional(output.get("path"), _string, "output.path")
     if output.get("format", "csv") != "csv":
         raise ConfigError("output.format: only 'csv' is supported")
 

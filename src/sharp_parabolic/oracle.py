@@ -55,15 +55,11 @@ class IntegralOperatorSpec:
             raise DomainError("sigma_slices must be an integer >= 2")
         if self.grid_resolution < 17 or self.grid_resolution % 2 == 0:
             raise DomainError("grid resolution must be odd and >= 17")
-        if self.p < 1.0:
-            raise DomainError("p must be >= 1")
+        sharp.holder_conjugate(self.p)  # raises DomainError unless p >= 1
         if self.kind in ("K", "C"):
             if self.ell is None:
                 raise DomainError(f"kind {self.kind} requires a direction ell")
-            ell = np.asarray(self.ell, dtype=float)
-            if abs(np.linalg.norm(ell) - 1.0) > 1e-12:
-                raise DomainError("direction ell must be a unit vector")
-            object.__setattr__(self, "ell", ell)
+            object.__setattr__(self, "ell", sharp._validate_ell(self.ell, self.cs.n))
 
     @property
     def gradient(self):

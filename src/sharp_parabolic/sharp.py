@@ -177,8 +177,7 @@ class SharpRequest:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown sharp-coefficient kind {self.kind!r}")
-        if self.p < 1.0:
-            raise DomainError("p must be >= 1")
+        holder_conjugate(self.p)  # raises DomainError unless p >= 1
         if self.kind in ("K_ell", "C_ell") and self.ell is None:
             raise DomainError(f"kind {self.kind} requires a direction ell")
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -50,7 +51,7 @@ def test_parse_p_tokens():
     assert parse_p("inf") == math.inf
     assert parse_p("2") == 2.0
     assert parse_p(3) == 3.0
-    for token in ("two", None, [2.0]):
+    for token in ("two", None, [2.0], True, 10**400):
         with pytest.raises(ConfigError):
             parse_p(token)
 
@@ -211,13 +212,14 @@ def test_data_callables_equal_the_array_expressions_bitwise(n, m):
     rng = np.random.default_rng(10 * n + m)
     pts = rng.uniform(-3.0, 3.0, (17,) * n + (n,))
     amplitude, center, width = rng.uniform(-2.0, 2.0, m), rng.uniform(-0.5, 0.5, n), 0.7
-    gaussian = cli._data_callable({"type": "gaussian", "amplitude": amplitude.tolist(),
-                                   "width": width, "center": center.tolist()}, n, m)
+    # the block as load_config checks it: float arrays and a float width
+    gaussian = cli._data_callable({"type": "gaussian", "amplitude": amplitude,
+                                   "width": width, "center": center}, n, m)
     d2 = np.sum((pts - center) ** 2, axis=-1)
     reference = np.exp(-d2 / (2.0 * width * width))[..., None] * amplitude
     np.testing.assert_array_equal(gaussian(pts), reference)
     value = rng.uniform(-2.0, 2.0, m)
-    constant = cli._data_callable({"type": "constant", "value": value.tolist()}, n, m)
+    constant = cli._data_callable({"type": "constant", "value": value}, n, m)
     np.testing.assert_array_equal(constant(pts), np.broadcast_to(value, pts.shape[:-1] + (m,)))
 
 
@@ -482,41 +484,114 @@ def _affine_b(body):
     body["coefficients"]["b"] = {"preset": "affine", "value": [0.0], "slope": [0.0]}
 
 
-# (block, setup, keys to the fuzzed field); every junk value must exit 2
-_FUZZED_FIELDS = {
-    "A": (None, ("coefficients", "A")),
-    "A.value": (None, ("coefficients", "A", "value")),
-    "A.path": (_tabulated_A, ("coefficients", "A", "path")),
-    "b.value": (_affine_b, ("coefficients", "b", "value")),
-    "b.slope": (_affine_b, ("coefficients", "b", "slope")),
-    "C.value": (None, ("coefficients", "C", "value")),
-    "output": (None, ("output",)),
-    "output.path": (None, ("output", "path")),
-    "request.problem": (None, ("request", "problem")),
+def _homogeneous_gaussian(body):
+    body["request"].update(problem="homogeneous", data={
+        "type": "gaussian", "amplitude": [1.0], "width": 0.5, "center": [0.0], "radius": 6.0})
+
+
+# a valid n = m = 1 request per command, whose every field is fuzzed
+_VALID_REQUESTS = {
+    "sharp": {"kind": "K_ell", "p": [2.0], "t": [1.0], "ell": [[1.0]]},
+    "sweep": {"kinds": ["H", "K_ell"], "p": [2.0], "t": [1.0], "ell": [[1.0]]},
+    "kernel": {"points": [[0.0]], "t": [1.0], "tau": [0.5]},
+    "coeffs": {"windows": [[0.0, 1.0]]},
+    "solve": _nonhomogeneous_solve(ell=[1.0]),
+    "verify": {"cases": "quick", "tolerance": 0.5},
 }
-_JUNK = [5, "x", True, [], {}, None, [math.nan], [[math.nan]], [[math.inf]], [1.0, 2.0]]
+# (command, dotted path of the fuzzed field, setup of the config around it)
+_FUZZED_FIELDS = [
+    ("solve", "coefficients.A", None),
+    ("solve", "coefficients.A.value", None),
+    ("solve", "coefficients.A.path", _tabulated_A),
+    ("solve", "coefficients.b.value", _affine_b),
+    ("solve", "coefficients.b.slope", _affine_b),
+    ("solve", "coefficients.C.value", None),
+    ("solve", "output", None),
+    ("solve", "output.path", None),
+    *[("sharp", f"problem.{key}", None) for key in ("n", "m", "T")],
+    *[("sharp", f"numerics.{key}", None)
+      for key in ("quad_tol", "sphere_seeds", "truncation_sigmas", "grid_points")],
+    *[(command, f"request.{key}", None)
+      for command, request in _VALID_REQUESTS.items() for key in request],
+    ("solve", "request.data.type", None),
+    ("solve", "request.data.value", None),
+    *[("solve", f"request.data.{key}", _homogeneous_gaussian)
+      for key in ("amplitude", "width", "center", "radius")],
+]
+_JUNK = [5, "x", True, [], {}, None, [math.nan], [[math.nan]], [[math.inf]], [1.0, 2.0],
+         [True], [[True]], "1", ["0.5"], 10**400]
+# junk that is valid for its field (outcome None; None itself is an absent
+# optional field, "x" and "1" are output paths), that another field's check
+# rejects, or that is well formed and rejected by the library rule it meets:
+# an error that starts with the outcome instead of the field
+_OTHER_OUTCOMES = {
+    (command, field, repr(junk)): outcome
+    for command, field, junks, outcome in [
+        ("solve", "output", [{}], None),
+        ("solve", "output.path", [None, "x", "1"], None),
+        ("sharp", "problem.T", [5], None),
+        ("sharp", "numerics.quad_tol", [5], None),
+        ("sharp", "numerics.sphere_seeds", [5], None),
+        ("sharp", "request.p", [[1.0, 2.0]], None),
+        ("sweep", "request.p", [[1.0, 2.0]], None),
+        ("kernel", "request.tau", [None], None),
+        ("solve", "request.p", [5, "1"], None),
+        ("solve", "request.ell", [None], None),
+        ("solve", "request.data.width", [5], None),
+        ("solve", "request.data.radius", [5, None], None),
+        ("verify", "request.tolerance", [5, None], None),
+        ("solve", "coefficients.A.path", ["x", "1"], "coefficients.A: sample file"),
+        ("sharp", "problem.n", [5], "coefficients.A.value"),
+        ("sharp", "problem.m", [5], "coefficients.C.value"),
+        ("sharp", "request.kind", ["x", "1"], "unknown sharp-coefficient kind"),
+        ("sweep", "request.kinds", [["0.5"]], "unknown sharp-coefficient kind"),
+        ("sharp", "request.p", [[math.nan], ["0.5"]], "exponent p="),
+        ("sweep", "request.p", [[math.nan], ["0.5"]], "exponent p="),
+        ("sharp", "request.ell", [None], "kind K_ell requires a direction"),
+        ("sweep", "request.ell", [None], "kind K_ell requires a direction"),
+        ("sharp", "request.t", [[1.0, 2.0]], "t=2 outside"),
+        ("sweep", "request.t", [[1.0, 2.0]], "t=2 outside"),
+        ("solve", "request.t", [[1.0, 2.0]], "t=2 outside"),
+        ("kernel", "request.t", [[1.0, 2.0]], "window [0.5, 2]"),
+        ("kernel", "request.tau", [[1.0, 2.0]], "window [1, 1]"),
+    ]
+    for junk in junks
+}
 
 
-@pytest.mark.parametrize("field", sorted(_FUZZED_FIELDS))
-def test_fuzzed_config_blocks_exit_2(tmp_path, capsys, field):
+def _fuzz_id(command, field):
+    field = field.removeprefix("coefficients.")
+    return field if command == "solve" else f"{command}:{field}"
+
+
+@pytest.mark.parametrize("command, field, setup", _FUZZED_FIELDS,
+                         ids=[_fuzz_id(command, field) for command, field, _ in _FUZZED_FIELDS])
+def test_fuzzed_config_blocks_exit_2(tmp_path, capsys, command, field, setup):
     # each of these ended in a traceback (exit 1) or ran on silently: "x" or
     # NaN in a preset value, a NaN affine b (kernel printed nan), a number as
     # the tabulated path, output 5, output.path 7 or true (the CSV went to
-    # fd 1, which was then closed) and an unhashable solve problem
-    setup, keys = _FUZZED_FIELDS[field]
+    # fd 1, which was then closed), an unhashable solve problem, and true as
+    # a number anywhere in the request (tolerance true ran verify at 1.0,
+    # t, p, ell, points, data.width and an A value of [[true]] ran at 1);
+    # an integer too large for a float ended in an OverflowError
+    keys = field.split(".")
     for junk in _JUNK:
-        if (field, junk) in (("output", {}), ("output.path", None), ("output.path", "x")):
-            continue  # valid: a path, or none (the CSV goes to stdout)
-        body = base_config("solve", _nonhomogeneous_solve(), out=str(tmp_path / "o.csv"))
+        outcome = _OTHER_OUTCOMES.get((command, field, repr(junk)), field)
+        if outcome is None:
+            continue
+        request = copy.deepcopy(_VALID_REQUESTS[command])
+        body = base_config(command, request, out=str(tmp_path / "o.csv"))
         if setup is not None:
             setup(body)
         parent = body
         for key in keys[:-1]:
             parent = parent[key]
         parent[keys[-1]] = junk
-        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2, junk
+        code = main([command, "--config", write_config(tmp_path, body)])
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "Traceback" not in err, junk
+        assert code == 2, junk
+        assert err.startswith(f"configuration error: {outcome}"), (junk, err)
+        assert "Traceback" not in err, junk
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -55,6 +55,21 @@ def test_spec_rejects_slice_counts_and_radii_that_give_wrong_norms(field):
         IntegralOperatorSpec(kind="N", cs=heat(), x=np.zeros(1), t=1.0, p=INF, **field)
 
 
+@pytest.mark.parametrize("ell", [[0.6, 0.8, 0.0], [[0.6, 0.8]]], ids=["(3,)", "(1, 2)"])
+def test_spec_rejects_directions_of_the_wrong_shape(ell):
+    # a unit ell of shape (3,) or (1, 2) at n = 2 passed the spec and failed
+    # in opnorm_bruteforce with a numpy matmul error
+    cs = sp.coefficient_set(n=2, m=1, T=1.0)
+    with pytest.raises(DomainError, match="shape"):
+        IntegralOperatorSpec(kind="K", cs=cs, x=np.zeros(2), t=1.0, p=2.0, ell=np.array(ell))
+
+
+@pytest.mark.parametrize("kind", ["H", "K"])
+def test_spec_rejects_a_nan_exponent(kind):
+    with pytest.raises(DomainError, match="p >= 1"):
+        hspec(kind, p=math.nan, ell=np.array([1.0]))
+
+
 @pytest.mark.parametrize("kind", ["H", "N"])
 @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, 2.0], ids=["-1", "0", "nan", "T+1"])
 def test_spec_rejects_times_outside_the_horizon(kind, t):

@@ -701,6 +701,8 @@ def test_request_validation_and_dispatch():
         sp.SharpRequest(kind="K_ell", p=2.0, t=1.0)  # no direction
     with pytest.raises(DomainError):
         sp.SharpRequest(kind="H", p=0.3, t=1.0)
+    with pytest.raises(DomainError, match="p >= 1"):
+        sp.SharpRequest(kind="H", p=math.nan, t=1.0)  # NaN passed p < 1
     with pytest.raises(DomainError):
         sp.sharp_K_ell(cs, 2.0, 1.0, np.array([2.0]))  # not unit
     request = sp.SharpRequest(kind="N", p=2.0, t=1.0)
