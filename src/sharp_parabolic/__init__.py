@@ -37,7 +37,6 @@ from .sharp import (
     sharp_K,
     sharp_K_ell,
     sharp_N,
-    sphere_max,
 )
 from .solve import (
     GridFunction,

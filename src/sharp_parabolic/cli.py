@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -287,28 +288,33 @@ def main(argv=None) -> int:
                         help="override quad_tol (verify: the pass tolerance)")
     args = parser.parse_args(argv)
 
-    try:
-        threads = _thread_count(args.threads)
-        tol = None if args.tol is None else _number(args.tol, "--tol", *POSITIVE)
-        cfg = load_config(args.config, command=args.command)
-        if tol is not None and args.command == "verify":
-            cfg.request["tolerance"] = tol
-        elif tol is not None:
-            cfg.numerics.quad_tol = tol
-        failures = 0
-        if args.command in ("sharp", "sweep"):
-            header, rows = cmd_sharp(cfg, threads)
-        elif args.command == "kernel":
-            header, rows = cmd_kernel(cfg, threads)
-        elif args.command == "coeffs":
-            header, rows = cmd_coeffs(cfg)
-        elif args.command == "solve":
-            header, rows = cmd_solve(cfg, threads)
-        else:
-            header, rows, failures = cmd_verify(cfg, threads)
-    except (ConfigError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:  # reported as CLI messages
+        warnings.simplefilter("always")
+        try:
+            threads = _thread_count(args.threads)
+            tol = None if args.tol is None else _number(args.tol, "--tol", *POSITIVE)
+            cfg = load_config(args.config, command=args.command)
+            if tol is not None and args.command == "verify":
+                cfg.request["tolerance"] = tol
+            elif tol is not None:
+                cfg.numerics.quad_tol = tol
+            failures = 0
+            if args.command in ("sharp", "sweep"):
+                header, rows = cmd_sharp(cfg, threads)
+            elif args.command == "kernel":
+                header, rows = cmd_kernel(cfg, threads)
+            elif args.command == "coeffs":
+                header, rows = cmd_coeffs(cfg)
+            elif args.command == "solve":
+                header, rows = cmd_solve(cfg, threads)
+            else:
+                header, rows, failures = cmd_verify(cfg, threads)
+        except (ConfigError, DomainError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
     out_path = args.out or cfg.output_path
     if out_path:

@@ -215,9 +215,9 @@ def _result(spec, pp, fine, coarse, rel_tol):
     """A spec's OracleResult from its fine and coarse slice terms; the
     coarse pass gives the error estimate."""
     weights, exps_t, tails = fine
-    z, best = sharp._maximize_z(weights, exps_t, pp, None)[:2]
+    (z,), best, _ = sharp._maximize(weights, (exps_t,), pp, None)
     value = best if math.isinf(pp) else best ** (1.0 / pp)
-    best_c = sharp._maximize_z(coarse[0], coarse[1], pp, None)[1]
+    best_c = sharp._maximize(coarse[0], (coarse[1],), pp, None)[1]
     value_c = best_c if math.isinf(pp) else best_c ** (1.0 / pp)
     err = abs(value - value_c)
 

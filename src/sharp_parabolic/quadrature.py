@@ -1,5 +1,6 @@
-"""Quadrature rules: ``fejer_rule``, the nested rule of every source-time
-integral, and ``adaptive_quadrature``, adaptive composite Gauss-Legendre
+"""Quadrature rules: ``fejer_rule`` and its composite form
+``piecewise_rule``, the nested rule of every source-time integral, and
+``adaptive_quadrature``, adaptive composite Gauss-Legendre
 (7-point panels with an embedded 5-point estimate; panels bisect where the
 two rules disagree beyond their share of the tolerance; scalar, vector and
 matrix valued integrands).
@@ -41,6 +42,28 @@ def fejer_rule(K, e=0.0):
     nodes = np.sin(k * np.pi / (2 * K + 2)) ** 2
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+def piecewise_rule(ends, nodes, e=0.0):
+    """Fejer's second rule of ``nodes`` nodes (odd) on each piece of [0,
+    ends[-1]] that ends at ``ends``: flat (points, weights, nested).
+
+    The first piece takes the product weights of u^(-e), u^e folded in; the
+    others those of e = 0. ``nested`` holds the weights of the nodes // 2
+    rule, which sits on every other node ([1::2] of a piece), 0 elsewhere.
+    """
+    starts = np.append(0.0, ends[:-1])
+    lengths = (ends - starts)[:, None]
+    u = fejer_rule(nodes)[0]
+
+    def rule(size, on):  # weights of the size-node rule on the nodes u[on]
+        weights = np.zeros((len(ends), nodes))
+        weights[:, on] = lengths * fejer_rule(size)[1]
+        weights[0, on] = lengths[0] * fejer_rule(size, e)[1] * u[on] ** e
+        return weights.ravel()
+
+    points = (starts[:, None] + lengths * u).ravel()
+    return points, rule(nodes, slice(None)), rule(nodes // 2, slice(1, None, 2))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from . import matfun
 from .coeffs import window_scaling_exponents  # noqa: F401  (wrapped by bench/tracer.py)
 from .errors import DomainError
-from .quadrature import DEFAULT_TOL, fejer_rule
+from .quadrature import DEFAULT_TOL, piecewise_rule
 from .quadrature import adaptive_quadrature  # noqa: F401  (wrapped by bench/tracer.py)
 
 INF = math.inf
@@ -81,26 +81,24 @@ def _tangent_gradient(grad, z):
 
 
 def _polish_on_sphere(objective, gradient, z0, settings):
-    """Monotone power iteration from z0; returns (z, value, residual).
+    """Monotone power iteration on a product of spheres from the tuple of
+    start vectors z0; returns (z, value, residual) with z a tuple.
 
-    Each step sets z <- g/|g| with g = grad f(z). For a convex f it cannot
-    lower f: f(g/|g|) >= f(z) + g.(g/|g| - z) >= f(z), as |g| >= g.z. A
-    node-table sum with weights of both signs (e > 1/2) is convex only up to
-    its quadrature error, and so is monotone only up to it. For a
-    product of spheres ``z0`` is a tuple of start vectors, ``objective`` and
-    ``gradient`` take one vector per sphere, the gradient returns one block
-    per sphere, the blocks step in turn and ``z`` is a tuple. The residual
+    ``objective`` and ``gradient`` take one vector per sphere, and the
+    gradient returns one block per sphere. Each block steps in turn,
+    z_i <- g_i/|g_i| with g_i its block of grad f(z). For a convex f a step
+    cannot lower f: f(g/|g|) >= f(z) + g.(g/|g| - z) >= f(z), as |g| >= g.z.
+    A node-table sum with weights of both signs (e > 1/2) is convex only up
+    to its quadrature error, and so is monotone only up to it. The residual
     is |tangent gradient| / |gradient| at ``z`` (blocks combined with
     ``math.hypot``); the loop stops once it is at most ``settings.rel_tol``,
     so a larger one means that ``settings.max_iter`` steps ran out.
     """
-    product = isinstance(z0, tuple)
-    zs = [np.asarray(b, dtype=float) for b in (z0 if product else (z0,))]
+    zs = [np.asarray(b, dtype=float) for b in z0]
     zs = [b / np.linalg.norm(b) for b in zs]
 
     def blocks():
-        grads = gradient(*zs)
-        return [np.asarray(g, dtype=float) for g in (grads if product else (grads,))]
+        return [np.asarray(g, dtype=float) for g in gradient(*zs)]
 
     def sine(g, z):
         norm = np.linalg.norm(g)  # zero only where f vanishes: nothing to climb
@@ -114,28 +112,68 @@ def _polish_on_sphere(objective, gradient, z0, settings):
         for i in range(len(zs)):
             g = grads[i] if i == 0 else blocks()[i]
             zs[i] = g / np.linalg.norm(g)
-    value = float(objective(*zs))
-    return (tuple(zs) if product else zs[0]), value, residual
+    return tuple(zs), float(objective(*zs)), residual
 
 
-def sphere_max(objective, dim, settings=None, gradient=None):
-    """Maximize an even convex objective over the unit sphere.
+def _objective(weights, mats, pp):
+    """Objective sum_k weights_k prod_j |mats[j]_k v_j|^p' over one unit
+    vector v_j per stack, and its gradient, one block per stack."""
 
-    Deterministic lattice seeding followed by the power iteration of
-    ``_polish_on_sphere``, which needs ``gradient`` (a gradient or
-    subgradient of the objective) for dim > 1; at dim = 1 the seed is the
-    answer. Returns ``(argmax, value)`` with the argmax sign-canonicalized.
+    def objective(*vs):
+        powers = [np.linalg.norm(m @ v, axis=1) ** pp for m, v in zip(mats, vs)]
+        return float(np.dot(weights, math.prod(powers)))
+
+    def gradient(*vs):
+        vecs = [m @ v for m, v in zip(mats, vs)]
+        mags = [np.linalg.norm(x, axis=1) for x in vecs]
+        blocks = []
+        for b, (m, x) in enumerate(zip(mats, vecs)):
+            coef = pp * weights
+            for j, mag in enumerate(mags):
+                coef = coef * mag ** (pp - 2.0 if j == b else pp)
+            blocks.append(np.einsum("k,kij,kj->i", coef, np.transpose(m, (0, 2, 1)), x))
+        return tuple(blocks)
+
+    return objective, gradient
+
+
+def _maximize(weights, mats, pp, settings):
+    """Maximizer over unit vectors v_j, one per (K, d, d) stack in the tuple
+    ``mats`` (one or two stacks), of sum_k weights_k prod_j |mats[j]_k v_j|^p',
+    or of max_k weights_k |mats[0]_k v| at p' = inf.
+
+    Returns (vs, value, search residual). One stack has exact cases: a
+    one-column stack gives v = [1]; with one term or at p' = inf the
+    maximum is max_k w_k sigma_k^p' (w_k sigma_k at p' = inf) by one batched
+    SVD; at p' = 2 it is the Gram matrix's top eigenpair. Otherwise each
+    stack's lattice seeds are scored in one batch (an outer-product grid for
+    two stacks) and the best is polished. Every v but [1] is sign-canonical.
     """
+    if len(mats) == 1:
+        (a,) = mats
+        if a.shape[2] == 1:
+            mags = np.linalg.norm(a[:, :, 0], axis=1)
+            value = np.max(weights * mags) if math.isinf(pp) else np.dot(weights, mags**pp)
+            return (np.array([1.0]),), float(value), 0.0
+        if len(weights) == 1 or math.isinf(pp):
+            _, sigmas, vts = np.linalg.svd(a)
+            tops = weights * (sigmas[:, 0] if math.isinf(pp) else sigmas[:, 0] ** pp)
+            k = int(np.argmax(tops))
+            return (matfun.canonical_sign(vts[k, 0]),), float(tops[k]), 0.0
+        if pp == 2.0:
+            vals, vecs = matfun.sym_eigen(np.einsum("k,kji,kjl->il", weights, a, a))
+            return (matfun.canonical_sign(vecs[:, 0]),), float(vals[0]), 0.0
     settings = settings or SphereSettings()
-    seeds = sphere_lattice(dim, settings.seeds_per_dim * dim)
-    values = np.array([float(objective(s)) for s in seeds])
-    best = int(np.argmax(values))
-    if dim == 1:
-        return seeds[best], float(values[best])
-    if gradient is None:
-        raise DomainError("sphere search in dimension > 1 needs the gradient")
-    z, value, _ = _polish_on_sphere(objective, gradient, seeds[best], settings)
-    return matfun.canonical_sign(z), value
+    seeds = [sphere_lattice(m.shape[2], settings.seeds_per_dim * m.shape[2]) for m in mats]
+    powers = [np.linalg.norm(np.einsum("kij,sj->ksi", m, s), axis=2) ** pp
+              for m, s in zip(mats, seeds)]
+    grid = weights @ powers[0] if len(mats) == 1 else (weights[:, None] * powers[0]).T @ powers[1]
+    best = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    objective, gradient = _objective(weights, mats, pp)
+    vs, value, residual = _polish_on_sphere(
+        objective, gradient, tuple(s[i] for s, i in zip(seeds, best)), settings
+    )
+    return tuple(map(matfun.canonical_sign, vs)), value, residual
 
 
 # ---------------------------------------------------------------------------
@@ -349,122 +387,19 @@ class _WindowTables:
 def _window_tables(cs, t, pp, with_gradient, nodes) -> _WindowTables:
     """Node table in w on [0, t] for the integrand w^(-e) * smooth.
 
-    Pieces end at the window breaks of the coefficient set, and each takes
-    ``nodes`` nodes of Fejer's second rule (``fejer_rule``, ``nodes`` odd).
-    The first piece takes the product weights of w^(-e), with w^e folded
-    in; the others take those of e = 0. The nested rule of nodes // 2 nodes
-    sits on every other node, so only the weights depend on p. Raises
-    DomainError when a node is below the SPD floor (``check_window_floor``).
+    Pieces end at the window breaks of the coefficient set, each with
+    ``piecewise_rule``'s ``nodes`` nodes, the first with the product weights
+    of w^(-e); the nested rule sits on every other node, so only the weights
+    depend on p. Raises DomainError when a node is below the SPD floor
+    (``check_window_floor``).
     """
     e = 0.5 * cs.n * (pp - 1.0) + (0.5 * pp if with_gradient else 0.0)
-    ends = cs.window_breaks(t)
-    starts = np.append(0.0, ends[:-1])
-    lengths = (ends - starts)[:, None]
-    u = fejer_rule(nodes)[0]
-    ws = (starts[:, None] + lengths * u).ravel()
-
-    def rule(size, on):  # weights of the size-node rule on the nodes u[on]
-        weights = np.zeros((len(ends), nodes))
-        weights[:, on] = lengths * fejer_rule(size)[1]
-        weights[0, on] = lengths[0] * fejer_rule(size, e)[1] * u[on] ** e
-        return weights.ravel()
-
+    ws, weights, nested = piecewise_rule(cs.window_breaks(t), nodes, e)
     cs.check_window_floor(t, ws[0])
     batch = cs.windows(t, ws)
     dets = batch.det_ia_sqrt ** (1.0 - pp)
-    return _WindowTables(np.sqrt(ws), rule(nodes, slice(None)) * dets,
-                         rule(nodes // 2, slice(1, None, 2)) * dets, batch.exp_ic_star,
+    return _WindowTables(np.sqrt(ws), weights * dets, nested * dets, batch.exp_ic_star,
                          batch.ia_inv_sqrt if with_gradient else None)
-
-
-def _z_objective(weights, exps, pp):
-    """Objective sum_k weights_k |exps_k z|^p' over z, and its gradient."""
-
-    def objective(z):
-        mags = np.linalg.norm(exps @ z, axis=1)
-        return float(np.dot(weights, mags**pp))
-
-    def gradient(z):
-        vecs = exps @ z
-        mags = np.linalg.norm(vecs, axis=1)
-        coef = pp * weights * mags ** (pp - 2.0)
-        return np.einsum("k,kij,kj->i", coef, np.transpose(exps, (0, 2, 1)), vecs)
-
-    return objective, gradient
-
-
-def _maximize_z(weights, exps, pp, settings, ell_factors=None):
-    """Maximizer over unit z of sum_k w_k |exps_k z|^p', or of max_k w_k
-    |exps_k z| at p' = inf, with w = weights * ``ell_factors``.
-
-    Returns (z, value, search residual), z sign-canonicalized for m > 1.
-    At m = 1, z = [1]. With one term or at p' = inf the maximum is
-    max_k w_k sigma_k^p' (w_k sigma_k at p' = inf), exact by one batched
-    SVD; at p' = 2 it is the Gram matrix's top eigenpair. Otherwise the best
-    lattice seed, polished.
-    """
-    w = weights if ell_factors is None else weights * ell_factors
-    m = exps.shape[1]
-    if m == 1:
-        mags = np.linalg.norm(exps[:, :, 0], axis=1)
-        value = np.max(w * mags) if math.isinf(pp) else np.dot(w, mags**pp)
-        return np.array([1.0]), float(value), 0.0
-    if len(w) == 1 or math.isinf(pp):
-        _, sigmas, vts = np.linalg.svd(exps)
-        tops = w * (sigmas[:, 0] if math.isinf(pp) else sigmas[:, 0] ** pp)
-        k = int(np.argmax(tops))
-        return matfun.canonical_sign(vts[k, 0]), float(tops[k]), 0.0
-    if pp == 2.0:
-        vals, vecs = matfun.sym_eigen(np.einsum("k,kji,kjl->il", w, exps, exps))
-        return matfun.canonical_sign(vecs[:, 0]), float(vals[0]), 0.0
-    settings = settings or SphereSettings()
-    seeds = sphere_lattice(m, settings.seeds_per_dim * m)
-    mags = np.linalg.norm(np.einsum("kij,sj->ksi", exps, seeds), axis=2)
-    z0 = seeds[int(np.argmax(w @ mags**pp))]
-    objective, gradient = _z_objective(w, exps, pp)
-    z, value, residual = _polish_on_sphere(objective, gradient, z0, settings)
-    return matfun.canonical_sign(z), value, residual
-
-
-def _joint_objective(tables, pp):
-    """Objective and gradient in (ell, z) of the C_p node-table integral."""
-    w, exps, smats = tables.weights, tables.exps, tables.inv_sqrts
-
-    def objective(ell, z):
-        a = np.linalg.norm(smats @ ell, axis=1) ** pp
-        b = np.linalg.norm(exps @ z, axis=1) ** pp
-        return float(np.dot(w, a * b))
-
-    def gradient(ell, z):
-        svec = smats @ ell
-        evec = exps @ z
-        smag = np.linalg.norm(svec, axis=1)
-        emag = np.linalg.norm(evec, axis=1)
-        coef_l = pp * w * smag ** (pp - 2.0) * emag**pp
-        coef_z = pp * w * smag**pp * emag ** (pp - 2.0)
-        return (
-            np.einsum("k,kij,kj->i", coef_l, np.transpose(smats, (0, 2, 1)), svec),
-            np.einsum("k,kij,kj->i", coef_z, np.transpose(exps, (0, 2, 1)), evec),
-        )
-
-    return objective, gradient
-
-
-def _maximize_ell_z(cs, tables, pp, settings):
-    """Joint (ell, z) maximizer: best pair of lattice seeds, polished on the
-    product of spheres. Returns (ell, z, search residual)."""
-    settings = settings or SphereSettings()
-    ell_seeds = sphere_lattice(cs.n, settings.seeds_per_dim * cs.n)
-    z_seeds = sphere_lattice(cs.m, settings.seeds_per_dim * cs.m)
-    a = np.linalg.norm(np.einsum("kij,sj->ksi", tables.inv_sqrts, ell_seeds), axis=2)
-    b = np.linalg.norm(np.einsum("kij,sj->ksi", tables.exps, z_seeds), axis=2)
-    grid = (tables.weights[:, None] * a**pp).T @ b**pp
-    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    objective, gradient = _joint_objective(tables, pp)
-    (ell, z), _, residual = _polish_on_sphere(
-        objective, gradient, (ell_seeds[i], z_seeds[j]), settings
-    )
-    return ell, z, residual
 
 
 def _tau_integral(tables, pp, z, ell=None, weights=None):
@@ -500,11 +435,12 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
     while True:
         tables = _window_tables(cs, t, pp, kind != "N", nodes)
         if kind == "C" and cs.m * cs.n > 1:
-            ell, z, residual = _maximize_ell_z(cs, tables, pp, sphere)
+            stacks = (tables.inv_sqrts, tables.exps)
+            (ell, z), _, residual = _maximize(tables.weights, stacks, pp, sphere)
         else:
             ell = np.array([1.0]) if kind == "C" else ell
-            factors = None if ell is None else np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
-            z, _, residual = _maximize_z(tables.weights, tables.exps, pp, sphere, factors)
+            factors = 1.0 if ell is None else np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
+            (z,), _, residual = _maximize(tables.weights * factors, (tables.exps,), pp, sphere)
         integral, nested, magnitude = (_tau_integral(tables, pp, z, ell, w) for w in (
             tables.weights, tables.nested, np.abs(tables.weights)))
         rounding = (tables.sigmas.size + pp * ic_bound) * np.finfo(float).eps * magnitude

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels, matfun
 from .errors import CoverageWarning, DomainError
-from .quadrature import fejer_rule
+from .quadrature import piecewise_rule
 from .sharp import _validate_ell
 
 __all__ = [
@@ -198,15 +198,10 @@ def _source_quadrature(cs, f, x, t, settings, gradient_ell=None, p=None):
     the every-other-node subgrid, whose distance from the solution is the
     error estimate, and, when ``p`` is given, ||f||_{p,t} with the solution's
     weights. Returns (SolveResult, norm or None)."""
-    nodes, rule = fejer_rule(settings.sigma_slices - 1)
-    nested = np.zeros_like(rule)
-    nested[1::2] = fejer_rule(settings.sigma_slices // 2 - 1)[1]
-    ends = np.sqrt(np.append(0.0, cs.window_breaks(t)))
-    lengths = np.diff(ends)[:, None]
-    sigmas = (ends[:-1, None] + lengths * nodes).ravel()
+    sigmas, rule, nested = piecewise_rule(np.sqrt(cs.window_breaks(t)), settings.sigma_slices - 1)
     cs.check_window_floor(t, sigmas[0] ** 2)
     # weights in tau = t - sigma^2: d tau = 2 sigma d sigma
-    fine_w, half_w = (2.0 * sigmas * (lengths * r).ravel() for r in (rule, nested))
+    fine_w, half_w = (2.0 * sigmas * r for r in (rule, nested))
     sub = (slice(None, None, 2),) * cs.n
     fine, coarse, norm_terms = np.zeros(cs.m), np.zeros(cs.m), []
     for sigma, w_fine, w_half, acc in zip(

@@ -304,6 +304,21 @@ def test_solve_command_nonhomogeneous_constant_source(tmp_path):
     assert float(rows[0]["ratio"]) <= 1.0 + 1e-6
 
 
+def test_a_solve_warning_prints_once_as_a_cli_message(tmp_path, capsys):
+    # a data radius of 6 does not cover the kernel's 8-sigma reach at t = 1:
+    # each row warns, and stderr carries the message once, without a source path
+    out = str(tmp_path / "s.csv")
+    cfg = write_config(tmp_path, base_config("solve", {
+        "problem": "homogeneous",
+        "data": {"type": "gaussian", "amplitude": [1.0], "width": 5.0, "radius": 6.0},
+        "points": [[0.0], [0.5]], "t": [1.0], "p": "inf"}, out=out))
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: data grid does not cover the kernel's 8-sigma neighborhood; "
+        "the convolution is truncated"]
+    assert len(read_rows(out)) == 2
+
+
 def test_solve_command_passes_the_sphere_seeds(tmp_path, monkeypatch):
     # and computes one constant per distinct t, shared by that t's rows
     requests = []

@@ -246,14 +246,14 @@ def test_z_max_p1_on_one_slice_is_the_spectral_norm(m):
     rng = np.random.default_rng(40 + m)
     e = rng.standard_normal((m, m))
     w = 0.7
-    z, value = sharp._maximize_z(np.array([w]), e[None], INF, None)[:2]
+    (z,), value, _ = sharp._maximize(np.array([w]), (e[None],), INF, None)
     sigma, z_top = matfun.spectral_norm(e)
     assert value == pytest.approx(w * sigma, rel=1e-14)
     assert abs(abs(np.dot(z, z_top)) - 1.0) < 1e-9
 
 
 def _searched_z_max(weights, exps, pp):
-    """The same objective by lattice seeds and power iteration (sphere_max)."""
+    """The same objective by lattice seeds and power iteration (_polish_on_sphere)."""
     if math.isinf(pp):
 
         def objective(z):
@@ -262,12 +262,15 @@ def _searched_z_max(weights, exps, pp):
         def gradient(z):  # subgradient of the active term w_k |E_k z|
             vecs = exps @ z
             k = int(np.argmax(weights * np.linalg.norm(vecs, axis=1)))
-            return weights[k] / np.linalg.norm(vecs[k]) * (exps[k].T @ vecs[k])
+            return (weights[k] / np.linalg.norm(vecs[k]) * (exps[k].T @ vecs[k]),)
 
     else:
-        objective, gradient = sharp._z_objective(weights, exps, pp)
+        objective, gradient = sharp._objective(weights, (exps,), pp)
     settings = sp.SphereSettings(rel_tol=1e-12)
-    return sp.sphere_max(objective, exps.shape[1], settings, gradient=gradient)
+    seeds = sharp.sphere_lattice(exps.shape[1], settings.seeds_per_dim * exps.shape[1])
+    z0 = seeds[int(np.argmax([objective(s) for s in seeds]))]
+    (z,), value, _ = sharp._polish_on_sphere(objective, gradient, (z0,), settings)
+    return z, value
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -281,7 +284,7 @@ def test_exact_z_max_matches_the_sphere_search(m, k, pp):
     for _ in range(4):
         exps = rng.standard_normal((k, m, m))
         weights = rng.uniform(0.5, 1.5, k)
-        z, exact = sharp._maximize_z(weights, exps, pp, None)[:2]
+        (z,), exact, _ = sharp._maximize(weights, (exps,), pp, None)
         _, searched = _searched_z_max(weights, exps, pp)
         assert exact == pytest.approx(searched, rel=1e-12)
         assert exact >= searched * (1.0 - 1e-15)

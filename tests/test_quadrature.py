@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import sharp_parabolic as sp
 from sharp_parabolic import coeffs, sharp
-from sharp_parabolic.quadrature import adaptive_quadrature, fejer_rule
+from sharp_parabolic.quadrature import adaptive_quadrature, fejer_rule, piecewise_rule
 
 EPS = np.finfo(float).eps
 
@@ -96,6 +96,21 @@ def test_fejer_rule_is_the_solvers_sigma_rule(intervals):
     assert np.array_equal(nodes, np.sin(0.5 * theta) ** 2)
     want = 2.0 / intervals * np.sin(theta) * sums
     np.testing.assert_allclose(weights, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("e", [0.0, 0.3, 0.9])
+def test_piecewise_rule_integrates_across_the_pieces(e):
+    # x^(-e) * smooth on [0, 1] in three pieces: the first piece's weights
+    # carry x^(-e); the nested rule sits on [1::2] of every piece
+    ends = np.array([0.3, 0.5, 1.0])
+    points, weights, nested = piecewise_rule(ends, 31, e)
+    assert np.all(np.diff(points) > 0.0) and 0.0 < points[0] and points[-1] < 1.0
+    assert not np.any(nested.reshape(3, 31)[:, 0::2])
+    smooth = lambda x: np.exp(-3.0 * x) * np.cos(2.0 * x)
+    want = (quad(smooth, 0.0, 0.3, weight="alg", wvar=(-e, 0.0), epsabs=1e-15, epsrel=1e-13)[0]
+            + quad(lambda x: x**-e * smooth(x), 0.3, 1.0, epsabs=1e-15, epsrel=1e-13)[0])
+    for rule in (weights, nested):
+        assert rule @ (points**-e * smooth(points)) == pytest.approx(want, rel=1e-13)
 
 
 def test_a_source_row_that_converges_at_once_makes_one_batch_and_one_search(monkeypatch):

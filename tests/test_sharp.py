@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.special import gamma, gammainc, hyp1f1
 
 import sharp_parabolic as sp
-from sharp_parabolic import sharp
+from sharp_parabolic import matfun, sharp
 from sharp_parabolic.errors import DomainError
 
 INF = math.inf
@@ -231,37 +231,32 @@ def test_source_constants_diverge_just_below_threshold_for_affine_A():
         assert not result.convergent
 
 
+def _lattice_search(objective, gradient, dim, settings=sp.SphereSettings()):
+    """Best lattice seed polished by ``_polish_on_sphere``: the search of
+    ``sharp._maximize`` for an objective given as a callable."""
+    seeds = sharp.sphere_lattice(dim, settings.seeds_per_dim * dim)
+    z0 = seeds[int(np.argmax([objective(s) for s in seeds]))]
+    (z,), value, _ = sharp._polish_on_sphere(objective, gradient, (z0,), settings)
+    return z, value
+
+
 def test_sphere_max_spectral_example():
     b = np.diag([3.0, 4.0])
-    z, value = sp.sphere_max(
+    z, value = _lattice_search(
         lambda v: float(np.linalg.norm(b @ v)),
+        lambda v: (b.T @ b @ v / np.linalg.norm(b @ v),),
         2,
-        gradient=lambda v: b.T @ b @ v / np.linalg.norm(b @ v),
     )
     assert value == pytest.approx(4.0, rel=1e-14)
     np.testing.assert_allclose(np.abs(z), [0.0, 1.0], atol=1e-9)
 
 
-def test_sphere_max_one_dimension():
-    z, value = sp.sphere_max(lambda v: 3.0 - float(v[0]) ** 2, 1)
-    assert value == pytest.approx(2.0)
-    assert z.shape == (1,)
-
-
 def test_sphere_max_three_dimensions():
     m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 2.5]])
-    z, value = sp.sphere_max(
-        lambda v: float(v @ m @ v), 3, gradient=lambda v: 2.0 * m @ v
-    )
+    z, value = _lattice_search(lambda v: float(v @ m @ v), lambda v: (2.0 * m @ v,), 3)
     w, vecs = np.linalg.eigh(m)
     assert value == pytest.approx(w[-1], rel=1e-14)
     assert abs(abs(np.dot(z, vecs[:, -1])) - 1.0) < 1e-9
-
-
-def test_sphere_max_needs_a_gradient_above_one_dimension():
-    for dim in (2, 3):
-        with pytest.raises(DomainError):
-            sp.sphere_max(lambda v: float(np.linalg.norm(v)), dim)
 
 
 def test_gram_route_matches_direct_search():
@@ -269,15 +264,35 @@ def test_gram_route_matches_direct_search():
     c = rng.standard_normal((3, 3))
     cs = sp.coefficient_set(n=1, m=3, T=1.0, C=c)
     tables = sharp._window_tables(cs, 1.0, 2.0, with_gradient=False, nodes=31)
-    z_gram, gram_value, _ = sharp._maximize_z(tables.weights, tables.exps, 2.0, None)
-    objective, gradient = sharp._z_objective(tables.weights, tables.exps, 2.0)
-    z_search, search_value = sp.sphere_max(
-        objective, 3, sp.SphereSettings(rel_tol=1e-12), gradient=gradient
+    (z_gram,), gram_value, _ = sharp._maximize(tables.weights, (tables.exps,), 2.0, None)
+    objective, gradient = sharp._objective(tables.weights, (tables.exps,), 2.0)
+    z_search, search_value = _lattice_search(
+        objective, gradient, 3, sp.SphereSettings(rel_tol=1e-12)
     )
     assert search_value == pytest.approx(gram_value, rel=1e-8)
     assert min(
         np.linalg.norm(z_search - z_gram), np.linalg.norm(z_search + z_gram)
     ) < 1e-4
+
+
+@pytest.mark.parametrize("pp", [1.0, 1.5, 3.0])
+def test_two_stack_search_matches_a_dense_angle_scan(pp):
+    # sum_k w_k |A_k ell|^p' |E_k z|^p' on S^1 x S^1 at the default settings;
+    # both factors are even, so half circles cover the product
+    rng = np.random.default_rng(int(20 * pp))
+    angles = np.linspace(0.0, np.pi, 2001)
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    for _ in range(3):
+        mats = (rng.standard_normal((4, 2, 2)), rng.standard_normal((4, 2, 2)))
+        weights = rng.uniform(0.5, 1.5, 4)
+        (ell, z), value, residual = sharp._maximize(weights, mats, pp, None)
+        a, b = (np.linalg.norm(np.einsum("kij,sj->ksi", m, circle), axis=2) ** pp
+                for m in mats)
+        scan = float(np.max((weights[:, None] * a).T @ b))
+        assert scan * (1.0 - 1e-14) <= value <= scan * (1.0 + 1e-5)
+        assert value == sharp._objective(weights, mats, pp)[0](ell, z)
+        assert residual <= sp.SphereSettings().rel_tol
+        assert all(np.array_equal(v, matfun.canonical_sign(v)) for v in (ell, z))
 
 
 def test_polish_on_product_of_spheres_reaches_top_singular_value():
