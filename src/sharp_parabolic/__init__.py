@@ -18,7 +18,6 @@ from .errors import (
     CoverageWarning,
     DomainError,
     EigenFailure,
-    InconclusiveEstimate,
     NotPositiveDefinite,
     TruncationError,
 )

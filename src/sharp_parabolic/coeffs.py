@@ -40,13 +40,8 @@ class Constant:
 
     value: np.ndarray
 
-    is_constant = True
-
     def __call__(self, t):
         return self.value
-
-    def span(self):
-        return None
 
     def integral(self, t, w):
         """value * w over the windows [t - w, t]; arrays (K,) in, (K, *shape) out."""
@@ -68,13 +63,8 @@ class Affine:
     value0: np.ndarray
     slope: np.ndarray
 
-    is_constant = False
-
     def __call__(self, t):
         return self.value0 + t * self.slope
-
-    def span(self):
-        return None
 
     def integral(self, t, w):
         """w * (value0 + slope * (t - w/2)) over the windows [t - w, t]."""
@@ -148,8 +138,6 @@ def _pchip_cubics(h, values):
 class Tabulated:
     """Coefficient given by samples, joined by monotone cubic interpolation."""
 
-    is_constant = False
-
     def __init__(self, times, values):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -188,9 +176,6 @@ class Tabulated:
         c0, c1, c2, c3 = self._cubics[:, i]
         return ((c3 + c2 * u) + c1 * (u * u)) + c0 * (u * u * u)
 
-    def span(self):
-        return float(self.times[0]), float(self.times[-1])
-
     def integral(self, t, w):
         """Exact integrals of the interpolant over the windows [t - w, t].
 
@@ -227,7 +212,7 @@ class Tabulated:
 def _as_preset(raw, shape):
     """Wrap plain arrays in a Constant preset; validate the shape either way."""
     if isinstance(raw, (Constant, Affine, Tabulated)):
-        probe = np.asarray(raw(raw.span()[0] if raw.span() else 0.0), dtype=float)
+        probe = np.asarray(raw(raw.times[0] if isinstance(raw, Tabulated) else 0.0), dtype=float)
         if probe.shape != shape:
             raise DomainError(f"preset has shape {probe.shape}, expected {shape}")
         return raw
@@ -242,8 +227,9 @@ class AccumulatedIntegrals:
     """Window integrals of (A, b, C) over [tau, t] and their derived functions.
 
     ``ia``/``ib``/``ic`` are the entrywise integrals; the remaining fields are
-    the SPD square-root family of ``ia`` and the exponentials of ``ic`` and
-    its transpose that the kernels and sharp constants are built from.
+    the inverse square root, inverse, eigenvalues and root determinant of
+    ``ia`` and the exponentials of ``ic`` and its transpose that the kernels
+    and sharp constants are built from.
     ``quad_error`` bounds the rounding error of the closed-form integrals.
     """
 
@@ -252,7 +238,6 @@ class AccumulatedIntegrals:
     ia: np.ndarray
     ib: np.ndarray
     ic: np.ndarray
-    ia_sqrt: np.ndarray
     ia_inv_sqrt: np.ndarray
     ia_inv: np.ndarray
     ia_eigenvalues: np.ndarray  # descending
@@ -267,7 +252,7 @@ class AccumulatedIntegrals:
 
     @property
     def log_gauss_norm(self):
-        """log of the kernel normalization (2 sqrt(pi))^n * det ia_sqrt."""
+        """log of the kernel normalization (2 sqrt(pi))^n * det_ia_sqrt."""
         return self.n * np.log(2.0 * np.sqrt(np.pi)) + np.log(self.det_ia_sqrt)
 
 
@@ -283,7 +268,6 @@ class WindowBatch:
     ia: np.ndarray
     ib: np.ndarray
     ic: np.ndarray
-    ia_sqrt: np.ndarray
     ia_inv_sqrt: np.ndarray
     ia_inv: np.ndarray
     ia_eigenvalues: np.ndarray
@@ -324,17 +308,14 @@ class CoefficientSet:
             raise DomainError("dimensions n and m must be >= 1")
         if not self.T > 0:
             raise DomainError("final time T must be positive")
-        for preset, name, lo_hi in (
-            (self.A, "A", None),
-            (self.b, "b", None),
-            (self.C, "C", None),
-        ):
-            span = preset.span()
-            if span is not None and (span[0] > 0.0 or span[1] < self.T):
-                raise DomainError(
-                    f"tabulated samples for {name} cover [{span[0]:g}, {span[1]:g}] "
-                    f"but must cover [0, {self.T:g}]"
-                )
+        for name, preset in (("A", self.A), ("b", self.b), ("C", self.C)):
+            if isinstance(preset, Tabulated):
+                lo, hi = preset.times[0], preset.times[-1]
+                if lo > 0.0 or hi < self.T:
+                    raise DomainError(
+                        f"tabulated samples for {name} cover [{lo:g}, {hi:g}] "
+                        f"but must cover [0, {self.T:g}]"
+                    )
         for t in _spd_check_times(self.A, self.T):
             a = matfun.symmetrize(self.A(t))
             w = np.linalg.eigvalsh(a)
@@ -383,7 +364,7 @@ def _spd_check_times(A, T):
     Tabulated A at 0, T and every sample time in [0, T]; between them
     _singular_times decides.
     """
-    if A.is_constant:
+    if isinstance(A, Constant):
         return [0.0]
     if isinstance(A, Affine):
         return [0.0, T]
@@ -488,15 +469,12 @@ def integrate_windows(cs, t, w) -> "WindowBatch":
     ia = 0.5 * (ia + np.swapaxes(ia, -1, -2))
     ic = cs.C.integral(t, w)
     scale = np.maximum(np.maximum(cs.A.bound(t), cs.b.bound(t)), cs.C.bound(t))
-    eig, ia_sqrt, ia_inv_sqrt, ia_inv = matfun.spd_roots(
-        ia, "accumulated A integral is degenerate"
-    )
+    eig, ia_inv_sqrt, ia_inv = matfun.spd_roots(ia, "accumulated A integral is degenerate")
     exp_ic = matfun.matrix_exp(ic)
     return WindowBatch(
-        tau=t - w, t=t, ia=ia, ib=cs.b.integral(t, w), ic=ic, ia_sqrt=ia_sqrt,
-        ia_inv_sqrt=ia_inv_sqrt, ia_inv=ia_inv, ia_eigenvalues=eig,
-        det_ia_sqrt=np.prod(np.sqrt(eig), axis=1), exp_ic=exp_ic,
-        exp_ic_star=np.ascontiguousarray(np.swapaxes(exp_ic, -1, -2)),
+        tau=t - w, t=t, ia=ia, ib=cs.b.integral(t, w), ic=ic, ia_inv_sqrt=ia_inv_sqrt,
+        ia_inv=ia_inv, ia_eigenvalues=eig, det_ia_sqrt=np.prod(np.sqrt(eig), axis=1),
+        exp_ic=exp_ic, exp_ic_star=np.ascontiguousarray(np.swapaxes(exp_ic, -1, -2)),
         quad_error=_ROUNDING_ULPS * np.finfo(float).eps * w * scale,
     )
 
@@ -505,7 +483,7 @@ def window_scaling_exponents(cs, t):
     """Power-law exponents of the kernel ingredients as the window shrinks.
 
     Deprecated: the exponents are exactly ``(n/2, 1/2)`` for every preset.
-    As tau -> t, ``det ia_sqrt(t, tau) ~ (t - tau)^(n/2)`` and
+    As tau -> t, ``det_ia_sqrt(t, tau) ~ (t - tau)^(n/2)`` and
     ``|ia_inv_sqrt(t, tau)| ~ (t - tau)^(-1/2)``, because the window integral
     of a continuous SPD A is ``(t - tau) A(t) + o(t - tau)``; they do not
     depend on ``t``.

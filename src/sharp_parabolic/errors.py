@@ -43,14 +43,6 @@ class EigenFailure(ArithmeticError):
         super().__init__(message)
 
 
-class InconclusiveEstimate(RuntimeError):
-    """A numerical estimate could not be trusted.
-
-    Deprecated: nothing in the package raises it since the convergence
-    thresholds are exact.
-    """
-
-
 class TruncationError(RuntimeError):
     """A truncated-domain computation is dominated by its tail bound."""
 

@@ -1,6 +1,6 @@
 """Dense matrix functions on small real matrices.
 
-Symmetric eigendecomposition, SPD square roots, spectral norm and the
+Symmetric eigendecomposition, SPD inverse square roots, spectral norm and the
 matrix exponential, sized for coefficient matrices of modest order, and
 norms over the short component axis of grid data.
 """
@@ -94,11 +94,11 @@ def sym_eigen(m):
 
 
 def spd_roots(m, message=None):
-    """SPD root family of a stack of symmetric matrices, shape (K, n, n).
+    """SPD inverse-root family of a stack of symmetric matrices, shape (K, n, n).
 
-    Returns ``(eigenvalues, sqrt, inv_sqrt, inv)``: the eigenvalues in
-    descending order, shape (K, n), and ``V f(w) V^T`` for f = sqrt, 1/sqrt
-    and 1/x, each exactly symmetric. Raises NotPositiveDefinite (with
+    Returns ``(eigenvalues, inv_sqrt, inv)``: the eigenvalues in descending
+    order, shape (K, n), and ``V f(w) V^T`` for f = 1/sqrt and 1/x, each
+    exactly symmetric. Raises NotPositiveDefinite (with
     ``message``, if given) when a smallest eigenvalue is at or below
     1e-12 * max(1, largest eigenvalue).
     """
@@ -112,12 +112,11 @@ def spd_roots(m, message=None):
     if np.any(eig[:, -1] <= floors):
         k = int(np.argmax(eig[:, -1] <= floors))
         raise NotPositiveDefinite(eig[k, -1], floors[k], message)
-    sqrt_eig = np.sqrt(eig)
-    # V diag(f(eig)) V^T for f = sqrt, 1/sqrt and 1/x in one pass
-    powers = np.stack([sqrt_eig, 1.0 / sqrt_eig, 1.0 / eig])
+    # V diag(f(eig)) V^T for f = 1/sqrt and 1/x in one pass
+    powers = np.stack([1.0 / np.sqrt(eig), 1.0 / eig])
     family = np.einsum("kij,skj,klj->skil", vec, powers, vec)
-    root, inv_root, inv = 0.5 * (family + np.swapaxes(family, -1, -2))
-    return eig, root, inv_root, inv
+    inv_root, inv = 0.5 * (family + np.swapaxes(family, -1, -2))
+    return eig, inv_root, inv
 
 
 def spectral_norm(b):

@@ -243,33 +243,13 @@ def _odd(k):
     return k if k % 2 == 1 else k + 1
 
 
-def _transposed_kernel_field(spec, z, resolution):
-    # The extremal lives on a cubic grid (a GridFunction), sized by the
-    # largest principal deviation.
-    acc = spec.cs.accumulated(0.0, spec.t)
-    center = spec.x + acc.ib
-    radius = spec.truncation_radius * kernels.kernel_std(acc)
-    axes, _ = kernels.cell_grid(center, radius, resolution)
-    ell = spec.ell if spec.gradient else None
-    field = kernels.kernel_weight(acc, kernels.displacement(acc, spec.x, axes), ell)
-    field = field[..., None] * (acc.exp_ic.T @ z)
-    return field, axes, center, radius
-
-
-def _default_profile(center, width):
-    def profile(pts):
-        return np.exp(-matfun.squared_distances(pts, center) / (2.0 * width * width))
-
-    return profile
-
-
-def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
+def build_extremal(spec, z, mode="p-power", resolution=None):
     """Near-extremal initial data for the homogeneous kinds.
 
     'p-power' follows the conjugate-power construction (needs p > 1);
     'sign-aligned' multiplies the unit sign field of the transposed kernel
-    by a scalar profile concentrated near the kernel peak. The samples are
-    normalized to unit discrete p-norm.
+    by a Gaussian profile, an eighth of the kernel's width, at its peak. The
+    samples are normalized to unit discrete p-norm.
     """
     if spec.kind not in HOMOGENEOUS_KINDS:
         raise DomainError(
@@ -277,8 +257,15 @@ def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
         )
     z = np.asarray(z, dtype=float)
     z = z / np.linalg.norm(z)
-    resolution = resolution or spec.grid_resolution
-    field, axes, center, radius = _transposed_kernel_field(spec, z, resolution)
+    # the samples live on a cubic grid (a GridFunction), sized by the
+    # largest principal deviation
+    acc = spec.cs.accumulated(0.0, spec.t)
+    center = spec.x + acc.ib
+    radius = spec.truncation_radius * kernels.kernel_std(acc)
+    axes, _ = kernels.cell_grid(center, radius, resolution or spec.grid_resolution)
+    ell = spec.ell if spec.gradient else None
+    field = kernels.kernel_weight(acc, kernels.displacement(acc, spec.x, axes), ell)
+    field = field[..., None] * (acc.exp_ic.T @ z)
     mags = matfun.component_norms(field)
     nonzero = mags > 0.0
     if mode == "p-power":
@@ -294,10 +281,10 @@ def build_extremal(spec, z, mode="p-power", profile=None, resolution=None):
     elif mode == "sign-aligned":
         sign = np.zeros_like(field)
         sign[nonzero] = field[nonzero] / mags[nonzero][..., None]
-        acc = spec.cs.accumulated(0.0, spec.t)
-        if profile is None:
-            profile = _default_profile(center, kernels.kernel_std(acc) / 8.0)
-        values = sign * np.asarray(profile(kernels.grid_nodes(axes)), float)[..., None]
+        width = kernels.kernel_std(acc) / 8.0
+        profile = np.exp(-matfun.squared_distances(kernels.grid_nodes(axes), center)
+                         / (2.0 * width * width))
+        values = sign * profile[..., None]
     else:
         raise DomainError(f"unknown extremal mode {mode!r}")
     gf = GridFunction(center=center, radius=radius, values=values)

@@ -9,6 +9,7 @@ the analytic limits of the general-p formulas.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +44,23 @@ def holder_conjugate(p: float) -> float:
 
 @dataclass(frozen=True)
 class SphereSettings:
-    """Deterministic seeding and power-iteration controls for sphere search."""
+    """Deterministic seeding and power-iteration controls for sphere search:
+    ``seeds_per_dim`` lattice seeds per sphere dimension (an integer >= 1)
+    and the residual ``rel_tol`` (> 0) at which a polish stops."""
 
     seeds_per_dim: int = 64
     rel_tol: float = 1e-9
-    max_iter: int = 1000
+
+    def __post_init__(self):
+        if (not isinstance(self.seeds_per_dim, numbers.Integral)
+                or isinstance(self.seeds_per_dim, bool) or self.seeds_per_dim < 1):
+            raise DomainError("seeds_per_dim must be an integer >= 1")
+        if not self.rel_tol > 0.0:  # NaN fails too
+            raise DomainError("sphere rel_tol must be positive")
+
+
+# power steps a polish may take before it stops short of rel_tol
+_POWER_STEPS = 1000
 
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -92,7 +105,7 @@ def _polish_on_sphere(objective, gradient, z0, settings):
     to its quadrature error, and so is monotone only up to it. The residual
     is |tangent gradient| / |gradient| at ``z`` (blocks combined with
     ``math.hypot``); the loop stops once it is at most ``settings.rel_tol``,
-    so a larger one means that ``settings.max_iter`` steps ran out.
+    so a larger one means that the ``_POWER_STEPS`` steps ran out.
     """
     zs = [np.asarray(b, dtype=float) for b in z0]
     zs = [b / np.linalg.norm(b) for b in zs]
@@ -104,10 +117,10 @@ def _polish_on_sphere(objective, gradient, z0, settings):
         norm = np.linalg.norm(g)  # zero only where f vanishes: nothing to climb
         return np.linalg.norm(_tangent_gradient(g, z)) / norm if norm > 0.0 else 0.0
 
-    for step in range(settings.max_iter + 1):
+    for step in range(_POWER_STEPS + 1):
         grads = blocks()
         residual = math.hypot(*map(sine, grads, zs))
-        if residual <= settings.rel_tol or step == settings.max_iter:
+        if residual <= settings.rel_tol or step == _POWER_STEPS:
             break
         for i in range(len(zs)):
             g = grads[i] if i == 0 else blocks()[i]

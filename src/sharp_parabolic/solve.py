@@ -135,7 +135,8 @@ class SolveResult:
 class SolveSettings:
     """Tensor-quadrature controls for the source problem: S = ``sigma_slices``
     angle intervals of Fejer's second rule per piece in sigma (S - 1 nodes,
-    S even and >= 4) and ``grid_points`` cells per axis (odd and >= 3)."""
+    S even and >= 4), ``grid_points`` cells per axis (odd and >= 3) and a
+    grid reach of ``truncation_sigmas`` (>= 6) kernel deviations."""
 
     sigma_slices: int = 32
     grid_points: int = 129
@@ -146,6 +147,8 @@ class SolveSettings:
             raise DomainError("sigma_slices must be even and >= 4")
         if self.grid_points < 3 or self.grid_points % 2 == 0:
             raise DomainError("grid_points must be odd and >= 3")
+        if not self.truncation_sigmas >= 6.0:  # NaN fails too
+            raise DomainError("truncation_sigmas must be at least 6")
 
 
 def _check_coverage(phi, peak, std):

@@ -74,55 +74,41 @@ def _directions(n):
     return [e1, e2, diag]
 
 
-def homogeneous_cases(t=0.75, dims=((1, 1), (1, 2), (2, 1), (2, 2)),
-                      ps=(1.0, 2.0, 3.0, math.inf)):
+def _case(kind, label, cs, p, t, ell=None, j=None):
+    """One check named like ``K[n2m2-iso,p=3,ell1]`` (``ell<j>`` when the
+    direction has an index), with the tolerance of its kind."""
+    p_label = "inf" if math.isinf(p) else f"{p:g}"
+    name = f"{kind}[{label},p={p_label}" + ("" if j is None else f",ell{j}") + "]"
+    tol = HOMOGENEOUS_TOL if kind in "HK" else NONHOMOGENEOUS_TOL
+    return VerificationCase(name, cs, kind, p, t, ell, tol)
+
+
+# (n, m) of the presets in both check matrices, and the time of every check
+_DIMS = ((1, 1), (1, 2), (2, 1), (2, 2))
+_T = 0.75
+
+
+def homogeneous_cases():
     """Solution and gradient constants for the initial-value problem."""
     cases = []
-    for n, m in dims:
+    for n, m in _DIMS:
         for label, cs in constant_presets(n, m):
-            for p in ps:
-                p_label = "inf" if math.isinf(p) else f"{p:g}"
-                cases.append(
-                    VerificationCase(
-                        f"H[{label},p={p_label}]", cs, "H", p, t, None, HOMOGENEOUS_TOL
-                    )
-                )
-                for j, ell in enumerate(_directions(n)):
-                    cases.append(
-                        VerificationCase(
-                            f"K[{label},p={p_label},ell{j}]",
-                            cs,
-                            "K",
-                            p,
-                            t,
-                            ell,
-                            HOMOGENEOUS_TOL,
-                        )
-                    )
+            for p in (1.0, 2.0, 3.0, math.inf):
+                cases.append(_case("H", label, cs, p, _T))
+                cases += [_case("K", label, cs, p, _T, ell, j)
+                          for j, ell in enumerate(_directions(n))]
     return cases
 
 
-def nonhomogeneous_cases(t=0.75, dims=((1, 1), (1, 2), (2, 1), (2, 2))):
+def nonhomogeneous_cases():
     """Source-problem constants, convergent exponents only."""
     cases = []
-    for n, m in dims:
+    for n, m in _DIMS:
         for label, cs in constant_presets(n, m):
             ps = [math.inf] + ([2.0] if 2.0 > (n + 2.0) / 2.0 else [])
-            for p in ps:
-                p_label = "inf" if math.isinf(p) else f"{p:g}"
-                cases.append(
-                    VerificationCase(
-                        f"N[{label},p={p_label}]", cs, "N", p, t, None,
-                        NONHOMOGENEOUS_TOL,
-                    )
-                )
-            for j, ell in enumerate(_directions(n)):
-                cases.append(
-                    VerificationCase(
-                        f"C[{label},p=inf,ell{j}]", cs, "C", math.inf, t, ell,
-                        NONHOMOGENEOUS_TOL,
-                    )
-                )
+            cases += [_case("N", label, cs, p, _T) for p in ps]
+            cases += [_case("C", label, cs, math.inf, _T, ell, j)
+                      for j, ell in enumerate(_directions(n))]
     return cases
 
 
@@ -130,19 +116,16 @@ def quick_cases():
     """A small smoke subset: the unit heat problem plus one coupled preset."""
     heat = coefficient_set(n=1, m=1, T=1.0)
     coupled = constant_presets(2, 2)[0][1]
-    ell = np.array([1.0])
-    ell2 = np.array([0.0, 1.0])
+    ell, ell2 = np.array([1.0]), np.array([0.0, 1.0])
     return [
-        VerificationCase("H[heat,p=1]", heat, "H", 1.0, 1.0, None, HOMOGENEOUS_TOL),
-        VerificationCase("H[heat,p=2]", heat, "H", 2.0, 1.0, None, HOMOGENEOUS_TOL),
-        VerificationCase("K[heat,p=inf]", heat, "K", math.inf, 1.0, ell, HOMOGENEOUS_TOL),
-        VerificationCase("K[heat,p=2]", heat, "K", 2.0, 1.0, ell, HOMOGENEOUS_TOL),
-        VerificationCase("N[heat,p=2]", heat, "N", 2.0, 1.0, None, NONHOMOGENEOUS_TOL),
-        VerificationCase("C[heat,p=inf]", heat, "C", math.inf, 1.0, ell,
-                         NONHOMOGENEOUS_TOL),
-        VerificationCase("H[n2m2,p=2]", coupled, "H", 2.0, 0.75, None, HOMOGENEOUS_TOL),
-        VerificationCase("C[n2m2,p=inf]", coupled, "C", math.inf, 0.75, ell2,
-                         NONHOMOGENEOUS_TOL),
+        _case("H", "heat", heat, 1.0, 1.0),
+        _case("H", "heat", heat, 2.0, 1.0),
+        _case("K", "heat", heat, math.inf, 1.0, ell),
+        _case("K", "heat", heat, 2.0, 1.0, ell),
+        _case("N", "heat", heat, 2.0, 1.0),
+        _case("C", "heat", heat, math.inf, 1.0, ell),
+        _case("H", "n2m2", coupled, 2.0, 0.75),
+        _case("C", "n2m2", coupled, math.inf, 0.75, ell2),
     ]
 
 

@@ -53,9 +53,9 @@ def test_derived_fields_consistent():
     c = rng.standard_normal((2, 2))
     cs = sp.coefficient_set(n=3, m=2, T=1.0, A=a, C=c)
     acc = cs.accumulated(0.2, 0.9)
-    np.testing.assert_allclose(acc.ia_sqrt @ acc.ia_sqrt, acc.ia, rtol=1e-10)
+    np.testing.assert_allclose(acc.ia_inv_sqrt @ acc.ia_inv_sqrt, acc.ia_inv, rtol=1e-10)
     np.testing.assert_allclose(
-        acc.ia_inv_sqrt @ acc.ia_sqrt, np.eye(3), atol=1e-11
+        acc.ia_inv_sqrt @ acc.ia @ acc.ia_inv_sqrt, np.eye(3), atol=1e-11
     )
     assert acc.det_ia_sqrt == pytest.approx(
         math.sqrt(np.linalg.det(acc.ia)), rel=1e-10

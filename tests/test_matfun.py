@@ -9,9 +9,9 @@ from sharp_parabolic.errors import NotPositiveDefinite
 
 
 def roots(m):
-    """(sqrt, inv_sqrt) of one SPD matrix, from the root family of a stack of one."""
-    _, root, inv_root, _ = matfun.spd_roots(np.asarray(m, dtype=float)[None])
-    return root[0], inv_root[0]
+    """(inv_sqrt, inv) of one SPD matrix, from the root family of a stack of one."""
+    _, inv_root, inv = matfun.spd_roots(np.asarray(m, dtype=float)[None])
+    return inv_root[0], inv[0]
 
 
 def test_sym_eigen_diagonal():
@@ -48,16 +48,16 @@ def test_sym_eigen_reconstruction_random():
 
 def test_spd_sqrt_diagonal():
     np.testing.assert_allclose(
-        roots(np.diag([4.0, 9.0]))[0], np.diag([2.0, 3.0]), atol=1e-14
+        roots(np.diag([4.0, 9.0]))[0], np.diag([1.0 / 2.0, 1.0 / 3.0]), atol=1e-14
     )
 
 
 def test_spd_sqrt_two_by_two():
-    # entries (sqrt(3) +/- 1) / 2 from the eigendecomposition
-    root = roots(np.array([[2.0, 1.0], [1.0, 2.0]]))[0]
-    a = (math.sqrt(3) + 1) / 2
-    b = (math.sqrt(3) - 1) / 2
-    np.testing.assert_allclose(root, [[a, b], [b, a]], rtol=1e-14)
+    # entries (1/sqrt(3) +/- 1) / 2 from the eigendecomposition
+    inv_root = roots(np.array([[2.0, 1.0], [1.0, 2.0]]))[0]
+    a = (1 / math.sqrt(3) + 1) / 2
+    b = (1 / math.sqrt(3) - 1) / 2
+    np.testing.assert_allclose(inv_root, [[a, b], [b, a]], rtol=1e-14)
 
 
 def test_spd_sqrt_identity():
@@ -70,10 +70,10 @@ def test_spd_roundtrip_random():
         order = rng.integers(1, 9)
         g = rng.standard_normal((order, order))
         m = matfun.symmetrize(g @ g.T + 0.1 * np.eye(order))
-        root, inv_root = roots(m)
-        np.testing.assert_allclose(root @ root, m, rtol=1e-9, atol=1e-12)
+        inv_root, inv = roots(m)
+        np.testing.assert_allclose(inv_root @ inv_root, inv, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(
-            root @ inv_root, np.eye(order), rtol=0, atol=1e-10
+            inv_root @ m @ inv_root, np.eye(order), rtol=0, atol=1e-10
         )
 
 
@@ -93,11 +93,11 @@ def test_spd_roots_stack_matches_single_roots():
     g = rng.standard_normal((6, 3, 3))
     stack = g @ np.swapaxes(g, -1, -2) + 0.1 * np.eye(3)
     stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
-    eig, root, inv_root, inv = matfun.spd_roots(stack)
+    eig, inv_root, inv = matfun.spd_roots(stack)
     for k in range(stack.shape[0]):
-        single_root, single_inv_root = roots(stack[k])
-        np.testing.assert_array_equal(root[k], single_root)
+        single_inv_root, single_inv = roots(stack[k])
         np.testing.assert_array_equal(inv_root[k], single_inv_root)
+        np.testing.assert_array_equal(inv[k], single_inv)
         np.testing.assert_allclose(inv[k] @ stack[k], np.eye(3), atol=1e-10)
         assert np.all(np.diff(eig[k]) <= 0.0)
     stack[4] = np.diag([1.0, -0.5, 2.0])

@@ -231,6 +231,16 @@ def test_source_constants_diverge_just_below_threshold_for_affine_A():
         assert not result.convergent
 
 
+@pytest.mark.parametrize(
+    "fields", [{"seeds_per_dim": 0}, {"seeds_per_dim": -2}, {"seeds_per_dim": 2.5},
+               {"seeds_per_dim": True}, {"rel_tol": 0.0}, {"rel_tol": -1e-9},
+               {"rel_tol": math.nan}],
+)
+def test_sphere_settings_need_seeds_and_a_positive_tolerance(fields):
+    with pytest.raises(DomainError):
+        sp.SphereSettings(**fields)
+
+
 def _lattice_search(objective, gradient, dim, settings=sp.SphereSettings()):
     """Best lattice seed polished by ``_polish_on_sphere``: the search of
     ``sharp._maximize`` for an objective given as a callable."""
