@@ -5,13 +5,16 @@ coupling matrix C(t) on [0, T]. Everything downstream depends on them only
 through the window integrals ``int_F(t, tau) = integral of F over [tau, t]``
 and the SPD/exponential functions derived from those.
 
-Every preset integrates in closed form. A window is keyed by its end and
-length ``(t, w)``, so callers that think in window lengths (the source-time
-integrals, with ``w = sigma^2``) never round through ``tau = t - w``.
+Every preset is a piecewise polynomial and integrates in closed form. A
+window is keyed by its end and length ``(t, w)``, so callers that think in
+window lengths (the source-time integrals, with ``w = sigma^2``) never
+round through ``tau = t - w``.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -24,86 +27,148 @@ WINDOW_FLOOR = 1e-13
 # quad_error is this many units of roundoff of w * sup|F| over the window:
 # it covers the few roundings of each closed form with a wide margin.
 _ROUNDING_ULPS = 64
-# A pencil eigenvalue u of a piece of length h counts as real when
-# |Im u| <= _REAL_ROOT_TOL * h.
+_ROUNDING_ERROR = _ROUNDING_ULPS * np.finfo(float).eps
+# A pencil eigenvalue u of a piece of length h, or T if shorter, counts as
+# real when |Im u| <= _REAL_ROOT_TOL * h.
 _REAL_ROOT_TOL = 1e-8
 
 
 def _column(v, ndim):
     """Reshape a (K,) array to broadcast against (K, *shape) of rank ndim."""
-    return np.reshape(v, v.shape + (1,) * (ndim - 1))
-
-
-@dataclass(frozen=True)
-class Constant:
-    """Coefficient that does not depend on time."""
-
-    value: np.ndarray
-
-    def __call__(self, t):
-        return self.value
-
-    def integral(self, t, w):
-        """value * w over the windows [t - w, t]; arrays (K,) in, (K, *shape) out."""
-        return _column(w, 1 + self.value.ndim) * self.value
-
-    @cached_property
-    def _sup(self):
-        return float(np.max(np.abs(self.value)))
-
-    def bound(self, t):
-        """An upper bound of |entries| over [0, t]."""
-        return self._sup
-
-
-@dataclass(frozen=True)
-class Affine:
-    """Coefficient value0 + t * slope."""
-
-    value0: np.ndarray
-    slope: np.ndarray
-
-    def __call__(self, t):
-        return self.value0 + t * self.slope
-
-    def integral(self, t, w):
-        """w * (value0 + slope * (t - w/2)) over the windows [t - w, t]."""
-        ndim = 1 + self.value0.ndim
-        mid = _column(t - 0.5 * w, ndim)
-        return _column(w, ndim) * (self.value0 + mid * self.slope)
-
-    @cached_property
-    def _sups(self):
-        return float(np.max(np.abs(self.value0))), float(np.max(np.abs(self.slope)))
-
-    def bound(self, t):
-        return self._sups[0] + t * self._sups[1]
+    return v[(...,) + (None,) * (ndim - 1)]
 
 
 def _taylor(c, h):
-    """Taylor coefficients d_0..d_3 at u = h of the cubics sum_k c_k u^(3-k)."""
-    c0, c1, c2, c3 = c
-    return np.stack([
-        ((c0 * h + c1) * h + c2) * h + c3,
-        (3.0 * c0 * h + 2.0 * c1) * h + c2,
-        3.0 * c0 * h + c1,
-        c0,
-    ])
+    """Taylor coefficients d_0..d_k at u = h of the polynomials
+    sum_i c_i u^(k-i), as a list: d_j = sum_i binom(k-i, j) c_i h^(k-i-j),
+    in Horner form."""
+    k = len(c) - 1
+    out = []
+    for j in range(k + 1):  # for j = 0 every binomial is 1
+        d = comb(k, j) * c[0] if j else c[0]
+        for i in range(1, k - j + 1):
+            d = d * h + (comb(k - i, j) * c[i] if j else c[i])
+        out.append(d)
+    return out
 
 
 def _left_integral(d, w):
-    """Integral over [s - w, s] of the cubic with Taylor coefficients d at s.
+    """Integral over [s - w, s] of the polynomial with Taylor coefficients d at s.
 
     ``sum_j (-1)^j d_j w^(j+1) / (j+1)`` in Horner form: no antiderivative
     differences, so the relative error stays at roundoff for any w.
     """
-    return w * (d[0] - w * (0.5 * d[1] - w * (d[2] / 3.0 - 0.25 * w * d[3])))
+    k = len(d) - 1
+    acc = d[k] / (k + 1) if k else d[0]
+    for j in range(k - 1, -1, -1):
+        acc = (d[j] / (j + 1) if j else d[j]) - w * acc
+    return w * acc
 
 
 def _sorted_unique(values):
     """np.unique without the numpy.ma import of numpy's set functions."""
     values = np.sort(values)
     return values[np.append(True, values[1:] != values[:-1])]
+
+
+class _Piecewise:
+    """A coefficient that is a polynomial on each piece [times[i], times[i+1]].
+
+    ``coefs[:, i]`` holds piece i's coefficients at its degree, highest
+    power first, in u = s - times[i]. Either every piece is closed or there
+    is one open piece [times[0], inf), as for constant and affine
+    coefficients.
+    """
+
+    def __init__(self, times, coefs):
+        self.times = times
+        self.coefs = coefs
+        self.shape = coefs.shape[2:]
+
+    def __call__(self, t):
+        x = self.times
+        if not x[0] <= t <= x[-1]:
+            raise DomainError(f"coefficient is given on [{x[0]:g}, {x[-1]:g}], requested t={t:g}")
+        # as scipy's PPoly: the piece x_i <= t < x_(i+1) (the last for t = x[-1])
+        i = bisect_right(x, t, 1, x.size - 1) - 1
+        u = t - x[i]
+        c = self.coefs[:, i]
+        # lowest power first, u^k by repeated products: scipy's PPoly order
+        value, power = c[-1], 1.0
+        for coef in c[-2::-1]:
+            power = power * u
+            value = value + coef * power
+        return value
+
+    def integral(self, t, w):
+        """Exact integrals over the windows [t - w, t]; arrays (K,) in, (K, *shape) out.
+
+        The piece containing t is expanded about t; a window reaching below
+        that piece adds the whole pieces it covers and, expanded about its
+        right end, the piece where it starts.
+        """
+        x = self.times
+        ndim = self.coefs.ndim - 1
+        # the piece x_i < t <= x_(i+1), or the first; no search for one piece
+        near = np.searchsorted(x[1:-1], t) if x.size > 2 else 0
+        gap = t - x[near]  # t minus the break at or below it
+        d = _taylor(self.coefs[:, near], _column(gap, ndim))
+        cross = w > gap  # never with one piece, which holds every window in [0, t]
+        if x.size == 2 or not cross.any():
+            return _left_integral(d, _column(w, ndim))
+        out = _left_integral(d, _column(np.minimum(w, gap), ndim))
+        # the piece holding t - w; a start rounded across a break moves an
+        # ulp of the window between two pieces
+        far = np.searchsorted(x, t - w, side="right") - 1
+        far = np.where(cross, np.clip(far, 0, near - 1), near)
+        rest = np.where(cross, w - (t - x[far + 1]), 0.0)
+        right, whole = self._ends
+        out = out + _left_integral(right[:, far], _column(rest, ndim))
+        for i, j in set(zip(far[cross].tolist(), near[cross].tolist())):
+            if j > i + 1:
+                hit = cross & (far == i) & (near == j)
+                out[hit] = out[hit] + whole[i + 1:j].sum(axis=0)
+        return out
+
+    @cached_property
+    def _ends(self):
+        """Per closed piece, the Taylor coefficients at its right end and its
+        whole integral."""
+        h = _column(np.diff(self.times), self.coefs.ndim - 1)
+        right = np.stack(_taylor(self.coefs, h))
+        return right, _left_integral(right, h)
+
+    @cached_property
+    def _bound_coefs(self):
+        """Coefficients, highest power first, of bound's polynomial in u = t
+        minus the last finite break: of an open piece, the maxima of
+        |coefficient| per power; of closed pieces, the sup of |entries|
+        widened by the roundoff of summing up to every piece."""
+        k, pieces = self.coefs.shape[:2]
+        if self.times[-1] == np.inf:
+            return np.abs(self.coefs[:, -1]).reshape(k, -1).max(axis=1).tolist()
+        col = _column(np.diff(self.times), self.coefs.ndim - 1)
+        powers = col ** np.arange(k - 1, -1, -1).reshape((k,) + (1,) * col.ndim)
+        sup = float(np.max(np.sum(np.abs(self.coefs) * powers, axis=0)))
+        return [sup * (1.0 + pieces / _ROUNDING_ULPS)]
+
+    def bound(self, t):
+        """An upper bound of |entries| over [times[0], t]."""
+        value, *rest = self._bound_coefs
+        for m in rest:
+            value = value * (t - self.times[-2]) + m
+        return value
+
+
+def Constant(value):
+    """Coefficient that does not depend on time: degree 0 on [0, inf)."""
+    return _Piecewise(np.array([0.0, np.inf]), np.asarray(value, dtype=float)[None, None])
+
+
+def Affine(value0, slope):
+    """Coefficient value0 + t * slope: degree 1 on [0, inf)."""
+    coefs = np.stack([np.asarray(slope, dtype=float), np.asarray(value0, dtype=float)])
+    return _Piecewise(np.array([0.0, np.inf]), coefs[:, None])
 
 
 def _pchip_end(h0, h1, m0, m1):
@@ -135,91 +200,28 @@ def _pchip_cubics(h, values):
     return np.stack([t / h, (slope - d[:-1]) / h - t, d[:-1], values[:-1]])
 
 
-class Tabulated:
-    """Coefficient given by samples, joined by monotone cubic interpolation."""
-
-    def __init__(self, times, values):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise DomainError("tabulated preset needs at least two samples")
-        if not np.all(np.diff(times) > 0):
-            raise DomainError("tabulated sample times must be strictly increasing")
-        if values.shape[0] != times.size:
-            raise DomainError("tabulated times and values disagree in length")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("tabulated values must be finite")
-        self.times = times
-        self.values = values
-        # per piece: the cubic's coefficients, highest power first, in
-        # u = s - times[i]; its Taylor coefficients at the right end; its
-        # whole integral; and a bound on its entries
-        lengths = np.diff(times)
-        col = _column(lengths, values.ndim)
-        self._cubics = _pchip_cubics(col, values)
-        self._right = _taylor(self._cubics, col)
-        self._whole = _left_integral(self._right, col)
-        powers = col ** np.arange(3, -1, -1).reshape((4,) + (1,) * values.ndim)
-        sup = float(np.max(np.sum(np.abs(self._cubics) * powers, axis=0)))
-        # widened by the roundoff of summing up to every whole piece
-        self._sup = sup * (1.0 + lengths.size / _ROUNDING_ULPS)
-
-    def __call__(self, t):
-        lo, hi = self.times[0], self.times[-1]
-        if t < lo or t > hi:
-            raise DomainError(
-                f"tabulated samples cover [{lo:g}, {hi:g}], requested t={t:g}"
-            )
-        # as scipy's PPoly: the piece x_i <= t < x_(i+1) (the last for t = hi)
-        i = min(int(np.searchsorted(self.times, t, side="right")) - 1, self.times.size - 2)
-        u = t - self.times[i]
-        c0, c1, c2, c3 = self._cubics[:, i]
-        return ((c3 + c2 * u) + c1 * (u * u)) + c0 * (u * u * u)
-
-    def integral(self, t, w):
-        """Exact integrals of the interpolant over the windows [t - w, t].
-
-        The piece containing t is expanded about t; a window reaching below
-        that piece adds the whole pieces it covers and, expanded about its
-        right end, the piece where it starts.
-        """
-        x = self.times
-        ndim = self.values.ndim
-        last = x.size - 2
-        near = np.clip(np.searchsorted(x, t, side="left") - 1, 0, last)
-        gap = t - x[near]  # t minus the sample time at or below it
-        cross = w > gap
-        # the piece holding t - w; a start rounded across a sample time
-        # moves an ulp of the window between two pieces
-        far = np.searchsorted(x, t - w, side="right") - 1
-        far = np.where(cross, np.clip(far, 0, near - 1), near)
-
-        d = _taylor(self._cubics[:, near], _column(gap, ndim))
-        out = _left_integral(d, _column(np.where(cross, gap, w), ndim))
-        if np.any(cross):
-            rest = np.where(cross, w - (t - x[far + 1]), 0.0)
-            out = out + _left_integral(self._right[:, far], _column(rest, ndim))
-            for i, j in set(zip(far[cross].tolist(), near[cross].tolist())):
-                if j > i + 1:
-                    hit = cross & (far == i) & (near == j)
-                    out[hit] = out[hit] + self._whole[i + 1:j].sum(axis=0)
-        return out
-
-    def bound(self, t):
-        return self._sup
+def Tabulated(times, values):
+    """Coefficient given by samples, joined by monotone cubic interpolation:
+    one cubic per interval between sample times."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise DomainError("tabulated preset needs at least two samples")
+    if not np.all(np.diff(times) > 0):
+        raise DomainError("tabulated sample times must be strictly increasing")
+    if values.shape[0] != times.size:
+        raise DomainError("tabulated times and values disagree in length")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("tabulated values must be finite")
+    return _Piecewise(times, _pchip_cubics(_column(np.diff(times), values.ndim), values))
 
 
 def _as_preset(raw, shape):
-    """Wrap plain arrays in a Constant preset; validate the shape either way."""
-    if isinstance(raw, (Constant, Affine, Tabulated)):
-        probe = np.asarray(raw(raw.times[0] if isinstance(raw, Tabulated) else 0.0), dtype=float)
-        if probe.shape != shape:
-            raise DomainError(f"preset has shape {probe.shape}, expected {shape}")
-        return raw
-    value = np.asarray(raw, dtype=float)
-    if value.shape != shape:
-        raise DomainError(f"coefficient has shape {value.shape}, expected {shape}")
-    return Constant(value)
+    """Wrap plain arrays in a constant preset; validate the shape either way."""
+    preset = raw if hasattr(raw, "integral") else Constant(raw)
+    if preset.shape != shape:
+        raise DomainError(f"coefficient has shape {preset.shape}, expected {shape}")
+    return preset
 
 
 @dataclass(frozen=True)
@@ -309,25 +311,18 @@ class CoefficientSet:
         if not self.T > 0:
             raise DomainError("final time T must be positive")
         for name, preset in (("A", self.A), ("b", self.b), ("C", self.C)):
-            if isinstance(preset, Tabulated):
-                lo, hi = preset.times[0], preset.times[-1]
-                if lo > 0.0 or hi < self.T:
-                    raise DomainError(
-                        f"tabulated samples for {name} cover [{lo:g}, {hi:g}] "
-                        f"but must cover [0, {self.T:g}]"
-                    )
-        for t in _spd_check_times(self.A, self.T):
-            a = matfun.symmetrize(self.A(t))
-            w = np.linalg.eigvalsh(a)
-            if w[0] <= 0.0:
-                raise NotPositiveDefinite(
-                    w[0], 0.0, f"A({t:g}) is not positive definite"
-                )
+            lo, hi = preset.times[0], preset.times[-1]
+            if lo > 0.0 or hi < self.T:
+                raise DomainError(f"{name} is given on [{lo:g}, {hi:g}] but must cover [0, {self.T:g}]")
+        # SPD at 0, T and every break in [0, T]; between them _singular_times decides
+        times = sorted({0.0, self.T, *(s for s in self.A.times.tolist() if 0.0 <= s <= self.T)})
+        lowest = np.linalg.eigvalsh([matfun.symmetrize(self.A(t)) for t in times])[:, 0]
+        for t, w in zip(times, lowest):
+            if w <= 0.0:
+                raise NotPositiveDefinite(w, 0.0, f"A({t:g}) is not positive definite")
         singular = _singular_times(self.A, self.T)
         if singular:
-            raise NotPositiveDefinite(
-                0.0, 0.0, f"A({min(singular):g}) is singular between sample times"
-            )
+            raise NotPositiveDefinite(0.0, 0.0, f"A({min(singular):g}) is singular")
 
     def accumulated(self, tau, t) -> AccumulatedIntegrals:
         """Window integrals for [tau, t]; see integrate_coefficients."""
@@ -347,56 +342,40 @@ class CoefficientSet:
             raise DomainError(f"time t={t:g} is too small for the window floor {floor:g}")
 
     def window_breaks(self, t) -> np.ndarray:
-        """Window lengths at which [t - w, t] reaches a sample time of a
-        tabulated A, b or C, ascending and ending with t itself: the window
-        integrals are smooth in w between two breaks. A sample time within
-        1e-6 t of t makes no break: that piece would put nodes below the floor."""
-        s = [p.times for p in (self.A, self.b, self.C) if isinstance(p, Tabulated)]
-        s = np.concatenate([[]] + s)
+        """Window lengths at which [t - w, t] reaches a break of A, b or C,
+        ascending and ending with t itself: the window integrals are smooth
+        in w between two breaks. A break within 1e-6 t of t makes no break:
+        that piece would put nodes below the floor."""
+        s = np.concatenate([self.A.times, self.b.times, self.C.times])
         return _sorted_unique(np.append(t - s[(s > 0.0) & (s < (1.0 - 1e-6) * t)], t))
 
 
-def _spd_check_times(A, T):
-    """Times at which A(t) is checked to be SPD at construction.
-
-    Constant A once. Affine A at both ends: the smallest eigenvalue of an
-    affine symmetric family is concave in t, so the ends decide [0, T].
-    Tabulated A at 0, T and every sample time in [0, T]; between them
-    _singular_times decides.
-    """
-    if isinstance(A, Constant):
-        return [0.0]
-    if isinstance(A, Affine):
-        return [0.0, T]
-    return _sorted_unique(np.append([0.0, T], A.times[(A.times >= 0.0) & (A.times <= T)]))
-
-
 def _singular_times(A, T):
-    """Times in [0, T] between sample times where a tabulated A(t) is singular.
+    """Times in (0, T] where A(t) is singular, found piece by piece.
 
-    About lo, the start of a piece or 0 if later, A(lo + u) = d0 + d1 u +
-    d2 u^2 + d3 u^3, so its singular points are the eigenvalues u > 0 of the
-    pencil (M, B), M = [[0, I, 0], [0, 0, I], [-d0, -d1, -d2]] and
-    B = diag(I, I, d3): u = 1/mu for the eigenvalues mu != 0 of M^-1 B. M is
-    invertible, as A(lo) was found SPD. An A that is SPD at one point of a
-    piece and nowhere singular on it is SPD on the whole piece. Other
-    presets give [].
+    About lo, the start of a piece or 0 if later, A(lo + u) = d_0 + d_1 u +
+    ... + d_k u^k, so its singular points are the eigenvalues u > 0 of the
+    companion pencil (M, B): M has identity blocks above its block diagonal
+    and the last block row [-d_0, ..., -d_(k-1)], and B = diag(I, ..., I, d_k);
+    u = 1/mu for the eigenvalues mu != 0 of M^-1 B. M is invertible, as A(lo)
+    was found SPD. For k = 1 these are the generalized eigenvalues of
+    (d_0, -d_1); degree 0 has none. An A that is SPD at one point of a piece
+    and nowhere singular on it is SPD on the whole piece.
     """
-    if not isinstance(A, Tabulated):
-        return []
-    n = A.values.shape[-1]
-    eye, zero = np.eye(n), np.zeros((n, n))
+    k, n = A.coefs.shape[0] - 1, A.shape[-1]
     found = []
-    for i, h in enumerate(np.diff(A.times)):
-        lo, hi = max(A.times[i], 0.0), A.times[i + 1]
-        if lo >= min(T, hi):
+    for i, (start, hi) in enumerate(zip(A.times[:-1], A.times[1:])):
+        lo = max(start, 0.0)
+        if k == 0 or lo >= min(T, hi):
             continue
-        d0, d1, d2, d3 = (matfun.symmetrize(d) for d in _taylor(A._cubics[:, i], lo - A.times[i]))
-        pencil = np.block([[zero, eye, zero], [zero, zero, eye], [-d0, -d1, -d2]])
-        b = np.block([[eye, zero, zero], [zero, eye, zero], [zero, zero, d3]])
+        d = [matfun.symmetrize(c) for c in _taylor(A.coefs[:, i], lo - start)]
+        pencil = np.eye(k * n, k=n)
+        pencil[-n:] = -np.hstack(d[:-1])
+        b = np.eye(k * n)
+        b[-n:, -n:] = d[-1]
         mu = np.linalg.eigvals(np.linalg.solve(pencil, b))
         u = 1.0 / mu[mu != 0.0]
-        u = u[np.abs(u.imag) <= _REAL_ROOT_TOL * h].real
+        u = u[np.abs(u.imag) <= _REAL_ROOT_TOL * min(hi - start, T)].real
         found.extend(float(s) for s in lo + u[(u > 0.0) & (u <= hi - lo)] if s <= T)
     return found
 
@@ -454,10 +433,10 @@ def integrate_windows(cs, t, w) -> "WindowBatch":
     window is not inside [0, T] or is shorter than the window floor.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
-    t = np.array(np.broadcast_to(np.asarray(t, dtype=float), w.shape))
+    t = np.full(w.shape, np.asarray(t, dtype=float))
     floor = WINDOW_FLOOR * cs.T
     bad = ~((t > 0.0) & (t <= cs.T) & (w <= t) & (w >= floor))
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad))
         if 0.0 < t[k] <= cs.T and w[k] < floor:
             raise DomainError(f"window {w[k]:g} is below the degeneracy floor {floor:g}")
@@ -466,16 +445,16 @@ def integrate_windows(cs, t, w) -> "WindowBatch":
         )
 
     ia = cs.A.integral(t, w)
-    ia = 0.5 * (ia + np.swapaxes(ia, -1, -2))
+    ia = 0.5 * (ia + ia.swapaxes(-1, -2))
     ic = cs.C.integral(t, w)
     scale = np.maximum(np.maximum(cs.A.bound(t), cs.b.bound(t)), cs.C.bound(t))
     eig, ia_inv_sqrt, ia_inv = matfun.spd_roots(ia, "accumulated A integral is degenerate")
     exp_ic = matfun.matrix_exp(ic)
     return WindowBatch(
         tau=t - w, t=t, ia=ia, ib=cs.b.integral(t, w), ic=ic, ia_inv_sqrt=ia_inv_sqrt,
-        ia_inv=ia_inv, ia_eigenvalues=eig, det_ia_sqrt=np.prod(np.sqrt(eig), axis=1),
-        exp_ic=exp_ic, exp_ic_star=np.ascontiguousarray(np.swapaxes(exp_ic, -1, -2)),
-        quad_error=_ROUNDING_ULPS * np.finfo(float).eps * w * scale,
+        ia_inv=ia_inv, ia_eigenvalues=eig, det_ia_sqrt=np.sqrt(eig).prod(axis=1),
+        exp_ic=exp_ic, exp_ic_star=np.ascontiguousarray(exp_ic.swapaxes(-1, -2)),
+        quad_error=_ROUNDING_ERROR * w * scale,
     )
 
 

@@ -7,6 +7,7 @@ singularity of the kernel ingredients.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -135,14 +136,18 @@ class SolveResult:
 class SolveSettings:
     """Tensor-quadrature controls for the source problem: S = ``sigma_slices``
     angle intervals of Fejer's second rule per piece in sigma (S - 1 nodes,
-    S even and >= 4), ``grid_points`` cells per axis (odd and >= 3) and a
-    grid reach of ``truncation_sigmas`` (>= 6) kernel deviations."""
+    an even integer >= 4), ``grid_points`` cells per axis (an odd integer
+    >= 3) and a grid reach of ``truncation_sigmas`` (>= 6) kernel deviations."""
 
     sigma_slices: int = 32
     grid_points: int = 129
     truncation_sigmas: float = 8.0
 
     def __post_init__(self):
+        for name in ("sigma_slices", "grid_points"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.sigma_slices < 4 or self.sigma_slices % 2:
             raise DomainError("sigma_slices must be even and >= 4")
         if self.grid_points < 3 or self.grid_points % 2 == 0:

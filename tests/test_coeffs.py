@@ -166,7 +166,7 @@ def test_pchip_matches_scipy_bit_for_bit():
     for times, values in _pchip_tables(rng):
         tab = sp.Tabulated(times, values)
         ref = PchipInterpolator(times, values, axis=0)
-        assert np.array_equal(tab._cubics, ref.c)
+        assert np.array_equal(tab.coefs, ref.c)
         for t in np.concatenate([times, rng.uniform(times[0], times[-1], 8)]):
             assert np.array_equal(tab(t), ref(t))
 
@@ -174,11 +174,11 @@ def test_pchip_matches_scipy_bit_for_bit():
 def _singular_times_by_qz(A, T):
     """_singular_times with every piece expanded about its start and the
     pencil's roots taken from scipy's generalized eigenvalues (QZ)."""
-    n = A.values.shape[-1]
+    n = A(A.times[0]).shape[-1]
     eye, zero = np.eye(n), np.zeros((n, n))
     found = []
     for i, h in enumerate(np.diff(A.times)):
-        c0, c1, c2, c3 = (0.5 * (c + c.T) for c in A._cubics[:, i])
+        c0, c1, c2, c3 = (0.5 * (c + c.T) for c in A.coefs[:, i])
         pencil = np.block([[zero, eye, zero], [zero, zero, eye], [-c3, -c2, -c1]])
         u = scipy.linalg.eigvals(pencil, scipy.linalg.block_diag(eye, eye, c0))
         u = u[np.isfinite(u) & (np.abs(u.imag) <= 1e-8 * h)].real
@@ -214,6 +214,64 @@ def test_singular_times_match_the_generalized_eigenvalues(data):
             assert eig.min() <= 1e-12 * eig.max()
         hits += len(got)
     assert hits > 10
+
+
+def test_affine_singular_times_are_the_generalized_eigenvalues():
+    # A(t) = A0 + t A1 is singular where A0 v = -t A1 v: one crossing in (0, 1)
+    a0 = np.array([[1.0, 0.2], [0.2, 0.7]])
+    a1 = np.array([[-1.5, 0.3], [0.3, 0.4]])
+    want = scipy.linalg.eigvals(a0, -a1)
+    want = np.sort(want[(want.imag == 0.0) & (want.real > 0.0) & (want.real <= 1.0)].real)
+    assert want.size == 1
+    got = np.sort(_singular_times(sp.Affine(a0, a1), 1.0))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_constant_A_runs_no_pencil(monkeypatch):
+    def no_pencil(*args):
+        raise AssertionError("a pencil was solved for a constant A")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_pencil)
+    A = sp.Constant(np.array([[1.0, 0.3], [0.3, 2.0]]))
+    assert _singular_times(A, 1.0) == []
+    sp.coefficient_set(n=2, m=1, T=1.0, A=A)
+
+
+def test_constant_and_affine_presets_live_on_the_half_line():
+    v, s = np.array([[1.0, 0.5], [0.5, 2.0]]), np.eye(2)
+    for preset in (sp.Constant(v), sp.Affine(v, s)):
+        np.testing.assert_array_equal(preset(0.0), v)
+        assert np.all(np.isfinite(preset(1e9)))
+        with pytest.raises(DomainError):
+            preset(-1e-9)
+
+
+def test_constant_integral_is_the_window_times_the_value():
+    v = np.random.default_rng(26).normal(size=(3, 3))
+    t, w = np.full(5, 0.9), np.array([1e-13, 0.1, 1.0 / 3.0, 0.7, 0.9])
+    assert np.array_equal(sp.Constant(v).integral(t, w), w[:, None, None] * v)
+
+
+def test_bounds_and_quad_error_keep_their_closed_forms_bit_for_bit():
+    # constant: max|value|; affine: max|value0| + t max|slope|; tabulated:
+    # the sup of every piece's sum_k |c_k| h^(3-k), widened by the piece count
+    rng = np.random.default_rng(26)
+    v, s = rng.normal(size=(2, 2, 2))
+    times = np.array([0.0, 0.3, 0.55, 1.0])
+    values = rng.normal(size=(times.size, 1, 1))
+    t = np.linspace(0.05, 1.0, 7)
+    A, b, C = sp.Constant(v @ v.T + np.eye(2)), sp.Affine(v[0], s[0]), sp.Tabulated(times, values)
+    assert A.bound(t) == np.max(np.abs(v @ v.T + np.eye(2)))
+    np.testing.assert_array_equal(b.bound(t), np.max(np.abs(v[0])) + t * np.max(np.abs(s[0])))
+    c = PchipInterpolator(times, values, axis=0).c
+    h = np.diff(times)[:, None, None]
+    sup = float(np.max(np.sum(np.abs(c) * h ** np.arange(3, -1, -1).reshape(4, 1, 1, 1), axis=0)))
+    assert C.bound(t) == sup * (1.0 + 3 / 64)
+    cs = sp.coefficient_set(n=2, m=1, T=1.0, A=A, b=b, C=C)
+    w = 0.5 * t
+    scale = np.maximum(np.maximum(A.bound(t), b.bound(t)), C.bound(t))
+    np.testing.assert_array_equal(integrate_windows(cs, t, w).quad_error,
+                                  64 * np.finfo(float).eps * w * scale)
 
 
 def test_window_scaling_exponents_constant():

@@ -620,8 +620,8 @@ def test_sharp_N_tabulated_matches_split_qaws_at_its_maximizer(p):
     # its cubic piece at w = 0.1, where the reference integral is split
     cs = _searched_sets()[0]
     ts = cs.A.times
-    a_int = PchipInterpolator(ts, cs.A.values, axis=0)
-    c_int = PchipInterpolator(ts, cs.C.values, axis=0)
+    a_int = PchipInterpolator(ts, np.array([cs.A(s) for s in ts]), axis=0)
+    c_int = PchipInterpolator(ts, np.array([cs.C(s) for s in ts]), axis=0)
     t = 0.7
     pp = p / (p - 1.0)
     result = sp.sharp_N(cs, p, t)

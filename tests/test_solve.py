@@ -223,7 +223,9 @@ def test_source_solution_splits_at_a_tabulated_sample_time():
 @pytest.mark.parametrize(
     "fields", [{"sigma_slices": 31}, {"sigma_slices": 2}, {"grid_points": 64},
                {"grid_points": 1}, {"truncation_sigmas": 0.0}, {"truncation_sigmas": -3.0},
-               {"truncation_sigmas": math.nan}, {"truncation_sigmas": 5.9}],
+               {"truncation_sigmas": math.nan}, {"truncation_sigmas": 5.9},
+               {"grid_points": 129.5}, {"grid_points": 129.0}, {"grid_points": True},
+               {"sigma_slices": 32.5}, {"sigma_slices": 32.0}, {"sigma_slices": True}],
 )
 def test_solve_settings_need_an_even_rule_and_an_odd_grid(fields):
     with pytest.raises(DomainError):
