@@ -341,12 +341,12 @@ class CoefficientSet:
         if w < floor:
             raise DomainError(f"time t={t:g} is too small for the window floor {floor:g}")
 
-    def window_breaks(self, t) -> np.ndarray:
-        """Window lengths at which [t - w, t] reaches a break of A, b or C,
-        ascending and ending with t itself: the window integrals are smooth
-        in w between two breaks. A break within 1e-6 t of t makes no break:
-        that piece would put nodes below the floor."""
-        s = np.concatenate([self.A.times, self.b.times, self.C.times])
+    def window_breaks(self, t, drift=True) -> np.ndarray:
+        """Window lengths at which [t - w, t] reaches a break of A, C and,
+        unless ``drift`` is False, b, ascending and ending with t itself: the
+        window integrals are smooth in w between two breaks. A break within
+        1e-6 t of t makes no break: that piece would put nodes below the floor."""
+        s = np.concatenate([self.A.times, self.C.times] + ([self.b.times] if drift else []))
         return _sorted_unique(np.append(t - s[(s > 0.0) & (s < (1.0 - 1e-6) * t)], t))
 
 

@@ -45,10 +45,11 @@ def as_real_matrix(entries) -> np.ndarray:
 
 
 def canonical_sign(vec) -> np.ndarray:
-    """Pick the lexicographically smaller of {v, -v} (reproducible maximizers)."""
+    """Pick the one of {v, -v} whose first nonzero entry is positive
+    (reproducible maximizers)."""
     v = np.asarray(vec, dtype=float) + 0.0  # drop negative zeros
     w = -v + 0.0
-    return v if tuple(v) <= tuple(w) else w
+    return v if tuple(v) >= tuple(w) else w
 
 
 def component_norms(values) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Quadrature rules: ``fejer_rule`` and its composite form
-``piecewise_rule``, the nested rule of every source-time integral, and
-``adaptive_quadrature``, adaptive composite Gauss-Legendre
-(7-point panels with an embedded 5-point estimate; panels bisect where the
-two rules disagree beyond their share of the tolerance; scalar, vector and
-matrix valued integrands).
+"""Quadrature rules: ``fejer_rule``, its composite form ``piecewise_rule``
+(the rule of every source-time integral) and that rule's error bound
+``piecewise_error`` from the Chebyshev tail of the values it sums; and
+``adaptive_quadrature``, adaptive composite Gauss-Legendre (7-point panels
+with an embedded 5-point estimate, bisected where the two disagree beyond
+their share of the tolerance; scalar, vector and matrix integrands).
 """
 
 import functools
@@ -15,6 +15,15 @@ _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X5, _W5 = np.polynomial.legendre.leggauss(5)
 
 DEFAULT_TOL = 1e-10
+
+
+@functools.lru_cache(maxsize=64)
+def _sines(K):
+    """Read-only sin(j k pi / (K + 1)), j, k = 1..K: the DST-I of the K-node rule."""
+    k = np.arange(1, K + 1)
+    sines = np.sin(np.pi * (np.outer(k, k) % (2 * K + 2)) / (K + 1))
+    sines.flags.writeable = False
+    return sines
 
 
 @functools.lru_cache(maxsize=64)
@@ -35,7 +44,7 @@ def fejer_rule(K, e=0.0):
     t = np.array(t[:K])
     u = np.empty(K)  # the same for U_j = 2 (T_j + T_(j-2) + ...), less T_0 for even j
     u[0::2], u[1::2] = 2.0 * np.cumsum(t[0::2]) - t[0], 2.0 * np.cumsum(t[1::2])
-    sines = np.sin(np.pi * (np.outer(k, k) % (2 * K + 2)) / (K + 1))  # sin(j k pi / (K + 1))
+    sines = _sines(K)
     # interpolation in U_j at x = -cos(k pi / (K + 1)), where U_j(x) =
     # (-1)^j U_j(-x); 2^(e - 1) maps the weight (1 + x)^(-e) to u^(-e) on [0, 1]
     weights = 2.0**e / (K + 1) * sines[0] * (sines @ (u * (-1.0) ** np.arange(K)))
@@ -45,25 +54,52 @@ def fejer_rule(K, e=0.0):
 
 
 def piecewise_rule(ends, nodes, e=0.0):
-    """Fejer's second rule of ``nodes`` nodes (odd) on each piece of [0,
-    ends[-1]] that ends at ``ends``: flat (points, weights, nested).
-
-    The first piece takes the product weights of u^(-e), u^e folded in; the
-    others those of e = 0. ``nested`` holds the weights of the nodes // 2
-    rule, which sits on every other node ([1::2] of a piece), 0 elsewhere.
+    """Fejer's second rule of ``nodes`` nodes on each piece of [0, ends[-1]]
+    that ends at ``ends``: flat (points, weights). The first piece takes the
+    product weights of u^(-e), u^e folded in; the others those of e = 0.
     """
     starts = np.append(0.0, ends[:-1])
     lengths = (ends - starts)[:, None]
-    u = fejer_rule(nodes)[0]
+    u, weights = fejer_rule(nodes)
+    weights = lengths * weights
+    weights[0] = lengths[0] * fejer_rule(nodes, e)[1] * u**e
+    return (starts[:, None] + lengths * u).ravel(), weights.ravel()
 
-    def rule(size, on):  # weights of the size-node rule on the nodes u[on]
-        weights = np.zeros((len(ends), nodes))
-        weights[:, on] = lengths * fejer_rule(size)[1]
-        weights[0, on] = lengths[0] * fejer_rule(size, e)[1] * u[on] ** e
-        return weights.ravel()
 
-    points = (starts[:, None] + lengths * u).ravel()
-    return points, rule(nodes, slice(None)), rule(nodes // 2, slice(1, None, 2))
+def chebyshev_tail(values, e=0.0):
+    """Error bound of ``fejer_rule(K, e)`` on u^(-e) * smooth per unit of
+    int u^(-e), from smooth's values at its K nodes (axis 0; components in
+    the 2-norm). A DST-I gives the interpolant's coefficients c_j in
+    U_j(2u - 1); the rule is exact on it, and each c_j past K costs about
+    m_j = |int u^(-e) U_j| / int u^(-e) plus, aliased to U_(2K - j), that m.
+    From c, the larger of the last two, and r, their rate against the two
+    before (at most 1 - 1/K), it is 13 c (max m_tail / (1 - r) + sum_j
+    r^(K - j) m_j): tests/test_sharp.py needs at least 10 to run its
+    strong-damping rows to rounding level and at most 17 to keep its
+    honesty rows within 100 times their real error. A tail within K eps of
+    the largest c is rounding: 0; one above 1e-3 of it resolves nothing: inf."""
+    K, sines = len(values), _sines(len(values))
+    coefs = np.linalg.norm(sines @ (sines[0][:, None] * np.reshape(values, (K, -1))), axis=1)
+    tail, before, top = coefs[-2:].max(), coefs[-4:-2].max(), coefs.max()
+    if tail <= K * np.finfo(float).eps * top:
+        return 0.0
+    if not tail <= 1e-3 * top:
+        return np.inf
+    moments = (1.0 - e) * np.abs(sines @ (fejer_rule(K, e)[1] / sines[0]))
+    r = min(np.sqrt(tail / max(before, tail)), 1.0 - 1.0 / K)
+    spread = moments[-2:].max() / (1.0 - r) + r ** np.arange(K, 0, -1) @ moments
+    return float(13.0 * 2.0 / (K + 1) * tail * spread)  # 2 / (K + 1) scales the DST
+
+
+def piecewise_error(ends, values, e=0.0):
+    """Error bound of ``piecewise_rule(ends, K, e)`` on the integrand's
+    ``values`` at its points (axis 0): each piece's ``chebyshev_tail`` (the
+    first piece's values times u^e) times its integral of |u^(-e)|."""
+    pieces = np.reshape(values, (len(ends), -1) + np.shape(values)[1:])
+    u = fejer_rule(pieces.shape[1])[0].reshape((-1,) + (1,) * (pieces.ndim - 2))
+    lengths = np.diff(ends, prepend=0.0)
+    return (lengths[0] / (1.0 - e) * chebyshev_tail(pieces[0] * u**e, e)
+            + sum(w * chebyshev_tail(p) for w, p in zip(lengths[1:], pieces[1:])))
 
 
 @dataclass(frozen=True)

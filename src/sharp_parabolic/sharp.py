@@ -17,7 +17,7 @@ import numpy as np
 from . import matfun
 from .coeffs import window_scaling_exponents  # noqa: F401  (wrapped by bench/tracer.py)
 from .errors import DomainError
-from .quadrature import DEFAULT_TOL, piecewise_rule
+from .quadrature import DEFAULT_TOL, piecewise_error, piecewise_rule
 from .quadrature import adaptive_quadrature  # noqa: F401  (wrapped by bench/tracer.py)
 
 INF = math.inf
@@ -142,8 +142,8 @@ def _objective(weights, mats, pp):
         blocks = []
         for b, (m, x) in enumerate(zip(mats, vecs)):
             coef = pp * weights
-            for j, mag in enumerate(mags):
-                coef = coef * mag ** (pp - 2.0 if j == b else pp)
+            for j, mag in enumerate(mags):  # a zero block (underflow) has no slope: x = 0
+                coef = coef * (np.where(mag > 0.0, mag, 1.0) ** (pp - 2.0) if j == b else mag**pp)
             blocks.append(np.einsum("k,kij,kj->i", coef, np.transpose(m, (0, 2, 1)), x))
         return tuple(blocks)
 
@@ -381,8 +381,8 @@ def converges_C(cs, p) -> bool:
 # source-problem constants (window integrals over the source time)
 
 
-# Nodes per piece of a window table: 2K + 1 from the start while a table's
-# rule and its nested rule disagree beyond quad_tol, up to the cap.
+# Nodes per piece of a window table: 2K + 1 from the start while the
+# error bound exceeds quad_tol, up to the cap.
 _NODES_START, _NODES_CAP = 31, 511
 
 
@@ -391,47 +391,55 @@ class _WindowTables:
     """Quadrature nodes in the window length w with per-node data."""
 
     sigmas: np.ndarray  # sqrt(w) per node
-    weights: np.ndarray  # rule weight * det^(1 - p')
-    nested: np.ndarray  # the same for the nested rule; 0 off its nodes
+    weights: np.ndarray  # rule weight * dets
+    dets: np.ndarray  # det^(1 - p') per node
     exps: np.ndarray  # exp_ic_star per node, (K, m, m)
     inv_sqrts: np.ndarray | None  # ia_inv_sqrt per node, (K, n, n)
+    ends: np.ndarray  # the pieces' ends in w
+    e: float  # the integrand's endpoint exponent, w^(-e)
 
 
 def _window_tables(cs, t, pp, with_gradient, nodes) -> _WindowTables:
     """Node table in w on [0, t] for the integrand w^(-e) * smooth.
 
-    Pieces end at the window breaks of the coefficient set, each with
+    Pieces end at the breaks of A and C (b enters no constant), each with
     ``piecewise_rule``'s ``nodes`` nodes, the first with the product weights
-    of w^(-e); the nested rule sits on every other node, so only the weights
-    depend on p. Raises DomainError when a node is below the SPD floor
+    of w^(-e). Raises DomainError when a node is below the SPD floor
     (``check_window_floor``).
     """
     e = 0.5 * cs.n * (pp - 1.0) + (0.5 * pp if with_gradient else 0.0)
-    ws, weights, nested = piecewise_rule(cs.window_breaks(t), nodes, e)
+    ends = cs.window_breaks(t, drift=False)
+    ws, weights = piecewise_rule(ends, nodes, e)
     cs.check_window_floor(t, ws[0])
     batch = cs.windows(t, ws)
     dets = batch.det_ia_sqrt ** (1.0 - pp)
-    return _WindowTables(np.sqrt(ws), weights * dets, nested * dets, batch.exp_ic_star,
-                         batch.ia_inv_sqrt if with_gradient else None)
+    return _WindowTables(np.sqrt(ws), weights * dets, dets, batch.exp_ic_star,
+                         batch.ia_inv_sqrt if with_gradient else None, ends, e)
 
 
-def _tau_integral(tables, pp, z, ell=None, weights=None):
-    """Node-table sum of the window integrand at the maximizers z (and ell),
-    by the table's rule or by ``weights``."""
+def _integrand(tables, pp, z, ell=None):
+    """The window integrand at the nodes over det^(1 - p'): |exp_ic_star z|^p',
+    times |ia_inv_sqrt ell|^p' when ``ell`` is given."""
     terms = np.linalg.norm(tables.exps @ z, axis=1) ** pp
     if ell is not None:
         terms = terms * np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
-    return float(np.dot(tables.weights if weights is None else weights, terms))
+    return terms
+
+
+def _tau_integral(tables, pp, z, ell=None):
+    """Node-table sum of the window integrand at the maximizers z (and ell),
+    as ``_source_constant`` forms it."""
+    return float(np.dot(tables.weights, _integrand(tables, pp, z, ell)))
 
 
 def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
     """N, C_ell or C: one node table and one search per level.
 
     C is maximized over both spheres jointly: the direction factor under the
-    window integral depends on the source time. The error is the distance
-    from the nested rule's sum at the same maximizers, at least the rounding
-    of sum |weight * term| (the weights alternate in sign for e > 1/2) over
-    that many terms plus that of |exp(int C)|^p', about eps p' m t sup|C_ij|
+    window integral depends on the source time. The error is the integrand's
+    ``piecewise_error`` at the maximizers, at least the rounding of sum
+    |weight * term| (the weights alternate in sign for e > 1/2) over that
+    many terms plus that of |exp(int C)|^p', about eps p' m t sup|C_ij|
     relative. K -> 2K + 1 nodes per piece until the error is within
     ``quad_tol`` relative or K is ``_NODES_CAP``, where it may stay above.
     """
@@ -454,10 +462,11 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
             ell = np.array([1.0]) if kind == "C" else ell
             factors = 1.0 if ell is None else np.linalg.norm(tables.inv_sqrts @ ell, axis=1) ** pp
             (z,), _, residual = _maximize(tables.weights * factors, (tables.exps,), pp, sphere)
-        integral, nested, magnitude = (_tau_integral(tables, pp, z, ell, w) for w in (
-            tables.weights, tables.nested, np.abs(tables.weights)))
+        terms = _integrand(tables, pp, z, ell)
+        integral = float(np.dot(tables.weights, terms))
+        magnitude = np.dot(np.abs(tables.weights), terms)
         rounding = (tables.sigmas.size + pp * ic_bound) * np.finfo(float).eps * magnitude
-        error = max(abs(integral - nested), rounding)
+        error = max(piecewise_error(tables.ends, tables.dets * terms, tables.e), rounding)
         if error <= quad_tol * integral or nodes >= _NODES_CAP:
             break
         nodes = 2 * nodes + 1
@@ -465,8 +474,8 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
     value = prefactor(cs.n, p, pp) * integral ** (1.0 / pp)
     return SharpResult(
         value=value,
-        maximizer_z=matfun.canonical_sign(z),
-        maximizer_ell=None if ell is None else matfun.canonical_sign(ell),
+        maximizer_z=z,
+        maximizer_ell=ell,
         convergent=True,
         diagnostics=SharpDiagnostics(
             quad_error=value * error / (pp * integral), search_residual=residual

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels, matfun
 from .errors import CoverageWarning, DomainError
-from .quadrature import piecewise_rule
+from .quadrature import piecewise_error, piecewise_rule
 from .sharp import _validate_ell
 
 __all__ = [
@@ -201,34 +201,35 @@ def solve_homogeneous(cs, phi: GridFunction, x, t) -> SolveResult:
 def _source_quadrature(cs, f, x, t, settings, gradient_ell=None, p=None):
     """One walk over Fejer's second rule in sigma = sqrt(t - tau) on each
     piece between the square roots of the window breaks; every node has its
-    own cell grid. f is sampled once per node, and that sample feeds the
-    solution, the nested rule of half the intervals (every other node) on
-    the every-other-node subgrid, whose distance from the solution is the
-    error estimate, and, when ``p`` is given, ||f||_{p,t} with the solution's
-    weights. Returns (SolveResult, norm or None)."""
-    sigmas, rule, nested = piecewise_rule(np.sqrt(cs.window_breaks(t)), settings.sigma_slices - 1)
+    own cell grid. f is sampled and contracted once per node, and that
+    sample feeds the solution, its error estimate and, when ``p`` is given,
+    ||f||_{p,t} with the solution's weights. The estimate is the Chebyshev
+    tail bound of the per-node integrand (``piecewise_error``), at least the
+    rounding of the node and cell sums; it leaves out the mass of the kernel
+    beyond ``truncation_sigmas``. Returns (SolveResult, norm or None)."""
+    ends = np.sqrt(cs.window_breaks(t))
+    sigmas, rule = piecewise_rule(ends, settings.sigma_slices - 1)
     cs.check_window_floor(t, sigmas[0] ** 2)
-    # weights in tau = t - sigma^2: d tau = 2 sigma d sigma
-    fine_w, half_w = (2.0 * sigmas * r for r in (rule, nested))
-    sub = (slice(None, None, 2),) * cs.n
-    fine, coarse, norm_terms = np.zeros(cs.m), np.zeros(cs.m), []
-    for sigma, w_fine, w_half, acc in zip(
-        sigmas.tolist(), fine_w.tolist(), half_w.tolist(), cs.windows(t, np.square(sigmas))
-    ):
+    value, terms, norm_terms = np.zeros(cs.m), [], []
+    for sigma, weight_s, acc in zip(sigmas.tolist(), (2.0 * sigmas * rule).tolist(),
+                                    cs.windows(t, np.square(sigmas))):
         axes, spacings, _ = kernels.slice_grid(
             acc, x, settings.truncation_sigmas, settings.grid_points
         )
         cell = float(np.prod(spacings))
         vals = f(kernels.grid_nodes(axes), t - sigma * sigma)
         weight = kernels.kernel_weight(acc, kernels.displacement(acc, x, axes), gradient_ell)
-        fine = fine + w_fine * cell * (acc.exp_ic @ np.tensordot(weight, vals, cs.n))
-        if w_half:
-            inner = np.tensordot(weight[sub], vals[sub], cs.n)
-            coarse = coarse + w_half * 2.0**cs.n * cell * (acc.exp_ic @ inner)
+        inner = acc.exp_ic @ np.tensordot(weight, vals, cs.n)
+        # weights in tau = t - sigma^2: d tau = 2 sigma d sigma
+        value = value + weight_s * cell * inner
+        terms.append(2.0 * sigma * cell * inner)
         if p is not None:
             mags = matfun.component_norms(vals)
-            norm_terms.append(np.max(mags) if math.isinf(p) else w_fine * cell * np.sum(mags**p))
-    result = SolveResult(value=fine, error_estimate=float(np.linalg.norm(fine - coarse)))
+            norm_terms.append(np.max(mags) if math.isinf(p) else weight_s * cell * np.sum(mags**p))
+    # at least the rounding of the sums: eps per node and per grid cell
+    rounding = (rule.size + settings.grid_points**cs.n) * np.finfo(float).eps * (
+        np.abs(rule) @ np.linalg.norm(terms, axis=1))
+    result = SolveResult(value=value, error_estimate=max(piecewise_error(ends, terms), rounding))
     if p is None:
         return result, None
     return result, float(max(norm_terms) if math.isinf(p) else sum(norm_terms) ** (1.0 / p))

@@ -360,8 +360,8 @@ def _nonhomogeneous_solve(**request):
 
 
 def test_one_solve_row_samples_the_source_once_per_node(tmp_path, monkeypatch):
-    # one pass of S - 1 nodes: the nested rule and the data norm read the
-    # same samples
+    # one pass of S - 1 nodes: the solution, its error estimate and the
+    # data norm read the same samples
     calls = []
     data_callable = cli._data_callable
 

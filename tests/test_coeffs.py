@@ -489,23 +489,20 @@ def test_window_tables_read_the_batch_arrays():
     cs, _, _ = _tabulated_set()
     pp = 1.2  # e = 0.8 < 1 with the gradient at n = 2
     tables = sharp._window_tables(cs, 0.9, pp, with_gradient=True, nodes=31)
-    # the node table's rule and its nested rule, as _window_tables builds them
+    # the node table's rule, as _window_tables builds it
     e = 0.5 * cs.n * (pp - 1.0) + 0.5 * pp
-    ends = cs.window_breaks(0.9)
+    ends = cs.window_breaks(0.9, drift=False)
     starts = np.append(0.0, ends[:-1])
     u = fejer_rule(31)[0]
     ws = (starts[:, None] + (ends - starts)[:, None] * u).ravel()
-    rules = []
-    for size, on in ((31, slice(None)), (15, slice(1, None, 2))):
-        rule = np.zeros((len(ends), 31))
-        rule[:, on] = (ends - starts)[:, None] * fejer_rule(size)[1]
-        rule[0, on] = ends[0] * fejer_rule(size, e)[1] * u[on] ** e
-        rules.append(rule.ravel())
+    rule = (ends - starts)[:, None] * fejer_rule(31)[1]
+    rule[0] = ends[0] * fejer_rule(31, e)[1] * u**e
     items = list(cs.windows(0.9, ws))
     dets = np.array([acc.det_ia_sqrt for acc in items]) ** (1.0 - pp)
     assert np.array_equal(tables.sigmas, np.sqrt(ws))
-    assert np.array_equal(tables.weights, rules[0] * dets)
-    assert np.array_equal(tables.nested, rules[1] * dets)
+    assert np.array_equal(tables.weights, rule.ravel() * dets)
+    assert np.array_equal(tables.dets, dets) and tables.e == e
+    assert np.array_equal(tables.ends, ends)
     for got, name in ((tables.exps, "exp_ic_star"), (tables.inv_sqrts, "ia_inv_sqrt")):
         want = np.stack([getattr(acc, name) for acc in items])
         assert np.array_equal(got, want) and got.flags.c_contiguous, name

@@ -258,12 +258,12 @@ def test_matrix_exp_transpose_identity():
         )
 
 
-def test_canonical_sign_picks_lexicographic_min():
-    z = np.array([0.0, 1.0])
-    np.testing.assert_array_equal(matfun.canonical_sign(z), [0.0, -1.0])
-    np.testing.assert_array_equal(
-        matfun.canonical_sign(np.array([-2.0, 5.0])), [-2.0, 5.0]
-    )
+def test_canonical_sign_makes_the_first_nonzero_entry_positive():
+    for v, want in (([0.0, -1.0], [0.0, 1.0]), ([-2.0, 5.0], [2.0, -5.0]),
+                    ([2.0, -5.0], [2.0, -5.0]), ([-1.0], [1.0]), ([-0.0, 0.0], [0.0, 0.0])):
+        got = matfun.canonical_sign(np.array(v))
+        np.testing.assert_array_equal(got, want)
+        assert not np.any(np.signbit(got[got == 0.0]))  # no negative zeros
 
 
 def test_symmetrize_rejects_bad_input():

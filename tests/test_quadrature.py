@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 import sharp_parabolic as sp
 from sharp_parabolic import coeffs, sharp
-from sharp_parabolic.quadrature import adaptive_quadrature, fejer_rule, piecewise_rule
+from sharp_parabolic.quadrature import (adaptive_quadrature, chebyshev_tail, fejer_rule,
+                                        piecewise_error, piecewise_rule)
 
 EPS = np.finfo(float).eps
 
@@ -101,16 +102,19 @@ def test_fejer_rule_is_the_solvers_sigma_rule(intervals):
 @pytest.mark.parametrize("e", [0.0, 0.3, 0.9])
 def test_piecewise_rule_integrates_across_the_pieces(e):
     # x^(-e) * smooth on [0, 1] in three pieces: the first piece's weights
-    # carry x^(-e); the nested rule sits on [1::2] of every piece
+    # carry x^(-e); piecewise_error bounds the error of the sum
     ends = np.array([0.3, 0.5, 1.0])
-    points, weights, nested = piecewise_rule(ends, 31, e)
+    points, weights = piecewise_rule(ends, 31, e)
     assert np.all(np.diff(points) > 0.0) and 0.0 < points[0] and points[-1] < 1.0
-    assert not np.any(nested.reshape(3, 31)[:, 0::2])
     smooth = lambda x: np.exp(-3.0 * x) * np.cos(2.0 * x)
     want = (quad(smooth, 0.0, 0.3, weight="alg", wvar=(-e, 0.0), epsabs=1e-15, epsrel=1e-13)[0]
             + quad(lambda x: x**-e * smooth(x), 0.3, 1.0, epsabs=1e-15, epsrel=1e-13)[0])
-    for rule in (weights, nested):
-        assert rule @ (points**-e * smooth(points)) == pytest.approx(want, rel=1e-13)
+    values = points**-e * smooth(points)
+    assert weights @ values == pytest.approx(want, rel=1e-13)
+    assert piecewise_error(ends, values, e) <= 1e-13 * abs(want)  # resolved to rounding
+    points, weights = piecewise_rule(ends, 15, e)
+    values = points**-e * smooth(points)
+    assert abs(weights @ values - want) <= piecewise_error(ends, values, e) <= 1e-10 * abs(want)
 
 
 def test_a_source_row_that_converges_at_once_makes_one_batch_and_one_search(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.linalg import expm
 from scipy.special import gamma, gammainc, hyp1f1
 
 import sharp_parabolic as sp
-from sharp_parabolic import matfun, sharp
+from sharp_parabolic import coeffs, matfun, sharp
 from sharp_parabolic.errors import DomainError
 
 INF = math.inf
@@ -685,6 +686,35 @@ def test_unreachable_quad_tol_runs_to_the_cap_and_says_so(monkeypatch):
     assert max(sizes) == sharp._NODES_CAP
 
 
+def test_a_tabulated_drift_does_not_split_the_source_rule(monkeypatch):
+    # b enters no sharp constant, so its sample times make no pieces; solve
+    # keeps them, since int b moves the kernel
+    ts = np.array([0.0, 0.3, 0.6, 1.0])
+    cs = sp.coefficient_set(n=1, m=1, T=1.0, b=sp.Tabulated(ts, [[0.2], [-0.1], [0.4], [0.3]]))
+    windows = []
+    integrate = coeffs.integrate_windows
+    monkeypatch.setattr(coeffs, "integrate_windows",
+                        lambda cs, t, w: windows.append(len(w)) or integrate(cs, t, w))
+    assert sp.sharp_N(cs, 3.0, 1.0).value == 0.6940547977977204
+    assert windows == [31]
+    assert cs.window_breaks(1.0).tolist() == pytest.approx([0.4, 0.7, 1.0], rel=1e-15)
+
+
+def test_one_component_maximizers_are_one_and_directions_are_the_given_ones():
+    # every kind reports z = [1] for m = 1 (the oracle's sign), and K_ell
+    # and C_ell report the ell they were given, not its sign-flipped copy
+    cs = sp.coefficient_set(n=2, m=1, T=1.0, A=np.diag([1.0, 0.5]), C=0.3)
+    ell = np.array([-0.6, 0.8])
+    for kind in sharp.KINDS:
+        given = ell if kind.endswith("_ell") else None
+        result = sp.evaluate_sharp(cs, sp.SharpRequest(kind, 8.0, 1.0, given))
+        assert np.array_equal(result.maximizer_z, [1.0]), kind
+        if given is not None:
+            assert np.array_equal(result.maximizer_ell, ell), kind
+        elif kind in ("K", "C"):
+            assert result.maximizer_ell[np.flatnonzero(result.maximizer_ell)[0]] > 0.0, kind
+
+
 @pytest.mark.parametrize("scale, t", [(1e-6, 1e-6), (1.0, 5e-10)])
 def test_too_small_time_raises_domain_error(scale, t):
     cs = sp.coefficient_set(n=2, m=1, T=1.0, A=scale * np.eye(2))
@@ -745,3 +775,109 @@ def test_result_invariant_value_iff_convergent():
         sp.SharpResult(
             value=1.0, maximizer_z=None, maximizer_ell=None, convergent=False
         )
+
+
+# ---------------------------------------------------------------------------
+# the reported quad_error against the real error
+#
+# Each row is N, C_ell or C with A constant, affine or tabulated and
+# C = c I, so that |exp(int C) z|^p' = exp(p' c w) for every unit z. The
+# reference is the window integral k(w) w^(-e) exp(p' c w) (k from the mean
+# of A over the window): the lower incomplete gamma for a constant A,
+# QUADPACK's QAWS otherwise. The real error is known only up to the
+# reference's own error, which the checks allow for.
+
+_HONEST_A = np.array([[1.3, 0.4], [0.4, 0.7]])
+_HONEST_SLOPE = np.array([[0.3, -0.1], [-0.1, 0.2]])
+
+
+def _honest_set(preset, n, m, c):
+    """(coefficient set, t, mean of A over [t - w, t] as a function of w)."""
+    if preset == "constant":
+        a = _HONEST_A[:n, :n]
+        return sp.coefficient_set(n=n, m=m, T=1.0, A=a, C=c * np.eye(m)), 1.0, lambda w: a
+    if preset == "affine":
+        a0, a1, t = _HONEST_A[:n, :n], _HONEST_SLOPE[:n, :n], 0.75
+        cs = sp.coefficient_set(n=n, m=m, T=1.0, A=sp.Affine(a0, a1), C=c * np.eye(m))
+        return cs, t, lambda w: a0 + a1 * (t - 0.5 * w)
+    tab = _searched_sets()[0].A
+    pchip = PchipInterpolator(tab.times, np.array([tab(s) for s in tab.times]), axis=0)
+    t = 0.7
+    i = int(np.searchsorted(pchip.x, t)) - 1
+    st = t - pchip.x[i]
+
+    def mean(w):
+        if w > st:
+            return pchip.integrate(t - w, t) / w
+        # inside the last piece, sum_k c_k (st^(k+1) - s0^(k+1)) / ((k+1) w)
+        # without the cancellation: sum_k c_k sum_j st^j s0^(k-j) / (k+1)
+        s0 = st - w
+        return sum(pchip.c[3 - k, i] * sum(st**j * s0 ** (k - j) for j in range(k + 1)) / (k + 1)
+                   for k in range(4))
+
+    cs = sp.coefficient_set(n=2, m=m, T=1.0, A=tab, C=c * np.eye(m))
+    return cs, t, mean
+
+
+def _honest_reference(preset, kind, cs, t, mean, c, pp, ell):
+    """(window integral, its error) for the row's maximizer ell."""
+    ell = None if kind == "N" else ell
+    e = _endpoint_exponent(cs.n, pp, ell is not None)
+    if preset == "constant":
+        b = abs(pp * c)  # int_0^t w^(-e) exp(-b w) dw by the incomplete gamma
+        value = (_window_factor(cs.n, pp, mean(0.0), ell) * gamma(1.0 - e)
+                 * gammainc(1.0 - e, b * t) * b ** (e - 1.0))
+        return value, 4.0 * np.finfo(float).eps * value
+
+    def smooth(w):
+        return _window_factor(cs.n, pp, mean(w), ell) * math.exp(pp * c * w)
+
+    ends = [0.0] + sorted(t - s for s in cs.A.times if 0.0 < s < t) + [t]
+    total = error = 0.0
+    for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        if i == 0:
+            got = quad(smooth, lo, hi, weight="alg", wvar=(-e, 0.0), epsabs=0.0,
+                       epsrel=2e-14, limit=400)
+        else:
+            got = quad(lambda w: smooth(w) * w**-e, lo, hi, epsabs=0.0, epsrel=2e-14, limit=400)
+        total, error = total + got[0], error + got[1]
+    return total, error
+
+
+def _window_factor(n, pp, a, ell):
+    """k with ||kernel(w)||_p'^p' = k w^(-e) for the window mean a of A."""
+    scale = None
+    if ell is not None:
+        vals, vecs = np.linalg.eigh(a)
+        scale = float(np.linalg.norm((vecs / np.sqrt(vals)) @ vecs.T @ ell))
+    return _gaussian_window_factor(n, pp, float(np.linalg.det(a)), scale)
+
+
+@pytest.mark.parametrize("kind", ["N", "C_ell", "C"])
+@pytest.mark.parametrize("preset", ["constant", "affine", "tabulated"])
+def test_reported_quad_error_is_honest_and_tight(monkeypatch, preset, kind):
+    tails = []
+    tail = sharp.piecewise_error
+    monkeypatch.setattr(sharp, "piecewise_error", lambda *a: tails.append(tail(*a)) or tails[-1])
+    for n in (1, 2) if preset != "tabulated" else (2,):
+        threshold = (n + 2.0) / 2.0 if kind == "N" else n + 2.0
+        ps = (threshold + 1e-3, threshold + 0.05, threshold + 0.4, 2.0 * threshold, 10.0, INF)
+        for m, c, p in itertools.product((1, 2), (-5.0, -50.0, -500.0), ps):
+            cs, t, mean = _honest_set(preset, n, m, c)
+            ell = np.array([0.6, 0.8])[:n] / np.linalg.norm([0.6, 0.8][:n])
+            request = sp.SharpRequest(kind, p, t, ell if kind == "C_ell" else None)
+            result = sp.evaluate_sharp(cs, request)
+            pp = sp.holder_conjugate(p)
+            integral, ref_error = _honest_reference(preset, kind, cs, t, mean, c, pp,
+                                                    result.maximizer_ell)
+            exact = integral ** (1.0 / pp)
+            real = abs(result.value - exact)
+            slack = exact * ref_error / (pp * integral)  # the reference's own error
+            quad_error = result.diagnostics.quad_error
+            row = (preset, kind, n, m, c, p, real / exact, quad_error / exact)
+            assert real - slack <= quad_error, row
+            prefactor = sharp._solution_prefactor if kind == "N" else sharp._gradient_prefactor
+            computed = (result.value / prefactor(n, p, pp)) ** pp  # the row's window integral
+            from_tail = result.value * tails[-1] / (pp * computed) >= quad_error * (1 - 1e-9)
+            if from_tail:  # else quad_error is the row's rounding term
+                assert quad_error <= max(100.0 * (real + slack), 1e-13 * exact), row
