@@ -97,33 +97,32 @@ def _polish_on_sphere(objective, gradient, z0, settings):
     """Monotone power iteration on a product of spheres from the tuple of
     start vectors z0; returns (z, value, residual) with z a tuple.
 
-    ``objective`` and ``gradient`` take one vector per sphere, and the
-    gradient returns one block per sphere. Each block steps in turn,
-    z_i <- g_i/|g_i| with g_i its block of grad f(z). For a convex f a step
-    cannot lower f: f(g/|g|) >= f(z) + g.(g/|g| - z) >= f(z), as |g| >= g.z.
-    A node-table sum with weights of both signs (e > 1/2) is convex only up
-    to its quadrature error, and so is monotone only up to it. The residual
-    is |tangent gradient| / |gradient| at ``z`` (blocks combined with
-    ``math.hypot``); the loop stops once it is at most ``settings.rel_tol``,
-    so a larger one means that the ``_POWER_STEPS`` steps ran out.
+    ``objective`` and ``gradient`` take one vector per sphere; the gradient
+    returns one block per sphere, or only block i when called with block=i.
+    Each block steps in turn, z_i <- g_i/|g_i| with g_i its block of
+    grad f(z). For a convex f a step cannot lower f: f(g/|g|) >= f(z) +
+    g.(g/|g| - z) >= f(z), as |g| >= g.z. A node-table sum with weights of
+    both signs (e > 1/2) is convex only up to its quadrature error, and so is
+    monotone only up to it. The residual is |tangent gradient| / |gradient|
+    at ``z`` (blocks combined with ``math.hypot``); the loop stops once it is
+    at most ``settings.rel_tol``, so a larger one means that the
+    ``_POWER_STEPS`` steps ran out.
     """
     zs = [np.asarray(b, dtype=float) for b in z0]
     zs = [b / np.linalg.norm(b) for b in zs]
-
-    def blocks():
-        return [np.asarray(g, dtype=float) for g in gradient(*zs)]
 
     def sine(g, z):
         norm = np.linalg.norm(g)  # zero only where f vanishes: nothing to climb
         return np.linalg.norm(_tangent_gradient(g, z)) / norm if norm > 0.0 else 0.0
 
     for step in range(_POWER_STEPS + 1):
-        grads = blocks()
+        grads = [np.asarray(g, dtype=float) for g in gradient(*zs)]
         residual = math.hypot(*map(sine, grads, zs))
         if residual <= settings.rel_tol or step == _POWER_STEPS:
             break
-        for i in range(len(zs)):
-            g = grads[i] if i == 0 else blocks()[i]
+        for i, g in enumerate(grads):
+            if i:  # the blocks before it have moved
+                (g,) = gradient(*zs, block=i)
             zs[i] = g / np.linalg.norm(g)
     return tuple(zs), float(objective(*zs)), residual
 
@@ -136,15 +135,15 @@ def _objective(weights, mats, pp):
         powers = [np.linalg.norm(m @ v, axis=1) ** pp for m, v in zip(mats, vs)]
         return float(np.dot(weights, math.prod(powers)))
 
-    def gradient(*vs):
+    def gradient(*vs, block=None):
         vecs = [m @ v for m, v in zip(mats, vs)]
         mags = [np.linalg.norm(x, axis=1) for x in vecs]
         blocks = []
-        for b, (m, x) in enumerate(zip(mats, vecs)):
+        for b in range(len(mats)) if block is None else (block,):
             coef = pp * weights
             for j, mag in enumerate(mags):  # a zero block (underflow) has no slope: x = 0
                 coef = coef * (np.where(mag > 0.0, mag, 1.0) ** (pp - 2.0) if j == b else mag**pp)
-            blocks.append(np.einsum("k,kij,kj->i", coef, np.transpose(m, (0, 2, 1)), x))
+            blocks.append(np.einsum("k,kij,kj->i", coef, np.transpose(mats[b], (0, 2, 1)), vecs[b]))
         return tuple(blocks)
 
     return objective, gradient

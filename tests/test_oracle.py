@@ -46,11 +46,14 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     "field",
     [{"sigma_slices": -3}, {"sigma_slices": 0}, {"sigma_slices": 2.5},
-     {"truncation_radius": math.nan}],
-    ids=["slices=-3", "slices=0", "slices=2.5", "radius=nan"],
+     {"truncation_radius": math.nan}, {"grid_resolution": 257.5},
+     {"grid_resolution": 17.9}, {"grid_resolution": True}],
+    ids=["slices=-3", "slices=0", "slices=2.5", "radius=nan", "res=257.5", "res=17.9",
+         "res=True"],
 )
 def test_spec_rejects_slice_counts_and_radii_that_give_wrong_norms(field):
-    # these used to give 0.0, a bare ZeroDivisionError and nan
+    # these used to give 0.0, a bare ZeroDivisionError and nan; a fractional
+    # resolution built cells whose count and width disagreed
     with pytest.raises(DomainError):
         IntegralOperatorSpec(kind="N", cs=heat(), x=np.zeros(1), t=1.0, p=INF, **field)
 
@@ -360,6 +363,37 @@ def test_family_pass_equals_per_spec_calls(preset, kinds, ps):
         assert np.array_equal(got.argmax_z, want.argmax_z)
         assert got.error_estimate == want.error_estimate
         assert got.truncation_bound == want.truncation_bound
+
+
+def test_every_verify_N_row_is_exact_to_rounding():
+    # the sigma-integrand of every N check is sigma^0 or sigma^1 times a
+    # smooth factor, which the Gauss-Legendre slices integrate geometrically
+    rows = verification.run_cases(verification.cases_for("all"))
+    assert all(row.passed for row in rows)
+    n_rows = [row for row in rows if row.name.startswith("N[")]
+    assert len(n_rows) == 12
+    assert max(row.rel_diff for row in n_rows) <= 1e-12, n_rows
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kinds, ps", [("N", (INF, 2.0)), ("C", (INF,))], ids=["N", "C"])
+def test_sixteen_slices_are_converged_in_time(n, kinds, ps):
+    # the verify families' exponents (p = 2 is divergent for N at n = 2)
+    cs = PRESETS[f"n{n}m2"]
+    ps = [p for p in ps if kinds == "C" or p > (n + 2.0) / 2.0]
+    values = [[r.value for r in opnorm_family(family(cs, kinds, ps, res=33, slices=k))]
+              for k in (16, 32)]
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-13, atol=0.0)
+
+
+def test_default_slices_on_a_non_integer_time_exponent():
+    # N at n = 1, p = 3: the sigma-integrand is sigma^(1/2) times a smooth
+    # factor, so the rule is not geometric here; 64 midpoints gave 1.4e-4
+    cs = dict(verification.constant_presets(1, 1))["n1m1-aniso"]
+    spec = IntegralOperatorSpec(kind="N", cs=cs, x=np.zeros(1), t=0.75, p=3.0)
+    want = sp.sharp_N(cs, 3.0, 0.75).value
+    assert spec.sigma_slices == 16
+    assert opnorm_bruteforce(spec).value == pytest.approx(want, rel=1e-4)
 
 
 def test_family_rejects_specs_that_do_not_share_their_slices():

@@ -314,14 +314,21 @@ def test_polish_on_product_of_spheres_reaches_top_singular_value():
     def objective(ell, z):
         return float(ell @ m @ z) ** 2
 
-    def gradient(ell, z):
+    asked = []
+
+    def gradient(ell, z, block=None):
+        asked.append(block)
         inner = float(ell @ m @ z)
-        return 2.0 * inner * (m @ z), 2.0 * inner * (m.T @ ell)
+        blocks = 2.0 * inner * (m @ z), 2.0 * inner * (m.T @ ell)
+        return blocks if block is None else blocks[block:block + 1]
 
     start = (np.array([1.0, 0.2]), np.array([0.3, 1.0]))
     (ell, z), value, residual = sharp._polish_on_sphere(
         objective, gradient, start, settings
     )
+    # each step takes the full gradient, then only the block of z, which
+    # is the one that sees ell's step
+    assert asked[::2] == [None] * len(asked[::2]) and set(asked[1::2]) == {1}
     sigma_max = np.linalg.svd(m, compute_uv=False)[0]
     assert value == pytest.approx(sigma_max**2, rel=1e-12)
     assert residual <= settings.rel_tol
