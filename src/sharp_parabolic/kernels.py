@@ -30,17 +30,17 @@ def gaussian_field(acc, u):
     """Scalar Gaussian factor at the displacement ``u``: n components that
     broadcast against each other (one point, or the axes of an open grid).
 
-    The quadratic form is summed in the order einsum("...i,ij,...j") takes on
-    dense points, so grid values match it bit for bit, and exponentiated once.
+    The normalization and the terms -(1/4) m_ii u_i^2 are summed on the
+    components; only the cross terms -(1/2) m_ij u_i u_j (i < j) are grid
+    products, added in place before one in-place exp. Grid and dense values
+    agree bit for bit, and with einsum("...i,ij,...j") to 1e-14.
     """
     m = acc.ia_inv
-    q = 0.0
+    logs = np.asarray(sum((np.square(u_i) * (-0.25 * m[i, i]) for i, u_i in enumerate(u)),
+                          -acc.log_gauss_norm))
     for i in range(len(u)):
-        for j in range(len(u)):
-            q = q + (u[i] * m[i, j]) * u[j]
-    logs = np.asarray(q)
-    logs *= -0.25
-    logs -= acc.log_gauss_norm
+        for j in range(i):
+            logs += (u[j] * (-0.5 * m[j, i])) * u[i]
     return np.exp(logs, out=logs)
 
 
@@ -50,8 +50,9 @@ def kernel_weight(acc, u, ell=None, gaussian=None):
     ``gaussian`` is gaussian_field(acc, u) when the caller already has it."""
     weight = gaussian_field(acc, u) if gaussian is None else gaussian
     if ell is not None:
-        v = acc.ia_inv @ np.asarray(ell, dtype=float)
-        weight = weight * (-0.5 * sum(u_i * v_i for u_i, v_i in zip(u, v)))
+        v = -0.5 * (acc.ia_inv @ np.asarray(ell, dtype=float))
+        slope = np.asarray(sum(u_i * v_i for u_i, v_i in zip(u, v)))  # new: ours to scale
+        weight = np.multiply(slope, weight, out=slope)
     return weight
 
 
@@ -76,8 +77,11 @@ def cell_grid(center, radii, points):
 
 
 def grid_nodes(axes):
-    """Dense nodes, shape (points,)*n + (n,), of an open grid for callables."""
-    return np.stack(np.broadcast_arrays(*axes), axis=-1)
+    """Dense nodes (points,)*n + (n,) of an open grid: a view of n planes."""
+    planes = np.empty((len(axes),) + np.broadcast_shapes(*(a.shape for a in axes)))
+    for plane, axis in zip(planes, axes):
+        plane[...] = axis
+    return np.moveaxis(planes, 0, -1)
 
 
 def slice_grid(acc, x, truncation, points):

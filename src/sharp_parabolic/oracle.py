@@ -283,7 +283,7 @@ def build_extremal(spec, z, mode="p-power", resolution=None):
         sign = np.zeros_like(field)
         sign[nonzero] = field[nonzero] / mags[nonzero][..., None]
         width = kernels.kernel_std(acc) / 8.0
-        profile = np.exp(-matfun.squared_distances(kernels.grid_nodes(axes), center)
+        profile = np.exp(-sum(np.square(a - c) for a, c in zip(axes, center))
                          / (2.0 * width * width))
         values = sign * profile[..., None]
     else:

@@ -225,6 +225,7 @@ def test_cell_grid_matches_axis_nodes():
         line = [2, 2, 2]
         line[axis] = slice(None)
         np.testing.assert_array_equal(nodes[tuple(line) + (axis,)], gf.axis_nodes(axis))
+        assert nodes[..., axis].flags.c_contiguous  # one plane per axis
     np.testing.assert_array_equal(spacings, np.full(3, gf.spacing))
 
 
@@ -276,6 +277,9 @@ def test_open_grid_field_matches_dense_reference(cs, directional, grid):
         axes = kernels.slice_grid(acc, x, 8.0 if grid == "slice" else 45.0, points)[0]
     field = kernels.kernel_weight(acc, kernels.displacement(acc, x, axes), ell)
     reference, logs = _dense_reference(acc, x, kernels.grid_nodes(axes), ell)
+    if ell is None:  # dense points take the grid's operations
+        dense = sp.eval_P(cs, x - kernels.grid_nodes(axes), 0.9, 0.2).scalar_part
+        np.testing.assert_array_equal(field, dense)
     assert field.shape == reference.shape == (points,) * cs.n
     assert field.size == reference.size
     scale = np.max(np.abs(reference))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sharp_parabolic as sp
-from sharp_parabolic import matfun, oracle, sharp, verification
+from sharp_parabolic import kernels, matfun, oracle, sharp, verification
 from sharp_parabolic.errors import DomainError, TruncationError
 from sharp_parabolic.oracle import (
     IntegralOperatorSpec,
@@ -14,6 +14,7 @@ from sharp_parabolic.oracle import (
     opnorm_family,
     saturation_ratio,
 )
+from sharp_parabolic.solve import GridFunction
 
 INF = math.inf
 
@@ -192,6 +193,34 @@ def test_extremal_p1_requires_sign_mode():
         build_extremal(spec, np.array([1.0]), mode="p-power")
     ext = build_extremal(spec, np.array([1.0]), mode="sign-aligned")
     assert ext.samples.norm(1.0) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sign_aligned_samples_match_the_dense_node_profile_bitwise(n):
+    # the profile is summed on the open grid's axes; the dense-node formula
+    # it replaced, written out here, gives the same samples bit for bit
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    cs = sp.coefficient_set(n=n, m=2, T=1.0, A=q @ np.diag(np.linspace(0.7, 1.3, n)) @ q.T,
+                            b=np.linspace(0.3, -0.2, n), C=np.array([[0.1, 0.4], [0.0, -0.2]]))
+    spec = IntegralOperatorSpec(kind="K", cs=cs, x=np.linspace(0.2, -0.4, n), t=0.8, p=1.0,
+                                ell=np.ones(n) / math.sqrt(n),
+                                grid_resolution={1: 65, 2: 33, 3: 17}[n])
+    z = np.array([0.6, 0.8])
+    samples = build_extremal(spec, z, mode="sign-aligned").samples
+    acc = cs.accumulated(0.0, spec.t)
+    axes = samples.axes()
+    field = kernels.kernel_weight(acc, kernels.displacement(acc, spec.x, axes), spec.ell)
+    field = field[..., None] * (acc.exp_ic.T @ z)
+    mags = matfun.component_norms(field)
+    sign = np.zeros_like(field)
+    sign[mags > 0.0] = field[mags > 0.0] / mags[mags > 0.0][..., None]
+    width = kernels.kernel_std(acc) / 8.0
+    nodes = np.stack(np.broadcast_arrays(*axes), axis=-1)
+    profile = np.exp(-matfun.squared_distances(nodes, spec.x + acc.ib) / (2.0 * width * width))
+    values = sign * profile[..., None]
+    norm = GridFunction(center=samples.center, radius=samples.radius, values=values).norm(1.0)
+    assert np.count_nonzero(values) > 0
+    np.testing.assert_array_equal(samples.values, values / norm)
 
 
 def test_extremal_rejects_source_kinds():

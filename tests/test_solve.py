@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import sharp_parabolic as sp
+from sharp_parabolic import kernels
 from sharp_parabolic.errors import CoverageWarning, DomainError
+from sharp_parabolic.quadrature import piecewise_rule
 from sharp_parabolic.solve import (
     GridFunction,
     SolveSettings,
@@ -340,3 +342,101 @@ def test_source_solve_below_the_window_floor_is_a_domain_error():
         sp.solve_nonhomogeneous(heat(T=1.0), f, np.zeros(1), 1e-7)
     assert sp.solve_nonhomogeneous(heat(T=1.0), f, np.zeros(1), 1e-6).value[0] == \
         pytest.approx(1e-6, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape", [(5, 5, 1), (5, 5), (5, 5, 3), (2,), (2, 5, 5)],
+    ids=["one-component", "scalar", "three-components", "one-vector", "components-first"],
+)
+def test_source_values_of_the_wrong_shape_are_a_domain_error(shape):
+    # a flat contraction would misread (m, G, G) silently
+    cs = sp.coefficient_set(n=2, m=2, T=1.0)
+    f = SourceFunction(lambda pts, tau: np.ones(shape))
+    settings = SolveSettings(sigma_slices=4, grid_points=5)
+    with pytest.raises(DomainError, match=r"\(5, 5, 2\)"):
+        sp.solve_nonhomogeneous(cs, f, np.zeros(2), 0.5, settings=settings)
+
+
+def test_a_scalar_source_field_serves_one_component():
+    cs = sp.coefficient_set(n=2, m=1, T=1.0)
+    settings = SolveSettings(sigma_slices=4, grid_points=5)
+    scalar, column = (
+        sp.solve_nonhomogeneous(cs, SourceFunction(fn), np.zeros(2), 0.5, settings=settings)
+        for fn in (lambda pts, tau: np.exp(-np.sum(pts**2, axis=-1)),
+                   lambda pts, tau: np.exp(-np.sum(pts**2, axis=-1))[..., None])
+    )
+    assert scalar.value.shape == (1,)
+    assert scalar.value[0] == column.value[0] > 0.0
+
+
+def _source_set(n, m):
+    q, _ = np.linalg.qr(np.random.default_rng(3 + n).standard_normal((n, n)))
+    a = q @ np.diag(np.linspace(0.6, 1.4, n)) @ q.T
+    return sp.coefficient_set(n=n, m=m, T=1.0, A=sp.Affine(a, 0.3 * a),
+                              b=np.linspace(0.2, -0.1, n),
+                              C=np.array([[-0.2, 0.5], [0.1, -0.4]])[:m, :m])
+
+
+def _source_field(m):
+    def fn(pts, tau):
+        bump = np.exp(-np.sum((pts - 0.3) ** 2, axis=-1)) * (1.0 + tau)
+        return np.stack([bump, np.cos(pts[..., 0]) * bump][:m], axis=-1)
+
+    return fn
+
+
+def test_each_sigma_node_samples_the_source_once_on_its_slice_grid():
+    cs, x, t = _source_set(2, 2), np.array([0.3, -0.2]), 0.7
+    settings = SolveSettings(sigma_slices=8, grid_points=9)
+    calls = []
+
+    def record(pts, tau):
+        calls.append((pts.copy(), tau))
+        return _source_field(2)(pts, tau)
+
+    sp.solve_nonhomogeneous(cs, SourceFunction(record), x, t, settings=settings)
+    sigmas, _ = piecewise_rule(np.sqrt(cs.window_breaks(t)), settings.sigma_slices - 1)
+    assert len(calls) == sigmas.size == settings.sigma_slices - 1
+    for (pts, tau), sigma, acc in zip(calls, sigmas.tolist(), cs.windows(t, np.square(sigmas))):
+        axes = kernels.slice_grid(acc, x, settings.truncation_sigmas, settings.grid_points)[0]
+        assert pts.shape == (9, 9, 2)
+        np.testing.assert_array_equal(pts, kernels.grid_nodes(axes))
+        assert tau == t - sigma * sigma
+
+
+def _tensordot_reference(cs, f, x, t, settings, ell):
+    """The source solution node by node: dense nodes, the kernel weight by
+    einsum, and the contraction by tensordot."""
+    sigmas, rule = piecewise_rule(np.sqrt(cs.window_breaks(t)), settings.sigma_slices - 1)
+    value = np.zeros(cs.m)
+    for sigma, weight_s, acc in zip(sigmas, 2.0 * sigmas * rule, cs.windows(t, sigmas**2)):
+        axes, spacings, _ = kernels.slice_grid(acc, x, settings.truncation_sigmas,
+                                               settings.grid_points)
+        nodes = np.stack(np.broadcast_arrays(*axes), axis=-1)
+        u = (x - nodes) + acc.ib
+        weight = np.exp(-0.25 * np.einsum("...i,ij,...j->...", u, acc.ia_inv, u)
+                        - acc.log_gauss_norm)
+        if ell is not None:
+            weight = weight * (-0.5 * (u @ (acc.ia_inv @ ell)))
+        inner = acc.exp_ic @ np.tensordot(weight, f(nodes, t - sigma**2), cs.n)
+        value = value + weight_s * np.prod(spacings) * inner
+    return value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("directional", [False, True])
+def test_source_solution_matches_a_per_node_tensordot_reference(n, m, directional):
+    cs, f = _source_set(n, m), SourceFunction(_source_field(m))
+    x, t = np.linspace(0.4, -0.3, n), 0.8
+    settings = SolveSettings(sigma_slices=8, grid_points={1: 33, 2: 17, 3: 9}[n])
+    if directional:
+        ell = np.linspace(1.0, 2.0, n) / np.linalg.norm(np.linspace(1.0, 2.0, n))
+        value = sp.directional_derivative(cs, "nonhomogeneous", f, x, t, ell,
+                                          settings=settings).value
+    else:
+        ell = None
+        value = sp.solve_nonhomogeneous(cs, f, x, t, settings=settings).value
+    reference = _tensordot_reference(cs, f, x, t, settings, ell)
+    assert value.shape == reference.shape == (m,)
+    assert np.max(np.abs(value - reference)) <= 1e-14 * np.max(np.abs(reference))
