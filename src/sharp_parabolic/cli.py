@@ -10,10 +10,8 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 import argparse
 import csv
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,27 +44,9 @@ def write_csv(stream, command, header, rows):
         writer.writerow([format_cell(cell) for cell in row])
 
 
-def _pool_size(threads, tasks):
-    """Worker threads for ``tasks``: never more than there are tasks."""
-    return min(threads, len(tasks))
-
-
+# ``threads`` is unused; it stays because bench/tracer.py wraps this signature
 def _map_tasks(fn, tasks, threads):
-    workers = _pool_size(threads, tasks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
-
-
-def _thread_count(flag):
-    """``--threads``, else SHARP_PARABOLIC_THREADS (an integer, or
-    ConfigError), else 1; at least 1."""
-    value = flag if flag is not None else os.environ.get("SHARP_PARABOLIC_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ConfigError(f"SHARP_PARABOLIC_THREADS: expected an integer, got {value!r}") from None
 
 
 def _vector_cells(vec, size):
@@ -79,7 +59,7 @@ def _vector_cells(vec, size):
 # sharp / sweep
 
 
-def cmd_sharp(cfg, threads):
+def cmd_sharp(cfg):
     req = cfg.request
     settings = sharp.SphereSettings(seeds_per_dim=cfg.numerics.sphere_seeds)
     ells = [None] if req["ell"] is None else list(req["ell"])
@@ -110,14 +90,14 @@ def cmd_sharp(cfg, threads):
         + [f"maximizer_ell_{i + 1}" for i in range(cfg.n)]
         + ["quad_error", "search_residual"]
     )
-    return header, _map_tasks(evaluate, requests, threads)
+    return header, _map_tasks(evaluate, requests, 1)
 
 
 # ---------------------------------------------------------------------------
 # kernel / coeffs
 
 
-def cmd_kernel(cfg, threads):
+def cmd_kernel(cfg):
     req = cfg.request
     points, ts, tau_list = req["points"], req["t"], req["tau"]
     # one window and one kernel call per distinct (t, tau), over all points
@@ -134,7 +114,7 @@ def cmd_kernel(cfg, threads):
             for scalar, matrix in zip(kv.scalar_part, kv.matrix)
         ]
 
-    cells = dict(zip(windows, _map_tasks(evaluate, windows, threads)))
+    cells = dict(zip(windows, _map_tasks(evaluate, windows, 1)))
     rows = [
         list(x) + cells[t, tau][i]
         for i, x in enumerate(points) for t in ts for tau in tau_list
@@ -196,7 +176,7 @@ def _data_callable(block, n, m):
 _SOLVE_KINDS = {"homogeneous": ("H", "K_ell"), "nonhomogeneous": ("N", "C_ell")}
 
 
-def cmd_solve(cfg, threads):
+def cmd_solve(cfg):
     req = cfg.request
     problem, block, ts, p, ell = req["problem"], req["data"], req["t"], req["p"], req["ell"]
     fn = _data_callable(block, cfg.n, cfg.m)
@@ -242,14 +222,14 @@ def cmd_solve(cfg, threads):
         + [f"u_{i + 1}" for i in range(cfg.m)]
         + ["err_estimate", "bound", "ratio"]
     )
-    return header, _map_tasks(evaluate, tasks, threads)
+    return header, _map_tasks(evaluate, tasks, 1)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(cfg, threads):
+def cmd_verify(cfg):
     try:
         cases = verification.cases_for(cfg.request["cases"])
     except ValueError as exc:
@@ -264,7 +244,7 @@ def cmd_verify(cfg, threads):
         ]
 
     families = verification.families(cases)
-    rows = [row for chunk in _map_tasks(evaluate, families, threads) for row in chunk]
+    rows = [row for chunk in _map_tasks(evaluate, families, 1) for row in chunk]
     header = ["name", "closed_form", "oracle", "rel_diff", "tol", "status"]
     failures = sum(1 for row in rows if row[-1] == "FAIL")
     return header, rows, failures
@@ -283,7 +263,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", help="output CSV path (overrides output.path)")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="ignored: every command runs sequentially")
     parser.add_argument("--tol", type=float, default=None,
                         help="override quad_tol (verify: the pass tolerance)")
     args = parser.parse_args(argv)
@@ -291,7 +272,6 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:  # reported as CLI messages
         warnings.simplefilter("always")
         try:
-            threads = _thread_count(args.threads)
             tol = None if args.tol is None else _number(args.tol, "--tol", *POSITIVE)
             cfg = load_config(args.config, command=args.command)
             if tol is not None and args.command == "verify":
@@ -300,15 +280,15 @@ def main(argv=None) -> int:
                 cfg.numerics.quad_tol = tol
             failures = 0
             if args.command in ("sharp", "sweep"):
-                header, rows = cmd_sharp(cfg, threads)
+                header, rows = cmd_sharp(cfg)
             elif args.command == "kernel":
-                header, rows = cmd_kernel(cfg, threads)
+                header, rows = cmd_kernel(cfg)
             elif args.command == "coeffs":
                 header, rows = cmd_coeffs(cfg)
             elif args.command == "solve":
-                header, rows = cmd_solve(cfg, threads)
+                header, rows = cmd_solve(cfg)
             else:
-                header, rows, failures = cmd_verify(cfg, threads)
+                header, rows, failures = cmd_verify(cfg)
         except (ConfigError, DomainError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2

@@ -50,8 +50,8 @@ class IntegralOperatorSpec:
             raise DomainError(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
         object.__setattr__(self, "t", sharp._validate_time(self.cs, self.t))
-        if not self.truncation_radius >= 6.0:  # NaN fails too
-            raise DomainError("truncation radius must be at least 6 standard deviations")
+        if not 6.0 <= self.truncation_radius < math.inf:  # NaN fails too
+            raise DomainError("truncation radius must be finite and at least 6 standard deviations")
         if not isinstance(self.sigma_slices, numbers.Integral) or self.sigma_slices < 2:
             raise DomainError("sigma_slices must be an integer >= 2")
         if (not isinstance(self.grid_resolution, numbers.Integral)

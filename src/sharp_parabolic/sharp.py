@@ -444,6 +444,8 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
     """
     pp = holder_conjugate(p)
     t = _validate_time(cs, t)
+    if not quad_tol > 0:  # NaN fails too
+        raise DomainError(f"quad_tol={quad_tol} must be positive")
     if kind == "C_ell":
         ell = _validate_ell(ell, cs.n)
     if not _convergence(cs, p, kind):

@@ -57,8 +57,8 @@ class GridFunction:
             raise DomainError("grid must have equal points per axis")
         if pts % 2 == 0 or pts < 3:
             raise DomainError("points per axis must be odd and >= 3")
-        if not self.radius > 0:
-            raise DomainError("grid radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise DomainError("grid radius must be positive and finite")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("grid values must be finite")
 
@@ -154,8 +154,8 @@ class SolveSettings:
             raise DomainError("sigma_slices must be even and >= 4")
         if self.grid_points < 3 or self.grid_points % 2 == 0:
             raise DomainError("grid_points must be odd and >= 3")
-        if not self.truncation_sigmas >= 6.0:  # NaN fails too
-            raise DomainError("truncation_sigmas must be at least 6")
+        if not 6.0 <= self.truncation_sigmas < math.inf:  # NaN fails too
+            raise DomainError("truncation_sigmas must be finite and at least 6")
 
 
 def _check_coverage(phi, peak, std):

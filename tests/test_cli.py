@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -115,8 +116,8 @@ def test_csv_byte_identical_and_thread_invariant(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, base_config("sweep", request))
     assert main(["sweep", "--config", cfg, "--out", out1]) == 0
     assert main(["sweep", "--config", cfg, "--out", out2]) == 0
-    monkeypatch.setenv("SHARP_PARABOLIC_THREADS", "4")
-    assert main(["sweep", "--config", cfg, "--out", out3]) == 0
+    monkeypatch.setenv("SHARP_PARABOLIC_THREADS", "two")  # no longer read
+    assert main(["sweep", "--config", cfg, "--out", out3, "--threads", "3"]) == 0
     first = open(out1, "rb").read()
     assert first == open(out2, "rb").read()
     assert first == open(out3, "rb").read()
@@ -124,6 +125,8 @@ def test_csv_byte_identical_and_thread_invariant(tmp_path, monkeypatch):
 
 
 def _csv_bytes_at_threads(tmp_path, command, body, threads):
+    """The CSV of ``command`` run with ``--threads threads``, which is accepted
+    and ignored."""
     cfg = write_config(tmp_path, body, name=f"{command}.json")
     out = str(tmp_path / f"{command}_{threads}.csv")
     assert main([command, "--config", cfg, "--out", out, "--threads", str(threads)]) == 0
@@ -169,6 +172,25 @@ def test_tabulated_sweep_and_verify_csvs_do_not_depend_on_threads(tmp_path):
         single = _csv_bytes_at_threads(tmp_path, command, body, 1)
         assert single.count(b"\n") > 4
         assert _csv_bytes_at_threads(tmp_path, command, body, 3) == single
+
+
+def test_map_tasks_runs_in_the_calling_thread_in_task_order():
+    calls = []
+
+    def record(task):
+        calls.append((task, threading.get_ident()))
+        return -task
+
+    assert cli._map_tasks(record, range(5), 4) == [0, -1, -2, -3, -4]
+    assert calls == [(task, threading.get_ident()) for task in range(5)]
+
+
+def test_threads_flag_must_still_be_an_integer(tmp_path):
+    body = base_config("kernel", {"points": [[0.0]], "t": [1.0]}, out=str(tmp_path / "k.csv"))
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--config", write_config(tmp_path, body), "--threads", "two"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "k.csv").exists()
 
 
 def test_kernel_command_peak_value(tmp_path):
@@ -221,33 +243,6 @@ def test_data_callables_equal_the_array_expressions_bitwise(n, m):
     value = rng.uniform(-2.0, 2.0, m)
     constant = cli._data_callable({"type": "constant", "value": value}, n, m)
     np.testing.assert_array_equal(constant(pts), np.broadcast_to(value, pts.shape[:-1] + (m,)))
-
-
-def test_thread_count_reads_a_checked_environment_value(monkeypatch):
-    monkeypatch.setenv("SHARP_PARABOLIC_THREADS", "3")
-    assert cli._thread_count(None) == 3
-    assert cli._thread_count(2) == 2
-    assert cli._thread_count(0) == 1
-    monkeypatch.setenv("SHARP_PARABOLIC_THREADS", "two")
-    with pytest.raises(ConfigError, match="SHARP_PARABOLIC_THREADS"):
-        cli._thread_count(None)
-    assert cli._thread_count(2) == 2  # the flag wins over the environment
-
-
-def test_a_malformed_thread_environment_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SHARP_PARABOLIC_THREADS", "two")
-    body = base_config("kernel", {"points": [[0.0]], "t": [1.0]}, out=str(tmp_path / "k.csv"))
-    assert main(["kernel", "--config", write_config(tmp_path, body)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: SHARP_PARABOLIC_THREADS")
-    assert not (tmp_path / "k.csv").exists()
-
-
-def test_pool_size_is_at_most_the_task_count():
-    assert cli._pool_size(8, range(3)) == 3
-    assert cli._pool_size(2, range(144)) == 2
-    assert cli._pool_size(10**6, range(2)) == 2
-    assert cli._pool_size(4, []) == 0
 
 
 def test_coeffs_command_constant_window(tmp_path):

@@ -47,14 +47,15 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     "field",
     [{"sigma_slices": -3}, {"sigma_slices": 0}, {"sigma_slices": 2.5},
-     {"truncation_radius": math.nan}, {"grid_resolution": 257.5},
-     {"grid_resolution": 17.9}, {"grid_resolution": True}],
-    ids=["slices=-3", "slices=0", "slices=2.5", "radius=nan", "res=257.5", "res=17.9",
-         "res=True"],
+     {"truncation_radius": math.nan}, {"truncation_radius": math.inf},
+     {"grid_resolution": 257.5}, {"grid_resolution": 17.9}, {"grid_resolution": True}],
+    ids=["slices=-3", "slices=0", "slices=2.5", "radius=nan", "radius=inf", "res=257.5",
+         "res=17.9", "res=True"],
 )
 def test_spec_rejects_slice_counts_and_radii_that_give_wrong_norms(field):
-    # these used to give 0.0, a bare ZeroDivisionError and nan; a fractional
-    # resolution built cells whose count and width disagreed
+    # these used to give 0.0, a bare ZeroDivisionError and nan (an infinite
+    # radius too); a fractional resolution built cells whose count and width
+    # disagreed
     with pytest.raises(DomainError):
         IntegralOperatorSpec(kind="N", cs=heat(), x=np.zeros(1), t=1.0, p=INF, **field)
 

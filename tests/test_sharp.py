@@ -693,6 +693,17 @@ def test_unreachable_quad_tol_runs_to_the_cap_and_says_so(monkeypatch):
     assert max(sizes) == sharp._NODES_CAP
 
 
+@pytest.mark.parametrize("quad_tol", [-1.0, 0.0, math.nan], ids=["-1", "0", "nan"])
+@pytest.mark.parametrize("kind", ["N", "C_ell", "C"])
+def test_a_non_positive_quad_tol_is_refused(kind, quad_tol):
+    # each ran every doubling to the node cap without an error
+    cs = sp.coefficient_set()
+    ell = np.array([1.0]) if kind == "C_ell" else None
+    request = sharp.SharpRequest(kind=kind, p=5.0, t=1.0, ell=ell, quad_tol=quad_tol)
+    with pytest.raises(DomainError, match="quad_tol"):
+        sharp.evaluate_sharp(cs, request)
+
+
 def test_a_tabulated_drift_does_not_split_the_source_rule(monkeypatch):
     # b enters no sharp constant, so its sample times make no pieces; solve
     # keeps them, since int b moves the kernel

@@ -45,6 +45,8 @@ def test_gridfunction_invariants():
         GridFunction(center=np.zeros(1), radius=-1.0, values=np.zeros((5, 1)))
     with pytest.raises(DomainError):
         GridFunction(center=np.zeros(2), radius=1.0, values=np.zeros((5, 1)))
+    with pytest.raises(DomainError, match="finite"):  # norm(2) was inf
+        GridFunction(center=np.zeros(1), radius=math.inf, values=np.ones((5, 1)))
 
 
 def test_constant_data_reproduced():
@@ -227,7 +229,8 @@ def test_source_solution_splits_at_a_tabulated_sample_time():
                {"grid_points": 1}, {"truncation_sigmas": 0.0}, {"truncation_sigmas": -3.0},
                {"truncation_sigmas": math.nan}, {"truncation_sigmas": 5.9},
                {"grid_points": 129.5}, {"grid_points": 129.0}, {"grid_points": True},
-               {"sigma_slices": 32.5}, {"sigma_slices": 32.0}, {"sigma_slices": True}],
+               {"sigma_slices": 32.5}, {"sigma_slices": 32.0}, {"sigma_slices": True},
+               {"truncation_sigmas": math.inf}],  # solve_nonhomogeneous returned [nan]
 )
 def test_solve_settings_need_an_even_rule_and_an_odd_grid(fields):
     with pytest.raises(DomainError):
