@@ -163,7 +163,7 @@ def _data_callable(block, n, m):
     amplitude, width, center = block["amplitude"], block["width"], block["center"]
 
     def fn(pts):
-        g = np.exp(matfun.squared_distances(pts, center) / (-2.0 * width * width))
+        g = np.exp(matfun.squared_norms(pts - center) / (-2.0 * width * width))
         out = np.empty(g.shape + amplitude.shape)
         for k, a_k in enumerate(amplitude):  # one pass per component
             np.multiply(g, a_k, out=out[..., k])

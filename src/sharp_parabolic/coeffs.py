@@ -224,8 +224,21 @@ def _as_preset(raw, shape):
     return preset
 
 
+class _Normalized:
+    """The kernel normalization of one window, or of each of a stack."""
+
+    @property
+    def n(self):
+        return self.ia.shape[-1]
+
+    @property
+    def log_gauss_norm(self):
+        """log of the kernel normalization (2 sqrt(pi))^n * det_ia_sqrt."""
+        return self.n * np.log(2.0 * np.sqrt(np.pi)) + np.log(self.det_ia_sqrt)
+
+
 @dataclass(frozen=True)
-class AccumulatedIntegrals:
+class AccumulatedIntegrals(_Normalized):
     """Window integrals of (A, b, C) over [tau, t] and their derived functions.
 
     ``ia``/``ib``/``ic`` are the entrywise integrals; the remaining fields are
@@ -248,18 +261,9 @@ class AccumulatedIntegrals:
     exp_ic_star: np.ndarray
     quad_error: float
 
-    @property
-    def n(self):
-        return self.ia.shape[0]
-
-    @property
-    def log_gauss_norm(self):
-        """log of the kernel normalization (2 sqrt(pi))^n * det_ia_sqrt."""
-        return self.n * np.log(2.0 * np.sqrt(np.pi)) + np.log(self.det_ia_sqrt)
-
 
 @dataclass(frozen=True)
-class WindowBatch:
+class WindowBatch(_Normalized):
     """The fields of AccumulatedIntegrals for K windows, each stacked along
     a leading axis of length K (``exp_ic_star`` C-contiguous). ``batch[k]``
     and iteration give the windows as AccumulatedIntegrals whose arrays are

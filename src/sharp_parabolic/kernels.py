@@ -62,38 +62,48 @@ def displacement(acc, x, axes):
     return [(x_i - y_i) + b_i for x_i, y_i, b_i in zip(x, axes, acc.ib)]
 
 
-def cell_grid(center, radii, points):
-    """Cell midpoints of the box center +- radii with ``points`` cells per axis.
+def open_grid(rows):
+    """Rows (..., n, G) as an open grid: row i shaped along grid axis i."""
+    *lead, n, g = rows.shape
+    return [rows[..., i, :].reshape(lead + [g if j == i else 1 for j in range(n)])
+            for i in range(n)]
 
-    ``radii`` is a scalar or one radius per axis. Returns the open grid, one
-    coordinate array per axis shaped along that axis, and the spacings.
-    """
+
+def _cell_rows(center, radii, points):
+    """Cell midpoints (center - radii) + (i + 1/2) spacing, (..., n, points)."""
+    steps = 2.0 * radii / points
+    return (center - radii)[..., None] + (np.arange(points) + 0.5) * steps[..., None], steps
+
+
+def cell_grid(center, radii, points):
+    """Cell midpoints of the box center +- radii (a scalar or one radius per
+    axis) with ``points`` cells per axis: the open grid and the spacings."""
     center = np.asarray(center, dtype=float)
     radii = np.broadcast_to(np.asarray(radii, dtype=float), center.shape)
-    spacings = 2.0 * radii / points
-    offsets = np.arange(points) + 0.5
-    axes = [center[i] - radii[i] + offsets * spacings[i] for i in range(center.size)]
-    return np.meshgrid(*axes, indexing="ij", sparse=True), spacings
+    rows, spacings = _cell_rows(center, radii, points)
+    return open_grid(rows), spacings
 
 
 def grid_nodes(axes):
     """Dense nodes (points,)*n + (n,) of an open grid: a view of n planes."""
-    planes = np.empty((len(axes),) + np.broadcast_shapes(*(a.shape for a in axes)))
+    planes = np.empty((len(axes),) + tuple(a.size for a in axes))
     for plane, axis in zip(planes, axes):
         plane[...] = axis
-    return np.moveaxis(planes, 0, -1)
+    return planes.transpose(tuple(range(1, len(axes) + 1)) + (0,))
 
 
-def slice_grid(acc, x, truncation, points):
-    """Open cell grid around the kernel peak x + int_b of one window.
-
-    Each axis reaches ``truncation`` marginal deviations sqrt(2 ia_ii), so
-    the spacing resolves the kernel equally well along every axis. Returns
-    the axes, the spacings and the radii.
-    """
-    radii = truncation * np.sqrt(2.0 * np.diag(acc.ia))
-    axes, spacings = cell_grid(np.asarray(x, dtype=float) + acc.ib, radii, points)
-    return axes, spacings, radii
+def slice_grids(windows, x, truncation, points):
+    """Cell grids around the kernel peaks x + int_b of the K windows of a
+    WindowBatch (one window leaves K out), built in one array pass. Axis i
+    reaches ``truncation`` marginal deviations sqrt(2 ia_ii), so the spacing
+    resolves the kernel equally well along every axis. Returns the radii and
+    spacings, each (K, n), and the axes and kernel arguments (x - y) + int_b,
+    each (K, n, points) (see open_grid): window k's are bit-identical to
+    cell_grid and displacement on it alone."""
+    x = np.asarray(x, dtype=float)
+    radii = truncation * np.sqrt(2.0 * np.diagonal(windows.ia, axis1=-2, axis2=-1))
+    axes, spacings = _cell_rows(x + windows.ib, radii, points)
+    return radii, spacings, axes, (x[..., None] - axes) + windows.ib[..., None]
 
 
 def _kernel_values(acc, x, gradient=False):

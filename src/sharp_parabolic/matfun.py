@@ -18,7 +18,7 @@ __all__ = [
     "matrix_exp",
     "canonical_sign",
     "component_norms",
-    "squared_distances",
+    "squared_norms",
 ]
 
 MAX_ORDER = 64
@@ -52,28 +52,22 @@ def canonical_sign(vec) -> np.ndarray:
     return v if tuple(v) >= tuple(w) else w
 
 
-def component_norms(values) -> np.ndarray:
-    """Euclidean norms over the last axis, sqrt(((v_0^2 + v_1^2) + v_2^2) + ...).
-
-    One elementwise pass per component: numpy's reduction over a short
-    trailing axis runs an inner loop per element. Below eight components
-    numpy sums in the same order, so this equals
-    ``np.linalg.norm(values, axis=-1)`` bit for bit.
-    """
+def squared_norms(values) -> np.ndarray:
+    """Sums of squares over the last axis, ((v_0^2 + v_1^2) + v_2^2) + ...,
+    one elementwise pass per component (numpy reduces a short trailing axis
+    element by element); of points - center, the squared distances."""
     values = np.asarray(values, dtype=float)
     total = np.square(values[..., 0])
     for k in range(1, values.shape[-1]):
         total += np.square(values[..., k])
-    return np.sqrt(total, out=total)
-
-
-def squared_distances(points, center) -> np.ndarray:
-    """sum_i (points[..., i] - center[i])^2, one pass per axis in axis order,
-    as ``np.sum((points - center) ** 2, axis=-1)`` sums it for n < 8."""
-    total = np.square(points[..., 0] - center[0])
-    for i in range(1, points.shape[-1]):
-        total += np.square(points[..., i] - center[i])
     return total
+
+
+def component_norms(values) -> np.ndarray:
+    """Euclidean norms over the last axis, the roots of squared_norms: below
+    eight components, ``np.linalg.norm(values, axis=-1)`` bit for bit."""
+    total = squared_norms(values)
+    return np.sqrt(total, out=total)
 
 
 def sym_eigen(m):

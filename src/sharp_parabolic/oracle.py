@@ -123,16 +123,15 @@ def _zoom(spec, acc, resolution, best, center, spacings, levels=3):
     return best
 
 
-def _slice_terms(specs, pps, acc, time_w, resolution):
+def _slice_terms(specs, pps, acc, time_w, grid):
     """(weight, tail) of every spec of a family on one slice, all reduced
-    from one Gaussian: the quadrature of |field|^p' and a bound on its part
-    beyond the grid, or at p' = inf the field's sup and boundary max. The
-    sup zooms run after that Gaussian is released, so a zoom box never
-    shares memory with it."""
-    head = specs[0]
-    axes, spacings, radii = kernels.slice_grid(acc, head.x, head.truncation_radius, resolution)
+    from one Gaussian on the slice's ``grid`` (its rows of slice_grids): the
+    quadrature of |field|^p' and a bound on its part beyond the grid, or at
+    p' = inf the field's sup and boundary max. The sup zooms run after that
+    Gaussian is released, so a zoom box never shares memory with it."""
+    radii, spacings, axes, u = grid
+    resolution, axes, u = axes.shape[-1], kernels.open_grid(axes), kernels.open_grid(u)
     cell, box = float(np.prod(spacings)), float(np.prod(2.0 * radii))
-    u = kernels.displacement(acc, head.x, axes)
     gaussian = kernels.gaussian_field(acc, u)
 
     def reduce(spec, pp, mag):  # (weight or grid sup, tail, node of the sup)
@@ -156,11 +155,12 @@ def _slice_terms(specs, pps, acc, time_w, resolution):
 
 
 def _slices(spec, endpoint_gap, sigma_slices):
-    """(time weight, accumulated integrals) per slice: Gauss-Legendre nodes
-    in sigma = sqrt(t - tau) on [sqrt(gap), sqrt(t)], weight 2 sigma dsigma.
-    A (t - tau)^(-e) factor becomes sigma^(1 - 2e), smooth at e = 0 and 1/2."""
+    """Time weights and windows (a WindowBatch) of the slices: Gauss-Legendre
+    nodes in sigma = sqrt(t - tau) on [sqrt(gap), sqrt(t)], weight 2 sigma
+    dsigma. A (t - tau)^(-e) factor becomes sigma^(1 - 2e), smooth at e = 0
+    and 1/2. The homogeneous kinds have the one window [0, t]."""
     if spec.kind in HOMOGENEOUS_KINDS:
-        return [(1.0, spec.cs.accumulated(0.0, spec.t))]
+        return [1.0], spec.cs.windows(spec.t, [spec.t])
     lo = math.sqrt(endpoint_gap) if endpoint_gap > 0.0 else 0.0
     hi = math.sqrt(spec.t)
     if not lo < hi:
@@ -168,16 +168,19 @@ def _slices(spec, endpoint_gap, sigma_slices):
     nodes, weights = np.polynomial.legendre.leggauss(sigma_slices)
     half = 0.5 * (hi - lo)
     sigmas = lo + half * (nodes + 1.0)
-    accs = spec.cs.windows(spec.t, sigmas * sigmas)
-    return list(zip((2.0 * half * weights * sigmas).tolist(), accs))
+    return (2.0 * half * weights * sigmas).tolist(), spec.cs.windows(spec.t, sigmas * sigmas)
 
 
 def _collect(specs, pps, resolution, sigma_slices, endpoint_gap):
     """Per spec: slice weights (|field|^p' quadratures; sups at p' = inf),
-    the transposed coupling factors and the slice tails."""
-    slices = _slices(specs[0], endpoint_gap, sigma_slices)
-    terms = [_slice_terms(specs, pps, acc, time_w, resolution) for time_w, acc in slices]
-    exps_t = np.array([acc.exp_ic.T for _, acc in slices])
+    the transposed coupling factors and the slice tails. Every slice grid
+    comes from one slice_grids pass."""
+    head = specs[0]
+    time_ws, windows = _slices(head, endpoint_gap, sigma_slices)
+    grids = zip(*kernels.slice_grids(windows, head.x, head.truncation_radius, resolution))
+    terms = [_slice_terms(specs, pps, acc, time_w, grid)
+             for time_w, acc, grid in zip(time_ws, windows, grids)]
+    exps_t = np.array(windows.exp_ic_star)
     return [
         (np.array(weights), exps_t, np.array(tails))
         for weights, tails in (zip(*per_slice) for per_slice in zip(*terms))
@@ -236,12 +239,8 @@ def _result(spec, pp, fine, coarse, rel_tol):
             f"truncation tail bound {tail_value:.3g} exceeds {rel_tol:.1g} "
             f"of the computed norm {value:.6g}; enlarge the truncation radius"
         )
-    return OracleResult(
-        value=float(value),
-        argmax_z=z,
-        error_estimate=float(abs(value - value_c)),
-        truncation_bound=float(tail_value),
-    )
+    return OracleResult(value=float(value), argmax_z=z, error_estimate=float(abs(value - value_c)),
+                        truncation_bound=float(tail_value))
 
 
 def build_extremal(spec, z, mode="p-power", resolution=None):
@@ -253,9 +252,7 @@ def build_extremal(spec, z, mode="p-power", resolution=None):
     samples are normalized to unit discrete p-norm.
     """
     if spec.kind not in HOMOGENEOUS_KINDS:
-        raise DomainError(
-            "extremal construction is implemented for the initial-data kinds"
-        )
+        raise DomainError("extremal construction is implemented for the initial-data kinds")
     z = np.asarray(z, dtype=float)
     z = z / np.linalg.norm(z)
     # the samples live on a cubic grid (a GridFunction), sized by the
@@ -271,10 +268,8 @@ def build_extremal(spec, z, mode="p-power", resolution=None):
     nonzero = mags > 0.0
     if mode == "p-power":
         if spec.p <= 1.0:
-            raise DomainError(
-                "the conjugate-power extremal needs p > 1; "
-                "use mode='sign-aligned' at p = 1"
-            )
+            raise DomainError("the conjugate-power extremal needs p > 1; "
+                              "use mode='sign-aligned' at p = 1")
         pp = sharp.holder_conjugate(spec.p)
         power = np.zeros_like(mags)
         power[nonzero] = mags[nonzero] ** (pp - 2.0)
@@ -311,9 +306,7 @@ def sharp_value(spec, **options) -> float:
 def _achieved(spec, data):
     if spec.kind == "H":
         return solve_homogeneous(spec.cs, data, spec.x, spec.t)
-    return directional_derivative(
-        spec.cs, "homogeneous", data, spec.x, spec.t, spec.ell
-    )
+    return directional_derivative(spec.cs, "homogeneous", data, spec.x, spec.t, spec.ell)
 
 
 def saturation_ratio(spec, extremal: ExtremalInput, refine=True) -> SaturationResult:
@@ -327,12 +320,8 @@ def saturation_ratio(spec, extremal: ExtremalInput, refine=True) -> SaturationRe
     ratio = _one_ratio(spec, extremal.samples, bound)
     refined = None
     if refine:
-        finer = build_extremal(
-            spec,
-            extremal.z,
-            mode=extremal.mode,
-            resolution=2 * extremal.samples.points_per_axis - 1,
-        )
+        finer = build_extremal(spec, extremal.z, mode=extremal.mode,
+                               resolution=2 * extremal.samples.points_per_axis - 1)
         refined = _one_ratio(spec, finer.samples, bound)
     return SaturationResult(ratio=ratio, refined_ratio=refined)
 

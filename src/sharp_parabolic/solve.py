@@ -9,6 +9,7 @@ singularity of the kernel ingredients.
 import math
 import numbers
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import kernels, matfun
 from .errors import CoverageWarning, DomainError
 from .quadrature import piecewise_error, piecewise_rule
-from .sharp import _validate_ell
+from .sharp import _validate_ell, _validate_time, holder_conjugate
 
 __all__ = [
     "GridFunction",
@@ -29,6 +30,9 @@ __all__ = [
     "solve_with_norm",
     "spacetime_norm",
 ]
+
+# what kernels.gaussian_field reads of a window
+_Window = namedtuple("_Window", "ia_inv log_gauss_norm")
 
 
 @dataclass(frozen=True)
@@ -49,9 +53,7 @@ class GridFunction:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         n = center.size
         if self.values.ndim != n + 1:
-            raise DomainError(
-                f"values must have {n} grid axes plus a component axis"
-            )
+            raise DomainError(f"values must have {n} grid axes plus a component axis")
         pts = self.values.shape[0]
         if any(s != pts for s in self.values.shape[:n]):
             raise DomainError("grid must have equal points per axis")
@@ -90,7 +92,8 @@ class GridFunction:
         return kernels.grid_nodes(self.axes())
 
     def norm(self, p) -> float:
-        """Discrete L^p norm (midpoint rule); p may be math.inf."""
+        """Discrete L^p norm (midpoint rule) for p >= 1; p may be math.inf."""
+        holder_conjugate(p)  # raises DomainError unless p >= 1
         mags = matfun.component_norms(self.values)
         if math.isinf(p):
             return float(np.max(mags))
@@ -103,27 +106,23 @@ class GridFunction:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         pts = kernels.grid_nodes(kernels.cell_grid(center, radius, points_per_axis)[0])
         vals = np.asarray(fn(pts), dtype=float)
-        if vals.ndim == pts.ndim - 1:  # scalar-valued callable
-            vals = vals[..., None]
+        vals = vals[..., None] if vals.ndim == pts.ndim - 1 else vals  # scalar-valued fn
         return cls(center=center, radius=radius, values=vals)
 
 
 @dataclass(frozen=True)
 class SourceFunction:
-    """Right-hand side f(y, tau) evaluated on the fly.
-
-    ``evaluator(points, tau)`` maps an (..., n) array of spatial points and a
-    scalar time to an (..., m) array.
-    """
+    """Right-hand side f(y, tau) evaluated on the fly: ``evaluator(points,
+    tau)`` maps an (..., n) array of spatial points and a scalar time to an
+    (..., m) array, or to an (...) one for m = 1. The source solver calls it
+    once per sigma node with a fresh (G,)*n + (n,) array of that node's grid
+    nodes, planar (one contiguous plane per axis), which the callable may keep."""
 
     evaluator: object
 
     def __call__(self, points, tau):
         vals = np.asarray(self.evaluator(points, tau), dtype=float)
-        points = np.asarray(points, dtype=float)
-        if vals.ndim == points.ndim - 1:
-            vals = vals[..., None]
-        return vals
+        return vals[..., None] if vals.ndim == np.ndim(points) - 1 else vals
 
 
 @dataclass(frozen=True)
@@ -161,12 +160,8 @@ class SolveSettings:
 def _check_coverage(phi, peak, std):
     reach = np.abs(peak - phi.center) + 8.0 * std
     if np.any(reach > phi.radius + 1e-12):
-        warnings.warn(
-            "data grid does not cover the kernel's 8-sigma neighborhood; "
-            "the convolution is truncated",
-            CoverageWarning,
-            stacklevel=4,
-        )
+        warnings.warn("data grid does not cover the kernel's 8-sigma neighborhood; "
+                      "the convolution is truncated", CoverageWarning, stacklevel=4)
 
 
 def _convolve(cs, phi, x, t, gradient_ell=None) -> SolveResult:
@@ -187,9 +182,7 @@ def _convolve(cs, phi, x, t, gradient_ell=None) -> SolveResult:
 
 
 def _check_time(cs, t):
-    t = float(t)
-    if not 0.0 < t <= cs.T:
-        raise DomainError(f"t={t:g} outside (0, T]")
+    t = _validate_time(cs, t)
     if t < 1e-10 * cs.T:
         raise DomainError(f"t={t:g} below the evaluation floor 1e-10 T")
     return t
@@ -202,42 +195,56 @@ def solve_homogeneous(cs, phi: GridFunction, x, t) -> SolveResult:
 
 def _source_quadrature(cs, f, x, t, settings, gradient_ell=None, p=None):
     """One walk over Fejer's second rule in sigma = sqrt(t - tau) on each
-    piece between the square roots of the window breaks; every node has its
-    own cell grid. f is sampled once per node, that sample is contracted
-    with the kernel weights by one matvec over the flattened grid, and it
-    feeds ||f||_{p,t} with the solution's weights when ``p`` is given. The
-    estimate is the Chebyshev tail bound of the per-node integrand
-    (``piecewise_error``), at least the rounding of the node and cell sums,
-    without the truncated kernel mass. Returns (SolveResult, norm or None)."""
+    piece between the square roots of the window breaks. Every node has its
+    own cell grid; those grids and all else that depends on the window alone
+    are built once per walk. Per node f is sampled once, contracted with the
+    kernel weights by one matvec, and feeds ||f||_{p,t} when ``p`` is given.
+    The estimate is the Chebyshev tail bound of the per-node integrand, at
+    least the rounding of the sums, without the truncated kernel mass. Returns
+    (SolveResult, norm or None); non-finite source values raise DomainError."""
+    if p is not None:
+        holder_conjugate(p)  # raises DomainError unless p >= 1
     ends = np.sqrt(cs.window_breaks(t))
     sigmas, rule = piecewise_rule(ends, settings.sigma_slices - 1)
     cs.check_window_floor(t, sigmas[0] ** 2)
-    value, terms, norm_terms = np.zeros(cs.m), [], []
-    for sigma, weight_s, acc in zip(sigmas.tolist(), (2.0 * sigmas * rule).tolist(),
-                                    cs.windows(t, np.square(sigmas))):
-        axes, spacings, _ = kernels.slice_grid(
-            acc, x, settings.truncation_sigmas, settings.grid_points
-        )
-        cell = float(np.prod(spacings))
-        vals = f(kernels.grid_nodes(axes), t - sigma * sigma)
-        weight = kernels.kernel_weight(acc, kernels.displacement(acc, x, axes), gradient_ell)
-        if vals.shape != weight.shape + (cs.m,):
-            raise DomainError(f"source values must have shape {weight.shape + (cs.m,)}, "
-                              f"not {vals.shape}")
-        inner = acc.exp_ic @ (weight.ravel() @ vals.reshape(-1, cs.m))
-        # weights in tau = t - sigma^2: d tau = 2 sigma d sigma
-        value = value + weight_s * cell * inner
-        terms.append(2.0 * sigma * cell * inner)
-        if p is not None:
-            mags = matfun.component_norms(vals)
-            norm_terms.append(np.max(mags) if math.isinf(p) else weight_s * cell * np.sum(mags**p))
+    batch = cs.windows(t, np.square(sigmas))
+    _, spacings, axes, u = kernels.slice_grids(batch, x, settings.truncation_sigmas,
+                                               settings.grid_points)
+    slopes = ([()] * len(batch) if gradient_ell is None else  # -(1/2)(ia_inv u, ell) per axis
+              zip(*kernels.open_grid(u * (-0.5 * (batch.ia_inv @ gradient_ell))[..., None])))
+    windows = map(_Window, batch.ia_inv, batch.log_gauss_norm.tolist())
+    shape, inners, norm_terms = (settings.grid_points,) * cs.n + (cs.m,), [], []
+    for tau, window, y, u_k, slope, exp_ic in zip(
+            (t - sigmas * sigmas).tolist(), windows, zip(*kernels.open_grid(axes)),
+            zip(*kernels.open_grid(u)), slopes, batch.exp_ic):
+        vals = f(kernels.grid_nodes(y), tau)
+        if vals.shape != shape:
+            raise DomainError(f"source values must have shape {shape}, not {vals.shape}")
+        weight = kernels.gaussian_field(window, u_k)
+        if slope:
+            weight *= sum(slope)
+        inner = weight.ravel() @ vals.reshape(-1, cs.m)
+        term = 0.0
+        if p is not None:  # at p = inf, the largest sum of squares; its root at the end
+            squares = matfun.squared_norms(vals)
+            term = np.max(squares) if math.isinf(p) else np.sum(np.sqrt(squares, out=squares) ** p)
+        if not (np.isfinite(inner).all() and math.isfinite(term)):  # as a bad sample makes them
+            raise DomainError("source values must be finite")
+        inners.append(exp_ic @ inner)
+        norm_terms.append(term)
+    # weights in tau = t - sigma^2: d tau = 2 sigma d sigma, times the cell
+    cells = np.prod(spacings, axis=1)
+    weights, inners = 2.0 * sigmas * rule * cells, np.array(inners)
+    terms = (2.0 * sigmas * cells)[:, None] * inners
     # at least the rounding of the sums: eps per node and per grid cell
     rounding = (rule.size + settings.grid_points**cs.n) * np.finfo(float).eps * (
         np.abs(rule) @ np.linalg.norm(terms, axis=1))
-    result = SolveResult(value=value, error_estimate=max(piecewise_error(ends, terms), rounding))
+    result = SolveResult(value=sum(weights[:, None] * inners),  # node by node, in order
+                         error_estimate=max(piecewise_error(ends, terms), rounding))
     if p is None:
         return result, None
-    return result, float(max(norm_terms) if math.isinf(p) else sum(norm_terms) ** (1.0 / p))
+    return result, float(np.sqrt(max(norm_terms)) if math.isinf(p)
+                         else sum((weights * norm_terms).tolist()) ** (1.0 / p))
 
 
 def solve_nonhomogeneous(cs, f: SourceFunction, x, t, settings=None) -> SolveResult:

@@ -66,12 +66,7 @@ def constant_presets(n, m):
 def _directions(n):
     if n == 1:
         return [np.array([1.0]), np.array([-1.0])]
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    e2 = np.zeros(n)
-    e2[1] = 1.0
-    diag = np.ones(n) / math.sqrt(n)
-    return [e1, e2, diag]
+    return [*np.eye(n)[:2], np.ones(n) / math.sqrt(n)]
 
 
 def _case(kind, label, cs, p, t, ell=None, j=None):

@@ -258,6 +258,37 @@ def _dense_reference(acc, x, nodes, ell):
     return weight, logs
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slice_grids_match_cell_grid_around_each_kernel_peak(n):
+    cs = sp.coefficient_set(n=n, m=1, T=1.0, A=sp.Affine(_rotated(n), 0.3 * _rotated(n)),
+                            b=np.linspace(0.4, -0.3, n))
+    x, points = np.linspace(0.3, -0.4, n), 9
+    batch = cs.windows(0.9, np.square(np.linspace(0.1, 0.9, 7)))
+    radii, spacings, axes, u = kernels.slice_grids(batch, x, 8.0, points)
+    assert radii.shape == spacings.shape == (7, n)
+    assert axes.shape == u.shape == (7, n, points)
+    for k, acc in enumerate(batch):
+        reach = 8.0 * np.sqrt(2.0 * np.diag(acc.ia))
+        grid, steps = kernels.cell_grid(x + acc.ib, reach, points)
+        # the grid as np.meshgrid builds it from per-axis cell midpoints
+        center, step = x + acc.ib, 2.0 * reach / points
+        mesh = np.meshgrid(*(center[i] - reach[i] + (np.arange(points) + 0.5) * step[i]
+                             for i in range(n)), indexing="ij", sparse=True)
+        np.testing.assert_array_equal(radii[k], reach)
+        np.testing.assert_array_equal(spacings[k], steps)
+        np.testing.assert_array_equal(steps, step)
+        pairs = [(kernels.open_grid(axes[k]), grid), (grid, mesh),
+                 (kernels.open_grid(u[k]), kernels.displacement(acc, x, grid))]
+        for built, expected in pairs:
+            for a, b in zip(built, expected, strict=True):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+    # one window alone gives its row of the batch
+    for alone, stacked in zip(kernels.slice_grids(batch[3], x, 8.0, points),
+                              (radii, spacings, axes, u), strict=True):
+        np.testing.assert_array_equal(alone, stacked[3])
+
+
 @pytest.mark.parametrize("cs", OPEN_GRID_SETS, ids=lambda cs: f"n{cs.n}")
 @pytest.mark.parametrize("directional", [False, True])
 @pytest.mark.parametrize("grid", ["slice", "wide", "zoom"])
@@ -269,12 +300,13 @@ def test_open_grid_field_matches_dense_reference(cs, directional, grid):
     points = {1: 257, 2: 65, 3: 17}[cs.n]
     if grid == "zoom":
         # an off-centre zoom box as the oracle's local refinement builds it
-        _, spacings, _ = kernels.slice_grid(acc, x, 8.0, points)
+        spacings = kernels.slice_grids(acc, x, 8.0, points)[1]
         axes, _ = kernels.cell_grid(x + acc.ib + 1.5 * kernels.kernel_std(acc),
                                     2.0 * spacings, points)
     else:
         # "wide" reaches 45 marginal deviations, far past the exp underflow
-        axes = kernels.slice_grid(acc, x, 8.0 if grid == "slice" else 45.0, points)[0]
+        axes = kernels.open_grid(
+            kernels.slice_grids(acc, x, 8.0 if grid == "slice" else 45.0, points)[2])
     field = kernels.kernel_weight(acc, kernels.displacement(acc, x, axes), ell)
     reference, logs = _dense_reference(acc, x, kernels.grid_nodes(axes), ell)
     if ell is None:  # dense points take the grid's operations

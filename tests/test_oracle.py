@@ -217,7 +217,7 @@ def test_sign_aligned_samples_match_the_dense_node_profile_bitwise(n):
     sign[mags > 0.0] = field[mags > 0.0] / mags[mags > 0.0][..., None]
     width = kernels.kernel_std(acc) / 8.0
     nodes = np.stack(np.broadcast_arrays(*axes), axis=-1)
-    profile = np.exp(-matfun.squared_distances(nodes, spec.x + acc.ib) / (2.0 * width * width))
+    profile = np.exp(-matfun.squared_norms(nodes - (spec.x + acc.ib)) / (2.0 * width * width))
     values = sign * profile[..., None]
     norm = GridFunction(center=samples.center, radius=samples.radius, values=values).norm(1.0)
     assert np.count_nonzero(values) > 0

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import sharp_parabolic as sp
-from sharp_parabolic import kernels
+from sharp_parabolic import kernels, matfun
 from sharp_parabolic.errors import CoverageWarning, DomainError
 from sharp_parabolic.quadrature import piecewise_rule
 from sharp_parabolic.solve import (
@@ -290,6 +291,56 @@ def test_spacetime_norm_of_a_constant_is_the_exact_integral_over_slice_boxes():
     assert norm == pytest.approx(10.431502, rel=1e-7)
 
 
+def test_sup_norm_is_the_root_of_the_largest_sum_of_squares_of_the_samples():
+    cs, x, t = _source_set(2, 2), np.array([0.3, -0.2]), 0.7
+    settings = SolveSettings(sigma_slices=8, grid_points=9)
+    samples = []
+
+    def record(pts, tau):
+        samples.append(_source_field(2)(pts, tau))
+        return samples[-1]
+
+    norm = spacetime_norm(cs, SourceFunction(record), x, t, INF, settings=settings)
+    assert len(samples) == settings.sigma_slices - 1
+    assert norm == max(float(np.max(matfun.component_norms(v))) for v in samples)
+
+
+@pytest.mark.parametrize("p", [0.5, -1.0, 0.0, math.nan])
+@pytest.mark.parametrize("entry", ["spacetime_norm", "source", "grid", "GridFunction.norm"])
+def test_data_norms_refuse_an_exponent_below_one(entry, p):
+    cs = heat(T=1.0)
+    f = SourceFunction(lambda pts, tau: np.exp(-pts**2))
+    phi = gaussian_grid(lambda pts: np.exp(-pts**2), points=33)
+    with pytest.raises(DomainError, match="p >= 1"):
+        if entry == "spacetime_norm":
+            spacetime_norm(cs, f, np.zeros(1), 0.5, p)
+        elif entry == "source":
+            solve_with_norm(cs, "nonhomogeneous", f, np.zeros(1), 0.5, p)
+        elif entry == "grid":
+            solve_with_norm(cs, "homogeneous", phi, np.zeros(1), 0.5, p)
+        else:
+            phi.norm(p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p", [None, 2.0, INF])
+def test_a_non_finite_source_sample_is_a_domain_error(bad, p):
+    cs = sp.coefficient_set(n=2, m=2, T=1.0)
+    settings = SolveSettings(sigma_slices=4, grid_points=5)
+
+    def fn(pts, tau):  # one bad sample, on one node's grid only
+        vals = np.ones(pts.shape[:-1] + (2,))
+        if tau < 0.3:
+            vals[2, 1, 1] = bad
+        return vals
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(DomainError, match="finite"):
+            solve_with_norm(cs, "nonhomogeneous", SourceFunction(fn), np.zeros(2), 0.5, p,
+                            settings=settings)
+
+
 @pytest.mark.parametrize("t", [-0.5, 0.0, 2.0])
 def test_spacetime_norm_rejects_times_outside_the_horizon(t):
     cs = heat(T=1.0)
@@ -394,17 +445,21 @@ def test_each_sigma_node_samples_the_source_once_on_its_slice_grid():
     calls = []
 
     def record(pts, tau):
-        calls.append((pts.copy(), tau))
+        calls.append((pts, pts.copy(), tau))
         return _source_field(2)(pts, tau)
 
     sp.solve_nonhomogeneous(cs, SourceFunction(record), x, t, settings=settings)
     sigmas, _ = piecewise_rule(np.sqrt(cs.window_breaks(t)), settings.sigma_slices - 1)
     assert len(calls) == sigmas.size == settings.sigma_slices - 1
-    for (pts, tau), sigma, acc in zip(calls, sigmas.tolist(), cs.windows(t, np.square(sigmas))):
-        axes = kernels.slice_grid(acc, x, settings.truncation_sigmas, settings.grid_points)[0]
+    batch = cs.windows(t, np.square(sigmas))
+    axes = kernels.slice_grids(batch, x, settings.truncation_sigmas, settings.grid_points)[2]
+    for k, (pts, seen, tau) in enumerate(calls):
         assert pts.shape == (9, 9, 2)
-        np.testing.assert_array_equal(pts, kernels.grid_nodes(axes))
-        assert tau == t - sigma * sigma
+        np.testing.assert_array_equal(seen, kernels.grid_nodes(kernels.open_grid(axes[k])))
+        assert tau == t - sigmas[k] * sigmas[k]
+        # a fresh array per node: no later node wrote into the one this node got
+        np.testing.assert_array_equal(pts, seen)
+        assert not any(np.shares_memory(pts, other) for other, _, _ in calls[k + 1:])
 
 
 def _tensordot_reference(cs, f, x, t, settings, ell):
@@ -413,8 +468,8 @@ def _tensordot_reference(cs, f, x, t, settings, ell):
     sigmas, rule = piecewise_rule(np.sqrt(cs.window_breaks(t)), settings.sigma_slices - 1)
     value = np.zeros(cs.m)
     for sigma, weight_s, acc in zip(sigmas, 2.0 * sigmas * rule, cs.windows(t, sigmas**2)):
-        axes, spacings, _ = kernels.slice_grid(acc, x, settings.truncation_sigmas,
-                                               settings.grid_points)
+        reach = settings.truncation_sigmas * np.sqrt(2.0 * np.diag(acc.ia))
+        axes, spacings = kernels.cell_grid(x + acc.ib, reach, settings.grid_points)
         nodes = np.stack(np.broadcast_arrays(*axes), axis=-1)
         u = (x - nodes) + acc.ib
         weight = np.exp(-0.25 * np.einsum("...i,ij,...j->...", u, acc.ia_inv, u)
@@ -424,6 +479,29 @@ def _tensordot_reference(cs, f, x, t, settings, ell):
         inner = acc.exp_ic @ np.tensordot(weight, f(nodes, t - sigma**2), cs.n)
         value = value + weight_s * np.prod(spacings) * inner
     return value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("directional", [False, True])
+def test_the_batched_walk_matches_the_per_window_path_bit_for_bit(n, directional):
+    # per node: its own window, cell grid, displacement and kernel weight
+    cs, f, m = _source_set(n, 2), SourceFunction(_source_field(2)), 2
+    x, t = np.linspace(0.4, -0.3, n), 0.8
+    settings = SolveSettings(sigma_slices=8, grid_points={1: 33, 2: 17, 3: 9}[n])
+    ell = np.linspace(1.0, 2.0, n) if directional else None
+    ell = None if ell is None else ell / np.linalg.norm(ell)
+    sigmas, rule = piecewise_rule(np.sqrt(cs.window_breaks(t)), settings.sigma_slices - 1)
+    value = np.zeros(m)
+    for sigma, weight_s, acc in zip(sigmas.tolist(), (2.0 * sigmas * rule).tolist(),
+                                    cs.windows(t, np.square(sigmas))):
+        reach = settings.truncation_sigmas * np.sqrt(2.0 * np.diag(acc.ia))
+        axes, spacings = kernels.cell_grid(x + acc.ib, reach, settings.grid_points)
+        weight = kernels.kernel_weight(acc, kernels.displacement(acc, x, axes), ell)
+        vals = f(kernels.grid_nodes(axes), t - sigma * sigma)
+        inner = acc.exp_ic @ (weight.ravel() @ vals.reshape(-1, m))
+        value = value + weight_s * float(np.prod(spacings)) * inner
+    result, _ = solve_with_norm(cs, "nonhomogeneous", f, x, t, ell=ell, settings=settings)
+    np.testing.assert_array_equal(result.value, value)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
