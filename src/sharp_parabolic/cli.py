@@ -4,12 +4,14 @@ Commands: coeffs, kernel, sharp, solve, verify, sweep. Output is CSV with a
 versioned schema comment, 17 significant digits and '\\n' line endings, so
 identical configurations produce byte-identical files.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration or output error
+(an output path that is a directory or in a missing directory is refused first).
 """
 
 import argparse
 import csv
 import math
+import os
 import sys
 import warnings
 
@@ -21,6 +23,7 @@ from .errors import ConfigError, DomainError
 from .solve import GridFunction, SolveSettings, SourceFunction
 
 SCHEMA = "sharp-parabolic-csv/1"
+_NUMBER_TYPES = frozenset((float, int, np.float64))  # "%.17g" cells that need no quoting
 
 
 def format_cell(value) -> str:
@@ -30,18 +33,21 @@ def format_cell(value) -> str:
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    x = float(value)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    return f"{float(value):.17g}"
 
 
 def write_csv(stream, command, header, rows):
     stream.write(f"# schema: {SCHEMA} command: {command}\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
+    formats = {}  # one "%.17g,...\n" row format per length of all-number rows
     for row in rows:
-        writer.writerow([format_cell(cell) for cell in row])
+        if _NUMBER_TYPES.issuperset(map(type, row)):
+            if len(row) not in formats:
+                formats[len(row)] = ",".join(["%.17g"] * len(row)) + "\n"
+            stream.write(formats[len(row)] % tuple(row))
+        else:
+            writer.writerow([format_cell(cell) for cell in row])
 
 
 # ``threads`` is unused; it stays because bench/tracer.py wraps this signature
@@ -133,9 +139,9 @@ def cmd_coeffs(cfg):
     lengths = [coeffs.window_length(cs, tau, t) for tau, t in spans]
     batch = cs.windows([t for _, t in spans], lengths)
     upper = np.triu_indices(cfg.n)
-    table = np.hstack([batch.ia[:, upper[0], upper[1]], batch.ib, batch.ic.reshape(len(batch), -1),
-                       batch.det_ia_sqrt[:, None], batch.quad_error[:, None]])
-    rows = [[tau, t] + cells for (tau, t), cells in zip(spans, table.tolist())]
+    rows = np.column_stack((spans, batch.ia[:, upper[0], upper[1]], batch.ib,
+                            batch.ic.reshape(len(batch), -1), batch.det_ia_sqrt,
+                            batch.quad_error)).tolist()
     header = (
         ["tau", "t"]
         + [f"ia_{i + 1}{j + 1}" for i in range(cfg.n) for j in range(i, cfg.n)]
@@ -246,12 +252,23 @@ def cmd_verify(cfg):
     families = verification.families(cases)
     rows = [row for chunk in _map_tasks(evaluate, families, 1) for row in chunk]
     header = ["name", "closed_form", "oracle", "rel_diff", "tol", "status"]
-    failures = sum(1 for row in rows if row[-1] == "FAIL")
-    return header, rows, failures
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+_COMMAND_RUNS = {"sharp": cmd_sharp, "sweep": cmd_sharp, "kernel": cmd_kernel,
+                 "coeffs": cmd_coeffs, "solve": cmd_solve, "verify": cmd_verify}
+
+
+def _output_problem(path):
+    """Why the CSV cannot be written to ``path``, or None; asked before computing."""
+    if os.path.isdir(path):
+        return f"{path!r} is a directory"
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        return f"the directory of {path!r} does not exist"
+    return None
 
 
 def main(argv=None) -> int:
@@ -278,17 +295,11 @@ def main(argv=None) -> int:
                 cfg.request["tolerance"] = tol
             elif tol is not None:
                 cfg.numerics.quad_tol = tol
-            failures = 0
-            if args.command in ("sharp", "sweep"):
-                header, rows = cmd_sharp(cfg)
-            elif args.command == "kernel":
-                header, rows = cmd_kernel(cfg)
-            elif args.command == "coeffs":
-                header, rows = cmd_coeffs(cfg)
-            elif args.command == "solve":
-                header, rows = cmd_solve(cfg)
-            else:
-                header, rows, failures = cmd_verify(cfg)
+            out_path = args.out or cfg.output_path
+            if out_path and (problem := _output_problem(out_path)):
+                print(f"output error: {problem}", file=sys.stderr)
+                return 2
+            header, rows = _COMMAND_RUNS[args.command](cfg)
         except (ConfigError, DomainError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
@@ -296,21 +307,20 @@ def main(argv=None) -> int:
             for message in dict.fromkeys(str(w.message) for w in caught):
                 print(f"warning: {message}", file=sys.stderr)
 
-    out_path = args.out or cfg.output_path
-    if out_path:
-        with open(out_path, "w", newline="") as handle:
-            write_csv(handle, args.command, header, rows)
-    else:
-        write_csv(sys.stdout, args.command, header, rows)
+    try:
+        if out_path:
+            with open(out_path, "w", newline="") as handle:
+                write_csv(handle, args.command, header, rows)
+        else:
+            write_csv(sys.stdout, args.command, header, rows)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "verify":
-        total = len(rows)
-        print(
-            f"verify: {total - failures}/{total} checks passed",
-            file=sys.stderr,
-        )
-        if failures:
-            return 1
+        failures = sum(1 for row in rows if row[-1] == "FAIL")
+        print(f"verify: {len(rows) - failures}/{len(rows)} checks passed", file=sys.stderr)
+        return 1 if failures else 0
     return 0
 
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -768,3 +769,70 @@ def test_config_loader_direct_errors(tmp_path):
     path = write_config(tmp_path, body)
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def _reference_csv(command, header, rows):
+    """The writer's bytes as a csv.writer with one format_cell per cell gives them."""
+    stream = io.StringIO()
+    stream.write(f"# schema: {cli.SCHEMA} command: {command}\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cli.format_cell(cell) for cell in row])
+    return stream.getvalue()
+
+
+_NUMBER_CELLS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 0.1, 7, 0, -3,
+                 2**60, np.float64(-2.5e-17), np.float64(math.inf)]
+_TEXT_CELLS = [True, False, np.bool_(True), np.bool_(False), None, np.float32(0.1),
+               np.int64(-12), "H[n1m1-iso,p=1]", 'say "pass"', "a\nb", "c\rd", ""]
+
+
+@pytest.mark.parametrize("rows", [
+    [_NUMBER_CELLS],
+    [[cell] for cell in _NUMBER_CELLS + _TEXT_CELLS],
+    [_NUMBER_CELLS + [cell] for cell in _TEXT_CELLS],
+    [[], [""], [1.0], []],
+    # numeric and text rows interleaved, and two lengths of numeric row
+    [[1.0, 2], ["x,y", 3.0], [np.float64(4.0), 5.0, 6.0], [None], [7, 8.5], [True, 1.0],
+     [0.25, -0.0], ["", ""]],
+], ids=["numbers", "one-cell-rows", "one-text-cell-each", "empty-rows", "interleaved"])
+def test_write_csv_gives_the_bytes_of_one_format_cell_per_cell(rows):
+    header = [f"c{i}" for i in range(max(map(len, rows)))]
+    stream = io.StringIO()
+    cli.write_csv(stream, "sweep", header, rows)
+    assert stream.getvalue() == _reference_csv("sweep", header, rows)
+
+
+def test_format_cell_spells_the_non_finite_floats():
+    assert [cli.format_cell(x) for x in (math.inf, -math.inf, math.nan, np.float64(-math.inf))] \
+        == ["inf", "-inf", "nan", "-inf"]
+
+
+@pytest.mark.parametrize("flag_target, config_target", [
+    ("missing/o.csv", None), ("a_directory", None), (None, "missing/o.csv"),
+], ids=["--out in a missing directory", "--out a directory", "output.path in a missing directory"])
+def test_an_unwritable_output_path_exits_2_before_computing(tmp_path, capsys, monkeypatch,
+                                                            flag_target, config_target):
+    (tmp_path / "a_directory").mkdir()
+    computed = []
+    monkeypatch.setitem(cli._COMMAND_RUNS, "sharp",
+                        lambda cfg: computed.append(cfg) or (["value"], [[1.0]]))
+    out = None if config_target is None else str(tmp_path / config_target)
+    flags = [] if flag_target is None else ["--out", str(tmp_path / flag_target)]
+    cfg = write_config(tmp_path, base_config("sharp", {"kind": "H", "p": [2]}, out=out))
+    assert main(["sharp", "--config", cfg] + flags) == 2
+    assert computed == []
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_an_output_error_while_writing_exits_2(tmp_path, capsys, monkeypatch):
+    def fail(stream, command, header, rows):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_csv", fail)
+    out = str(tmp_path / "o.csv")
+    cfg = write_config(tmp_path, base_config("sharp", {"kind": "H", "p": [2]}, out=out))
+    assert main(["sharp", "--config", cfg]) == 2
+    assert "output error: [Errno 28] No space left on device" in capsys.readouterr().err
