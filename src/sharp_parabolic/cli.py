@@ -5,7 +5,8 @@ versioned schema comment, 17 significant digits and '\\n' line endings, so
 identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or output error
-(an output path that is a directory or in a missing directory is refused first).
+(an output path that is a directory or in a missing directory is refused first;
+a failed write leaves the file at the path as it was).
 """
 
 import argparse
@@ -17,10 +18,10 @@ import warnings
 
 import numpy as np
 
-from . import coeffs, kernels, matfun, sharp, solve, verification
-from .config import COMMANDS, POSITIVE, _number, load_config
-from .errors import ConfigError, DomainError
-from .solve import GridFunction, SolveSettings, SourceFunction
+from . import kernels, matfun, sharp, solve, verification
+from .config import COMMANDS, _number, load_config
+from .errors import POSITIVE, ConfigError, DomainError
+from .solve import GridFunction, SourceFunction
 
 SCHEMA = "sharp-parabolic-csv/1"
 _NUMBER_TYPES = frozenset((float, int, np.float64))  # "%.17g" cells that need no quoting
@@ -67,12 +68,11 @@ def _vector_cells(vec, size):
 
 def cmd_sharp(cfg):
     req = cfg.request
-    settings = sharp.SphereSettings(seeds_per_dim=cfg.numerics.sphere_seeds)
     ells = [None] if req["ell"] is None else list(req["ell"])
     # every request is built, and so checked, before any is evaluated
     requests = [
-        sharp.SharpRequest(kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics.quad_tol,
-                           sphere=settings)
+        sharp.SharpRequest(kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics["quad_tol"],
+                           sphere=cfg.numerics["sphere"])
         for kind in req["kinds"] for p in req["p"] for t in req["t"]
         for ell in (ells if kind in ("K_ell", "C_ell") else [None])
     ]
@@ -135,9 +135,8 @@ def cmd_kernel(cfg):
 
 def cmd_coeffs(cfg):
     cs = cfg.coefficient_set
-    spans = cfg.request["windows"]
-    lengths = [coeffs.window_length(cs, tau, t) for tau, t in spans]
-    batch = cs.windows([t for _, t in spans], lengths)
+    spans = np.array(cfg.request["windows"])
+    batch = cs.windows(spans[:, 1], spans[:, 1] - spans[:, 0])
     upper = np.triu_indices(cfg.n)
     rows = np.column_stack((spans, batch.ia[:, upper[0], upper[1]], batch.ib,
                             batch.ic.reshape(len(batch), -1), batch.det_ia_sqrt,
@@ -188,24 +187,20 @@ def cmd_solve(cfg):
     fn = _data_callable(block, cfg.n, cfg.m)
     kind = _SOLVE_KINDS[problem][ell is not None]
 
-    cs = cfg.coefficient_set
-    settings = SolveSettings(
-        grid_points=min(cfg.numerics.grid_points, 129 if cfg.n > 1 else 257),
-        truncation_sigmas=cfg.numerics.truncation_sigmas,
-    )
+    cs, settings = cfg.coefficient_set, cfg.numerics["solve"]
     if problem == "homogeneous":
         radius = block["radius"]
         if radius is None:
             std = kernels.kernel_std(cs.accumulated(0.0, max(ts)))
-            radius = cfg.numerics.truncation_sigmas * std + 3.0 * block["width"]
+            radius = settings.truncation_sigmas * std + 3.0 * block["width"]
         data = GridFunction.from_callable(fn, center=np.zeros(cfg.n), radius=radius,
                                           points_per_axis=settings.grid_points)
     else:
         data = SourceFunction(evaluator=lambda pts, tau: fn(pts))
-    sphere = sharp.SphereSettings(seeds_per_dim=cfg.numerics.sphere_seeds)
     coefs = {  # one sharp constant per distinct t, shared by its rows
         t: sharp.evaluate_sharp(cs, sharp.SharpRequest(
-            kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics.quad_tol, sphere=sphere,
+            kind=kind, p=p, t=t, ell=ell, quad_tol=cfg.numerics["quad_tol"],
+            sphere=cfg.numerics["sphere"],
         )).value
         for t in dict.fromkeys(ts)
     }
@@ -271,6 +266,19 @@ def _output_problem(path):
     return None
 
 
+def _write_file(path, command, header, rows):
+    """Write the CSV into a temporary file beside ``path`` and rename it into
+    place, so a failed write leaves whatever ``path`` held before."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", newline="") as handle:
+            write_csv(handle, command, header, rows)
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sharp-parabolic",
@@ -294,7 +302,7 @@ def main(argv=None) -> int:
             if tol is not None and args.command == "verify":
                 cfg.request["tolerance"] = tol
             elif tol is not None:
-                cfg.numerics.quad_tol = tol
+                cfg.numerics["quad_tol"] = tol
             out_path = args.out or cfg.output_path
             if out_path and (problem := _output_problem(out_path)):
                 print(f"output error: {problem}", file=sys.stderr)
@@ -309,8 +317,7 @@ def main(argv=None) -> int:
 
     try:
         if out_path:
-            with open(out_path, "w", newline="") as handle:
-                write_csv(handle, args.command, header, rows)
+            _write_file(out_path, args.command, header, rows)
         else:
             write_csv(sys.stdout, args.command, header, rows)
     except OSError as exc:

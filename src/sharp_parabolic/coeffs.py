@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from . import matfun
-from .errors import DomainError, NotPositiveDefinite
+from .errors import COUNT, POSITIVE, DomainError, NotPositiveDefinite, checked
 from .quadrature import adaptive_quadrature  # noqa: F401  (wrapped by bench/tracer.py)
 
 # Fraction of T below which a window (t - tau) counts as degenerate.
@@ -207,12 +207,12 @@ def Tabulated(times, values):
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise DomainError("tabulated preset needs at least two samples")
-    if not np.all(np.diff(times) > 0):
-        raise DomainError("tabulated sample times must be strictly increasing")
     if values.shape[0] != times.size:
         raise DomainError("tabulated times and values disagree in length")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("tabulated values must be finite")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise DomainError("tabulated sample times and values must be finite")
+    if not np.all(np.diff(times) > 0):
+        raise DomainError("tabulated sample times must be strictly increasing")
     return _Piecewise(times, _pchip_cubics(_column(np.diff(times), values.ndim), values))
 
 
@@ -310,10 +310,9 @@ class CoefficientSet:
     C: object
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise DomainError("dimensions n and m must be >= 1")
-        if not self.T > 0:
-            raise DomainError("final time T must be positive")
+        for name in "nm":
+            checked(getattr(self, name), f"dimension {name}", *COUNT)
+        object.__setattr__(self, "T", checked(self.T, "final time T", *POSITIVE))
         for name, preset in (("A", self.A), ("b", self.b), ("C", self.C)):
             lo, hi = preset.times[0], preset.times[-1]
             if lo > 0.0 or hi < self.T:
@@ -405,25 +404,15 @@ def coefficient_set(n=1, m=1, T=1.0, A=None, b=None, C=None) -> CoefficientSet:
     A = _as_preset(A, (n, n))
     b = _as_preset(b, (n,))
     C = _as_preset(C, (m, m))
-    return CoefficientSet(n=n, m=m, T=float(T), A=A, b=b, C=C)
-
-
-def window_length(cs, tau, t) -> float:
-    """t - tau for a window [tau, t], raising DomainError unless 0 <= tau < t <= T."""
-    tau = float(tau)
-    t = float(t)
-    if tau < 0.0 or t > cs.T or not tau < t:
-        raise DomainError(f"window [{tau:g}, {t:g}] must satisfy 0 <= tau < t <= T")
-    return t - tau
+    return CoefficientSet(n=n, m=m, T=T, A=A, b=b, C=C)
 
 
 def integrate_coefficients(cs, tau, t) -> AccumulatedIntegrals:
-    """Closed-form window integrals of (A, b, C) over [tau, t].
-
-    Raises the errors of integrate_windows, and DomainError unless
-    0 <= tau < t <= T.
-    """
-    return integrate_windows(cs, float(t), [window_length(cs, tau, t)])[0]
+    """Closed-form window integrals of (A, b, C) over [tau, t]; raises the
+    errors of integrate_windows, and DomainError unless tau >= 0 and t are numbers."""
+    tau = checked(tau, "tau", lambda v: v >= 0.0, "must be a finite number >= 0")
+    t = checked(t, "t", lambda v: True, "must be a finite number")
+    return integrate_windows(cs, t, [t - tau])[0]
 
 
 def integrate_windows(cs, t, w) -> "WindowBatch":
@@ -442,11 +431,10 @@ def integrate_windows(cs, t, w) -> "WindowBatch":
     bad = ~((t > 0.0) & (t <= cs.T) & (w <= t) & (w >= floor))
     if bad.any():
         k = int(np.argmax(bad))
-        if 0.0 < t[k] <= cs.T and w[k] < floor:
-            raise DomainError(f"window {w[k]:g} is below the degeneracy floor {floor:g}")
-        raise DomainError(
-            f"window of length {w[k]:g} ending at t={t[k]:g} must lie in [0, {cs.T:g}]"
-        )
+        window = f"window [{t[k] - w[k]:g}, {t[k]:g}]"
+        if 0.0 < t[k] <= cs.T and 0.0 < w[k] < floor:
+            raise DomainError(f"{window} is shorter than the degeneracy floor {floor:g}")
+        raise DomainError(f"{window} must satisfy 0 <= tau < t <= T={cs.T:g}")
 
     ia = cs.A.integral(t, w)
     ia = 0.5 * (ia + ia.swapaxes(-1, -2))

@@ -12,36 +12,30 @@ Tabulated coefficients come from CSV files: row-major upper triangle for A
 (symmetry enforced), full rows for C, plain columns for b, all with a
 leading t column.
 
-Every field is checked here, when the config loads, and ``RunConfig.request``
+Every field is checked when the config loads, and ``RunConfig.request``
 holds the checked request of its command with its defaults filled in. A
-number is a finite JSON number, never a boolean or a string; only exponents
-``p`` also take the tokens of ``parse_p``. The config checks form (type,
-shape, finiteness) and the bounds only it defines; the library checks the
-rest (sharp kinds, case selections, t in (0, T], p >= 1, unit directions,
-window order) when the request runs.
+number meets the package's rule (``errors.checked``): a finite JSON number,
+never a boolean or a string; only exponents ``p`` also take the tokens of
+``parse_p``. The config checks form and the bounds only it defines; the
+settings it builds check the numerics, and the library the rest (sharp
+kinds, case selections, t in (0, T], p >= 1, unit directions, windows).
 """
 
 import csv
 import json
-import math
-import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .coeffs import Affine, Constant, Tabulated, coefficient_set
-from .errors import ConfigError, DomainError
+from .errors import COUNT, POSITIVE, ConfigError, DomainError, checked, is_number
+from .quadrature import DEFAULT_TOL
+from .sharp import SphereSettings
+from .solve import SolveSettings
 
 COMMANDS = ("coeffs", "kernel", "sharp", "solve", "verify", "sweep")
-
-
-@dataclass
-class Numerics:
-    quad_tol: float = 1e-10
-    sphere_seeds: int = 64  # per sphere dimension
-    truncation_sigmas: float = 8.0
-    grid_points: int = 257
 
 
 @dataclass
@@ -51,20 +45,20 @@ class RunConfig:
     T: float
     coefficient_set: object
     request: dict  # the checked fields of its command, defaults filled in
-    numerics: Numerics
+    numerics: dict  # quad_tol, and the settings "sphere" and "solve"
     output_path: str | None
 
 
 def parse_p(token, context="p"):
-    """Exponent from a config/CSV token: a number or a numeric string, where
-    the string 'inf' is infinity; never a boolean."""
-    if isinstance(token, str) and token.strip().lower() == "inf":
-        return math.inf
-    try:
-        if not isinstance(token, bool):
+    """Exponent from a config/CSV token: a number or a numeric string such as
+    "2" or "inf", never a boolean; holder_conjugate judges its value."""
+    if isinstance(token, str):
+        try:
             return float(token)
-    except (TypeError, ValueError, OverflowError):
-        pass
+        except ValueError:
+            pass
+    elif is_number(token) or isinstance(token, float):  # NaN and infinities too
+        return float(token)
     raise ConfigError(f"{context}: cannot parse exponent p from {token!r}")
 
 
@@ -110,26 +104,7 @@ def _tabulated(path, name, shape, context):
     return Tabulated(times, values)
 
 
-def _is_number(value):
-    """A finite JSON number: never a boolean, a string, or an integer too
-    large for a float."""
-    try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:
-        return False
-
-
-POSITIVE = (lambda v: v > 0, "a number > 0")  # the ``ok, rule`` of a number > 0
-
-
-def _number(value, context, ok, rule, kind=float):
-    """``value`` as a finite number (an integer if ``kind`` is int) for which
-    ``ok`` holds, or ConfigError naming ``context``. NaN fails every bound."""
-    if not (_is_number(value) and (kind is float or isinstance(value, numbers.Integral))
-            and ok(value)):
-        raise ConfigError(f"{context} must be {rule}, got {value!r}")
-    return kind(value)
+_number = partial(checked, error=ConfigError)  # the number rule, naming a config field
 
 
 def _array(value, shape, context):
@@ -141,7 +116,7 @@ def _array(value, shape, context):
         cells = np.empty(0, dtype=object)
     if cells.ndim != len(shape) or not all(
         d == s or (s is None and d > 0) for d, s in zip(cells.shape, shape)
-    ) or not all(map(_is_number, cells.flat)):
+    ) or not all(map(is_number, cells.flat)):
         expected = str(tuple(shape)).replace("None", "k")
         raise ConfigError(f"{context}: expected finite numbers of shape {expected}, got {value!r}")
     return cells.astype(float)
@@ -242,6 +217,31 @@ def _request(raw, command, n, m, T):
     return req
 
 
+def _numerics(block, n):
+    """The numerics block as ``quad_tol`` and the settings ``sphere`` and
+    ``solve``, each field checked and defaulted by its owner: quad_tol's rule
+    with DEFAULT_TOL, SphereSettings and SolveSettings. The solve grid is an
+    odd integer >= 17, cut to its cap, which is also its default: 257 cells
+    per axis at n = 1 and SolveSettings' default 129 beyond."""
+    if not isinstance(block, dict):
+        raise ConfigError("numerics: expected an object")
+    numerics = {"quad_tol": _number(block.get("quad_tol", DEFAULT_TOL), "numerics.quad_tol",
+                                    *POSITIVE),
+                "sphere": SphereSettings(), "solve": SolveSettings()}
+    for key, name, field in (("sphere_seeds", "sphere", "seeds_per_dim"),
+                             ("truncation_sigmas", "solve", "truncation_sigmas")):
+        if key in block:
+            try:
+                numerics[name] = replace(numerics[name], **{field: block[key]})
+            except DomainError as exc:
+                raise ConfigError(f"numerics.{key}: {exc}") from exc
+    cap = 257 if n == 1 else SolveSettings.grid_points
+    grid = _number(block.get("grid_points", cap), "numerics.grid_points",
+                   lambda v: v >= 17 and v % 2 == 1, "must be an odd integer >= 17", int)
+    numerics["solve"] = replace(numerics["solve"], grid_points=min(grid, cap))
+    return numerics
+
+
 def load_config(path, command=None) -> RunConfig:
     """Parse and validate a JSON run configuration, its request included."""
     if not os.path.exists(path):
@@ -256,10 +256,7 @@ def load_config(path, command=None) -> RunConfig:
     problem = _require(raw, "problem", "config")
     if not isinstance(problem, dict):
         raise ConfigError("problem: expected an object with n, m, T")
-    n = _number(_require(problem, "n", "problem"), "problem.n", lambda v: v >= 1,
-                "an integer >= 1", int)
-    m = _number(_require(problem, "m", "problem"), "problem.m", lambda v: v >= 1,
-                "an integer >= 1", int)
+    n, m = (_number(_require(problem, key, "problem"), f"problem.{key}", *COUNT) for key in "nm")
     T = _number(_require(problem, "T", "problem"), "problem.T", *POSITIVE)
 
     coeffs_block = raw.get("coefficients", {})
@@ -270,14 +267,7 @@ def load_config(path, command=None) -> RunConfig:
         if name in coeffs_block:
             presets[name] = _parse_preset(coeffs_block[name], name, shape, base_dir)
     try:
-        cs = coefficient_set(
-            n=n,
-            m=m,
-            T=T,
-            A=presets.get("A"),
-            b=presets.get("b"),
-            C=presets.get("C"),
-        )
+        cs = coefficient_set(n=n, m=m, T=T, **presets)
     except (DomainError, ArithmeticError) as exc:
         raise ConfigError(f"coefficients: {exc}") from exc
 
@@ -292,19 +282,7 @@ def load_config(path, command=None) -> RunConfig:
     if cfg_command not in COMMANDS:
         raise ConfigError(f"request.command must be one of {COMMANDS}")
     request = _request(request, cfg_command, n, m, T)
-
-    block = raw.get("numerics", {})
-    if not isinstance(block, dict):
-        raise ConfigError("numerics: expected an object")
-    numerics = Numerics(
-        quad_tol=_number(block.get("quad_tol", 1e-10), "numerics.quad_tol", *POSITIVE),
-        sphere_seeds=_number(block.get("sphere_seeds", 64), "numerics.sphere_seeds",
-                             lambda v: v >= 1, "an integer >= 1", int),
-        truncation_sigmas=_number(block.get("truncation_sigmas", 8.0),
-                                  "numerics.truncation_sigmas", lambda v: v >= 6, "a number >= 6"),
-        grid_points=_number(block.get("grid_points", 257), "numerics.grid_points",
-                            lambda v: v >= 17 and v % 2 == 1, "an odd integer >= 17", int),
-    )
+    numerics = _numerics(raw.get("numerics", {}), n)
 
     output = raw.get("output", {})
     if not isinstance(output, dict):

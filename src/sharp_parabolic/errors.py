@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one number rule."""
+
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -53,3 +56,28 @@ class ConfigError(ValueError):
 
 class CoverageWarning(UserWarning):
     """Sampled data does not cover the kernel's effective support."""
+
+
+def is_number(value):
+    """A finite real number: never a boolean, a string, or an integer too
+    large for a float."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def checked(value, name, ok, rule, kind=float, error=DomainError):
+    """``value`` as a finite number (an integer if ``kind`` is int) for which
+    ``ok`` holds, or ``error`` saying "name=value rule", a float shown in up
+    to 15 digits. NaN fails every bound."""
+    if not (is_number(value) and (kind is float or isinstance(value, numbers.Integral))
+            and ok(value)):
+        shown = format(value, ".15g") if isinstance(value, float) else repr(value)
+        raise error(f"{name}={shown} {rule}")
+    return kind(value)
+
+
+POSITIVE = (lambda v: v > 0, "must be a finite number > 0")  # the ``ok, rule`` of a number > 0
+COUNT = (lambda v: v >= 1, "must be an integer >= 1", int)  # ``ok, rule, kind`` of a count

@@ -9,13 +9,12 @@ estimates.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, matfun, sharp
-from .errors import DomainError, TruncationError
+from .errors import POSITIVE, DomainError, TruncationError, checked
 from .solve import GridFunction, SolveSettings, directional_derivative, solve_homogeneous
 
 HOMOGENEOUS_KINDS = ("H", "K")
@@ -50,14 +49,11 @@ class IntegralOperatorSpec:
             raise DomainError(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
         object.__setattr__(self, "t", sharp._validate_time(self.cs, self.t))
-        if not 6.0 <= self.truncation_radius < math.inf:  # NaN fails too
-            raise DomainError("truncation radius must be finite and at least 6 standard deviations")
-        if not isinstance(self.sigma_slices, numbers.Integral) or self.sigma_slices < 2:
-            raise DomainError("sigma_slices must be an integer >= 2")
-        if (not isinstance(self.grid_resolution, numbers.Integral)
-                or isinstance(self.grid_resolution, bool)
-                or self.grid_resolution < 17 or self.grid_resolution % 2 == 0):
-            raise DomainError("grid resolution must be an odd integer >= 17")
+        checked(self.truncation_radius, "truncation radius", lambda v: v >= 6,
+                "must be a finite number >= 6 (standard deviations)")
+        checked(self.sigma_slices, "sigma_slices", lambda v: v >= 2, "must be an integer >= 2", int)
+        checked(self.grid_resolution, "grid resolution", lambda v: v >= 17 and v % 2 == 1,
+                "must be an odd integer >= 17", int)
         sharp.holder_conjugate(self.p)  # raises DomainError unless p >= 1
         if self.kind in ("K", "C"):
             if self.ell is None:
@@ -161,8 +157,7 @@ def _slices(spec, endpoint_gap, sigma_slices):
     and 1/2. The homogeneous kinds have the one window [0, t]."""
     if spec.kind in HOMOGENEOUS_KINDS:
         return [1.0], spec.cs.windows(spec.t, [spec.t])
-    lo = math.sqrt(endpoint_gap) if endpoint_gap > 0.0 else 0.0
-    hi = math.sqrt(spec.t)
+    lo, hi = math.sqrt(endpoint_gap), math.sqrt(spec.t)
     if not lo < hi:
         raise DomainError("endpoint gap leaves an empty time window")
     nodes, weights = np.polynomial.legendre.leggauss(sigma_slices)
@@ -201,9 +196,12 @@ def opnorm_family(specs, endpoint_gap=0.0, rel_tol=1e-6) -> list[OracleResult]:
     and Gaussian once. For the source kinds a positive ``endpoint_gap``
     truncates the time integral to tau <= t - gap, which is how divergent
     cases are probed. Raises DomainError when the specs are not one family
-    (see family_key), and TruncationError when a spec's spatial tail bound
+    (see family_key), or when ``endpoint_gap`` is not a number >= 0 or
+    ``rel_tol`` one > 0, and TruncationError when a spec's spatial tail bound
     exceeds ``rel_tol`` of its computed value.
     """
+    checked(endpoint_gap, "endpoint_gap", lambda v: v >= 0, "must be a finite number >= 0")
+    checked(rel_tol, "rel_tol", *POSITIVE)
     specs = list(specs)
     if len({family_key(spec) for spec in specs}) != 1:
         raise DomainError("an oracle family is one or more specs with one family_key")

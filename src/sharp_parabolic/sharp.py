@@ -9,14 +9,13 @@ the analytic limits of the general-p formulas.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matfun
 from .coeffs import window_scaling_exponents  # noqa: F401  (wrapped by bench/tracer.py)
-from .errors import DomainError
+from .errors import COUNT, POSITIVE, DomainError, checked
 from .quadrature import DEFAULT_TOL, piecewise_error, piecewise_rule
 from .quadrature import adaptive_quadrature  # noqa: F401  (wrapped by bench/tracer.py)
 
@@ -28,9 +27,8 @@ _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 def holder_conjugate(p: float) -> float:
     """Conjugate exponent p' with 1/p + 1/p' = 1; pairs 1 <-> infinity."""
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise DomainError(f"exponent p={p} must satisfy p >= 1")
+    if p != INF:
+        p = checked(p, "exponent p", lambda v: v >= 1.0, "must be a number with p >= 1, or inf")
     if p == 1.0:
         return INF
     if math.isinf(p):
@@ -52,11 +50,8 @@ class SphereSettings:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if (not isinstance(self.seeds_per_dim, numbers.Integral)
-                or isinstance(self.seeds_per_dim, bool) or self.seeds_per_dim < 1):
-            raise DomainError("seeds_per_dim must be an integer >= 1")
-        if not self.rel_tol > 0.0:  # NaN fails too
-            raise DomainError("sphere rel_tol must be positive")
+        checked(self.seeds_per_dim, "seeds_per_dim", *COUNT)
+        checked(self.rel_tol, "sphere rel_tol", *POSITIVE)
 
 
 # power steps a polish may take before it stops short of rel_tol
@@ -249,10 +244,7 @@ def evaluate_sharp(cs, request: SharpRequest) -> SharpResult:
 
 
 def _validate_time(cs, t):
-    t = float(t)
-    if not 0.0 < t <= cs.T:
-        raise DomainError(f"t={t:g} outside (0, T={cs.T:g}]")
-    return t
+    return checked(t, "t", lambda v: 0.0 < v <= cs.T, f"outside (0, T={cs.T:g}]")
 
 
 def _validate_ell(ell, n):
@@ -444,8 +436,7 @@ def _source_constant(kind, cs, p, t, ell, quad_tol, sphere) -> SharpResult:
     """
     pp = holder_conjugate(p)
     t = _validate_time(cs, t)
-    if not quad_tol > 0:  # NaN fails too
-        raise DomainError(f"quad_tol={quad_tol} must be positive")
+    checked(quad_tol, "quad_tol", *POSITIVE)
     if kind == "C_ell":
         ell = _validate_ell(ell, cs.n)
     if not _convergence(cs, p, kind):

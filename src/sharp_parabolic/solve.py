@@ -7,7 +7,6 @@ singularity of the kernel ingredients.
 """
 
 import math
-import numbers
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -15,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, matfun
-from .errors import CoverageWarning, DomainError
+from .errors import POSITIVE, CoverageWarning, DomainError, checked
 from .quadrature import piecewise_error, piecewise_rule
-from .sharp import _validate_ell, _validate_time, holder_conjugate
+from .sharp import _validate_ell, holder_conjugate
 
 __all__ = [
     "GridFunction",
@@ -59,8 +58,7 @@ class GridFunction:
             raise DomainError("grid must have equal points per axis")
         if pts % 2 == 0 or pts < 3:
             raise DomainError("points per axis must be odd and >= 3")
-        if not 0 < self.radius < math.inf:
-            raise DomainError("grid radius must be positive and finite")
+        checked(self.radius, "grid radius", *POSITIVE)
         if not np.all(np.isfinite(self.values)):
             raise DomainError("grid values must be finite")
 
@@ -104,6 +102,7 @@ class GridFunction:
     def from_callable(cls, fn, center, radius, points_per_axis):
         """Sample ``fn(points) -> (..., m)`` on the grid."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
+        radius = checked(radius, "grid radius", *POSITIVE)  # before it sizes the grid
         pts = kernels.grid_nodes(kernels.cell_grid(center, radius, points_per_axis)[0])
         vals = np.asarray(fn(pts), dtype=float)
         vals = vals[..., None] if vals.ndim == pts.ndim - 1 else vals  # scalar-valued fn
@@ -145,16 +144,12 @@ class SolveSettings:
     truncation_sigmas: float = 8.0
 
     def __post_init__(self):
-        for name in ("sigma_slices", "grid_points"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.sigma_slices < 4 or self.sigma_slices % 2:
-            raise DomainError("sigma_slices must be even and >= 4")
-        if self.grid_points < 3 or self.grid_points % 2 == 0:
-            raise DomainError("grid_points must be odd and >= 3")
-        if not 6.0 <= self.truncation_sigmas < math.inf:  # NaN fails too
-            raise DomainError("truncation_sigmas must be finite and at least 6")
+        checked(self.sigma_slices, "sigma_slices", lambda v: v >= 4 and v % 2 == 0,
+                "must be an even integer >= 4", int)
+        checked(self.grid_points, "grid_points", lambda v: v >= 3 and v % 2 == 1,
+                "must be an odd integer >= 3", int)
+        checked(self.truncation_sigmas, "truncation_sigmas", lambda v: v >= 6,
+                "must be a finite number >= 6")
 
 
 def _check_coverage(phi, peak, std):
@@ -182,10 +177,8 @@ def _convolve(cs, phi, x, t, gradient_ell=None) -> SolveResult:
 
 
 def _check_time(cs, t):
-    t = _validate_time(cs, t)
-    if t < 1e-10 * cs.T:
-        raise DomainError(f"t={t:g} below the evaluation floor 1e-10 T")
-    return t
+    return checked(t, "t", lambda v: 1e-10 * cs.T <= v <= cs.T,
+                   f"outside [1e-10 T, T={cs.T:g}], the evaluation range")
 
 
 def solve_homogeneous(cs, phi: GridFunction, x, t) -> SolveResult:

@@ -18,6 +18,7 @@ from .oracle import (
     opnorm_family,
     sharp_value,
 )
+from .sharp import converges_N
 
 HOMOGENEOUS_TOL = 1e-3
 NONHOMOGENEOUS_TOL = 5e-3
@@ -100,7 +101,7 @@ def nonhomogeneous_cases():
     cases = []
     for n, m in _DIMS:
         for label, cs in constant_presets(n, m):
-            ps = [math.inf] + ([2.0] if 2.0 > (n + 2.0) / 2.0 else [])
+            ps = [math.inf] + ([2.0] if converges_N(cs, 2.0) else [])
             cases += [_case("N", label, cs, p, _T) for p in ps]
             cases += [_case("C", label, cs, math.inf, _T, ell, j)
                       for j, ell in enumerate(_directions(n))]

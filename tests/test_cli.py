@@ -709,6 +709,18 @@ def test_tabulated_A_singular_between_samples_exits_2(tmp_path, capsys):
     assert "A(0.125883)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times", [["0", "1", "inf"], ["-inf", "0", "1"]], ids=["inf", "-inf"])
+def test_a_tabulated_sample_time_that_is_not_finite_exits_2(tmp_path, capsys, times):
+    # an inf in the t column exited 0 with a value and two numpy RuntimeWarnings
+    (tmp_path / "a.csv").write_text("t,entry_11\n" + "".join(f"{t},1\n" for t in times))
+    body = base_config("sharp", {"kind": "H", "p": [2.0], "t": [1.0]})
+    body["coefficients"]["A"] = {"preset": "tabulated", "path": "a.csv"}
+    assert main(["sharp", "--config", write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: coefficients.A: ")
+    assert "warning" not in err.lower()
+
+
 def test_missing_tabulated_file_exits_2(tmp_path, capsys):
     body = base_config("coeffs", {"windows": [[0.0, 1.0]]})
     body["coefficients"]["A"] = {"preset": "tabulated", "path": "nope.csv"}
@@ -836,3 +848,24 @@ def test_an_output_error_while_writing_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, base_config("sharp", {"kind": "H", "p": [2]}, out=out))
     assert main(["sharp", "--config", cfg]) == 2
     assert "output error: [Errno 28] No space left on device" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old", [None, "old bytes\n"], ids=["no old file", "old file"])
+def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, capsys, monkeypatch,
+                                                                  old):
+    # the output path held the schema line and nothing else after such a failure
+    def fail_after_the_schema_line(stream, command, header, rows):
+        stream.write(f"# schema: {cli.SCHEMA} command: {command}\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_csv", fail_after_the_schema_line)
+    out = tmp_path / "out" / "o.csv"
+    out.parent.mkdir()
+    if old is not None:
+        out.write_text(old)
+    cfg = write_config(tmp_path, base_config("sharp", {"kind": "H", "p": [2]}, out=str(out)))
+    assert main(["sharp", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert os.listdir(out.parent) == ([] if old is None else ["o.csv"])
+    if old is not None:
+        assert out.read_text() == old

@@ -107,6 +107,14 @@ def test_tabulated_requires_increasing_times():
         sp.Tabulated(np.array([0.0, 0.5, 0.4]), np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("times", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [0.0, 1.0, np.nan]],
+                         ids=["inf", "-inf", "nan"])
+def test_tabulated_refuses_sample_times_that_are_not_finite(times):
+    # an infinite end time passed as increasing and gave NaN PCHIP end slopes
+    with pytest.raises(DomainError, match="finite"):
+        sp.Tabulated(np.array(times), np.ones((3, 1)))
+
+
 def test_construction_rejects_indefinite_A():
     with pytest.raises(NotPositiveDefinite):
         sp.coefficient_set(n=2, m=1, T=1.0, A=np.diag([1.0, -0.5]))
