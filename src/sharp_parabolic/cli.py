@@ -136,6 +136,9 @@ def cmd_kernel(cfg):
 def cmd_coeffs(cfg):
     cs = cfg.coefficient_set
     spans = np.array(cfg.request["windows"])
+    if (below := spans[:, 0] < 0.0).any():  # t - tau drops a start below 0 by under an ulp of t
+        tau, t = spans[np.argmax(below)]
+        raise DomainError(f"window [{tau:g}, {t:g}] must satisfy 0 <= tau < t <= T={cs.T:g}")
     batch = cs.windows(spans[:, 1], spans[:, 1] - spans[:, 0])
     upper = np.triu_indices(cfg.n)
     rows = np.column_stack((spans, batch.ia[:, upper[0], upper[1]], batch.ib,

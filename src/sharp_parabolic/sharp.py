@@ -42,9 +42,11 @@ def holder_conjugate(p: float) -> float:
 
 @dataclass(frozen=True)
 class SphereSettings:
-    """Deterministic seeding and power-iteration controls for sphere search:
-    ``seeds_per_dim`` lattice seeds per sphere dimension (an integer >= 1)
-    and the residual ``rel_tol`` (> 0) at which a polish stops."""
+    """Deterministic seeding and stop test of the sphere search (Newton
+    steps, power steps where those would not climb): ``seeds_per_dim``
+    lattice seeds per sphere dimension (an integer >= 1) and the residual
+    ``rel_tol`` (> 0) at which a polish stops; a larger one means that the
+    1000-step budget ran out."""
 
     seeds_per_dim: int = 64
     rel_tol: float = 1e-9
@@ -54,8 +56,8 @@ class SphereSettings:
         checked(self.rel_tol, "sphere rel_tol", *POSITIVE)
 
 
-# power steps a polish may take before it stops short of rel_tol
-_POWER_STEPS = 1000
+# steps a polish may take before it stops short of rel_tol
+_MAX_STEPS = 1000
 
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -88,60 +90,109 @@ def _tangent_gradient(grad, z):
     return grad - np.dot(grad, z) * z
 
 
-def _polish_on_sphere(objective, gradient, z0, settings):
-    """Monotone power iteration on a product of spheres from the tuple of
+def _newton_point(zs, grads, tangents, hess):
+    """The Riemannian Newton point from the blocks zs, each renormalized, or
+    None unless the tangent Hessian P H P - diag((z_j.g_j) I_j) (P projects
+    onto the tangent space) is negative definite. It maps each normal z_j to
+    -(z_j.g_j) z_j and the tangent space to itself, where the step lies."""
+    sizes = [z.size for z in zs]
+    block = np.repeat(np.arange(len(zs)), sizes)
+    z = np.concatenate(zs)
+    proj = np.eye(z.size) - np.where(block[:, None] == block, np.outer(z, z), 0.0)
+    shift = np.repeat([np.dot(g, b) for g, b in zip(grads, zs)], sizes)
+    vals, vecs = np.linalg.eigh(proj @ hess @ proj - np.diag(shift))
+    if vals[-1] >= 0.0:
+        return None
+    z = z - vecs @ ((vecs.T @ np.concatenate(tangents)) / vals)
+    return [b / np.linalg.norm(b) for b in np.split(z, np.cumsum(sizes)[:-1])]
+
+
+def _polish_on_sphere(objective, gradient, hessian, z0, settings):
+    """Monotone Newton iteration on a product of spheres from the tuple of
     start vectors z0; returns (z, value, residual) with z a tuple.
 
-    ``objective`` and ``gradient`` take one vector per sphere; the gradient
-    returns one block per sphere, or only block i when called with block=i.
-    Each block steps in turn, z_i <- g_i/|g_i| with g_i its block of
-    grad f(z). For a convex f a step cannot lower f: f(g/|g|) >= f(z) +
-    g.(g/|g| - z) >= f(z), as |g| >= g.z. A node-table sum with weights of
-    both signs (e > 1/2) is convex only up to its quadrature error, and so is
-    monotone only up to it. The residual is |tangent gradient| / |gradient|
-    at ``z`` (blocks combined with ``math.hypot``); the loop stops once it is
-    at most ``settings.rel_tol``, so a larger one means that the
-    ``_POWER_STEPS`` steps ran out.
+    Each callable takes one vector per sphere: the gradient returns one block
+    per sphere (only block i with block=i), the Hessian the Euclidean one of
+    the stacked vectors. A step is the Riemannian Newton step, quadratic near
+    a nondegenerate maximum, where the tangent Hessian is negative definite
+    and f does not fall; else each block takes a power step in turn, z_i <-
+    g_i/|g_i| with g_i its block of grad f(z). For a convex f that cannot
+    lower f: f(g/|g|) >= f(z) + g.(g/|g| - z) >= f(z), as |g| >= g.z. A
+    node-table sum with weights of both signs (e > 1/2) is convex only up to
+    its quadrature error, and so is monotone only up to it. The residual is
+    |tangent gradient| / |gradient| at ``z`` (blocks combined with
+    ``math.hypot``); the loop stops once it is at most ``settings.rel_tol``,
+    so a larger one means that the ``_MAX_STEPS`` steps ran out.
     """
     zs = [np.asarray(b, dtype=float) for b in z0]
     zs = [b / np.linalg.norm(b) for b in zs]
+    value = float(objective(*zs))
 
-    def sine(g, z):
+    def sine(g, tangent):
         norm = np.linalg.norm(g)  # zero only where f vanishes: nothing to climb
-        return np.linalg.norm(_tangent_gradient(g, z)) / norm if norm > 0.0 else 0.0
+        return np.linalg.norm(tangent) / norm if norm > 0.0 else 0.0
 
-    for step in range(_POWER_STEPS + 1):
+    for step in range(_MAX_STEPS + 1):
         grads = [np.asarray(g, dtype=float) for g in gradient(*zs)]
-        residual = math.hypot(*map(sine, grads, zs))
-        if residual <= settings.rel_tol or step == _POWER_STEPS:
+        tangents = [_tangent_gradient(g, z) for g, z in zip(grads, zs)]
+        residual = math.hypot(*map(sine, grads, tangents))
+        if residual <= settings.rel_tol or step == _MAX_STEPS:
             break
+        trial = _newton_point(zs, grads, tangents, hessian(*zs))
+        if trial is not None and (trial_value := float(objective(*trial))) >= value:
+            zs, value = trial, trial_value
+            continue
         for i, g in enumerate(grads):
             if i:  # the blocks before it have moved
                 (g,) = gradient(*zs, block=i)
             zs[i] = g / np.linalg.norm(g)
-    return tuple(zs), float(objective(*zs)), residual
+        value = float(objective(*zs))
+    return tuple(zs), value, residual
 
 
 def _objective(weights, mats, pp):
     """Objective sum_k weights_k prod_j |mats[j]_k v_j|^p' over one unit
-    vector v_j per stack, and its gradient, one block per stack."""
+    vector v_j per stack, its gradient, one block per stack, and its
+    Hessian over the stacked v. A zero term (|mats[j]_k v_j| = 0, from
+    underflow) adds no slope and no curvature."""
+
+    def terms(vs):
+        vecs = [m @ v for m, v in zip(mats, vs)]
+        mags = [np.linalg.norm(x, axis=1) for x in vecs]
+        safe = [np.where(mag > 0.0, mag, 1.0) for mag in mags]
+        # d|x|^p'/dv = p' |x|^(p'-2) E^T x; slopes holds p' |x|^(p'-2)
+        slopes = [pp * (mag > 0.0) * s ** (pp - 2.0) for mag, s in zip(mags, safe)]
+        etxs = [np.einsum("kji,kj->ki", m, x) for m, x in zip(mats, vecs)]  # E^T x
+        return [mag**pp for mag in mags], safe, slopes, etxs
+
+    def others(powers, *skip):
+        return weights * math.prod(power for j, power in enumerate(powers) if j not in skip)
 
     def objective(*vs):
         powers = [np.linalg.norm(m @ v, axis=1) ** pp for m, v in zip(mats, vs)]
         return float(np.dot(weights, math.prod(powers)))
 
     def gradient(*vs, block=None):
-        vecs = [m @ v for m, v in zip(mats, vs)]
-        mags = [np.linalg.norm(x, axis=1) for x in vecs]
-        blocks = []
-        for b in range(len(mats)) if block is None else (block,):
-            coef = pp * weights
-            for j, mag in enumerate(mags):  # a zero block (underflow) has no slope: x = 0
-                coef = coef * (np.where(mag > 0.0, mag, 1.0) ** (pp - 2.0) if j == b else mag**pp)
-            blocks.append(np.einsum("k,kij,kj->i", coef, np.transpose(mats[b], (0, 2, 1)), vecs[b]))
-        return tuple(blocks)
+        powers, _, slopes, etxs = terms(vs)
+        return tuple((others(powers, b) * slopes[b]) @ etxs[b]
+                     for b in (range(len(mats)) if block is None else (block,)))
 
-    return objective, gradient
+    def hessian(*vs):
+        powers, safe, slopes, etxs = terms(vs)
+        rows = [[None] * len(mats) for _ in mats]
+        for i in range(len(mats)):
+            # d2|x|^p'/dv2 = p' |x|^(p'-2) E^T E + p' (p'-2) |x|^(p'-4) (E^T x)(E^T x)^T
+            coef = others(powers, i) * slopes[i]
+            units = etxs[i] / safe[i][:, None]
+            rows[i][i] = (np.einsum("k,kai,kaj->ij", coef, mats[i], mats[i])
+                          + (pp - 2.0) * np.einsum("k,ki,kj->ij", coef, units, units))
+            for j in range(i):
+                rows[i][j] = np.einsum("k,ki,kj->ij", others(powers, i, j) * slopes[i] * slopes[j],
+                                       etxs[i], etxs[j])
+                rows[j][i] = rows[i][j].T
+        return np.block(rows)
+
+    return objective, gradient, hessian
 
 
 def _maximize(weights, mats, pp, settings):
@@ -172,13 +223,13 @@ def _maximize(weights, mats, pp, settings):
             return (matfun.canonical_sign(vecs[:, 0]),), float(vals[0]), 0.0
     settings = settings or SphereSettings()
     seeds = [sphere_lattice(m.shape[2], settings.seeds_per_dim * m.shape[2]) for m in mats]
-    powers = [np.linalg.norm(np.einsum("kij,sj->ksi", m, s), axis=2) ** pp
+    # |m_k s|^p' for every term k and seed s: (K, d, S) products, squares summed per component
+    powers = [matfun.squared_norms(np.moveaxis(m @ s.T, 1, 2)) ** (0.5 * pp)
               for m, s in zip(mats, seeds)]
     grid = weights @ powers[0] if len(mats) == 1 else (weights[:, None] * powers[0]).T @ powers[1]
     best = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    objective, gradient = _objective(weights, mats, pp)
     vs, value, residual = _polish_on_sphere(
-        objective, gradient, tuple(s[i] for s, i in zip(seeds, best)), settings
+        *_objective(weights, mats, pp), tuple(s[i] for s, i in zip(seeds, best)), settings
     )
     return tuple(map(matfun.canonical_sign, vs)), value, residual
 

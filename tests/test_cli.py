@@ -256,6 +256,16 @@ def test_coeffs_command_constant_window(tmp_path):
     assert float(rows[0]["ia_11"]) == pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [-1e-20, -1e-3])
+def test_a_coeffs_window_starting_below_zero_exits_2(tmp_path, capsys, tau):
+    # 1 - (-1e-20) == 1: only the start as given shows that the window leaves [0, T]
+    body = base_config("coeffs", {"windows": [[0.0, 1.0], [tau, 1.0]]}, out=str(tmp_path / "c.csv"))
+    assert main(["coeffs", "--config", write_config(tmp_path, body)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: window [{tau:g}, 1] must satisfy 0 <= tau < t <= T=1\n")
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_solve_command_constant_data(tmp_path):
     out = str(tmp_path / "s.csv")
     cfg = write_config(

@@ -17,8 +17,9 @@ Constant and affine presets map onto presets of the same kind, so every map
 is exact. The cases take every n, m in {1, 2} plus n = m = 3, with constant
 and affine presets, and p from each kind's convergence threshold + 1e-3 to
 infinity. The sphere search of each pair of runs follows the same path,
-except under the two rotations: those compare the rows whose search
-converged (see below).
+except under the two rotations, which move it to another frame; it
+converges on every row there too, next to the threshold included, so the
+rotations also hold on every row.
 """
 
 import functools
@@ -33,7 +34,7 @@ REL = 1e-13
 T, TIME = 1.0, 0.9
 LAM = 3.0  # time rescaling factor
 SHIFT = 0.37  # scalar shift of C
-SEARCH_TOL = sp.SphereSettings().rel_tol  # a search_residual above it: the power steps ran out
+SEARCH_TOL = sp.SphereSettings().rel_tol  # a search_residual above it: the step budget ran out
 KINDS = ("H", "K_ell", "K", "N", "C_ell", "C")
 SOURCE_KINDS = ("N", "C_ell", "C")
 CASES = [(1, 1, "constant"), (1, 1, "affine"), (1, 2, "constant"), (2, 1, "affine"),
@@ -97,7 +98,7 @@ def base_constants(n, m, preset_name):
 
 def converged(results):
     """The keys of the rows whose sphere search converged; a search_residual
-    above rel_tol is the library's own report that the 1000 power steps ran out."""
+    above rel_tol is the library's own report that its 1000 steps ran out."""
     return tuple(key for key, r in results.items() if r.diagnostics.search_residual <= SEARCH_TOL)
 
 
@@ -123,23 +124,19 @@ def assert_close(got, want, factor=lambda kind, p: 1.0):
 
 
 # The sphere search runs in the frames of x (C's joint (ell, z) search) and of
-# the unknown (every z-search), so the two rotation tests compare the rows
-# whose search converged in both runs: next to the threshold the power steps
-# run out when m > 1, and the xfail test below holds those rows to the
-# identity too.
+# the unknown (every z-search), so the rotations hold to 1e-13 only where the
+# search converges in both frames: every row, p = threshold + 1e-3 included.
 @pytest.mark.parametrize("rotated_constants", [x_rotated_constants, unknown_rotated_constants],
                          ids=["x", "unknown"])
 @pytest.mark.parametrize("n, m, preset_name", CASES)
 def test_an_orthogonal_change_leaves_every_converged_constant(rotated_constants, n, m,
                                                               preset_name):
     want = base_constants(n, m, preset_name)
-    got = rotated_constants(n, m, preset_name, converged(want))
-    assert_close({key: got[key] for key in converged(got)}, want)
+    got = rotated_constants(n, m, preset_name, keys_of(n))
+    assert converged(want) == tuple(want) and converged(got) == tuple(got)
+    assert_close(got, want)
 
 
-@pytest.mark.xfail(strict=True, reason="at p = threshold + 1e-3 the 1000 power steps of the "
-                   "sphere search run out (search_residual about 3e-6), and the value depends "
-                   "on the frame by about 1e-9 relative")
 def test_the_search_converges_next_to_the_threshold_in_every_frame():
     n, m, preset_name = 2, 2, "affine"
     got = unknown_rotated_constants(n, m, preset_name, keys_of(n, SOURCE_KINDS))

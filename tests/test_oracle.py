@@ -286,23 +286,31 @@ def test_z_max_p1_on_one_slice_is_the_spectral_norm(m):
 
 
 def _searched_z_max(weights, exps, pp):
-    """The same objective by lattice seeds and power iteration (_polish_on_sphere)."""
+    """The same objective by lattice seeds and Newton steps (_polish_on_sphere)."""
     if math.isinf(pp):
 
         def objective(z):
             return float(np.max(weights * np.linalg.norm(exps @ z, axis=1)))
 
-        def gradient(z):  # subgradient of the active term w_k |E_k z|
+        def active(z):  # the active term w_k |E_k z|: weight, E_k, E_k z, |E_k z|
             vecs = exps @ z
             k = int(np.argmax(weights * np.linalg.norm(vecs, axis=1)))
-            return (weights[k] / np.linalg.norm(vecs[k]) * (exps[k].T @ vecs[k]),)
+            return weights[k], exps[k], vecs[k], np.linalg.norm(vecs[k])
+
+        def gradient(z):  # its subgradient w E^T E z / |E z|
+            w, e, x, r = active(z)
+            return (w / r * (e.T @ x),)
+
+        def hessian(z):  # w (E^T E / |E z| - (E^T E z)(E^T E z)^T / |E z|^3)
+            w, e, x, r = active(z)
+            return w / r * (e.T @ e - np.outer(e.T @ x, e.T @ x) / r**2)
 
     else:
-        objective, gradient = sharp._objective(weights, (exps,), pp)
+        objective, gradient, hessian = sharp._objective(weights, (exps,), pp)
     settings = sp.SphereSettings(rel_tol=1e-12)
     seeds = sharp.sphere_lattice(exps.shape[1], settings.seeds_per_dim * exps.shape[1])
     z0 = seeds[int(np.argmax([objective(s) for s in seeds]))]
-    (z,), value, _ = sharp._polish_on_sphere(objective, gradient, (z0,), settings)
+    (z,), value, _ = sharp._polish_on_sphere(objective, gradient, hessian, (z0,), settings)
     return z, value
 
 

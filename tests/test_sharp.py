@@ -242,20 +242,28 @@ def test_sphere_settings_need_seeds_and_a_positive_tolerance(fields):
         sp.SphereSettings(**fields)
 
 
-def _lattice_search(objective, gradient, dim, settings=sp.SphereSettings()):
+def _lattice_search(objective, gradient, hessian, dim, settings=sp.SphereSettings()):
     """Best lattice seed polished by ``_polish_on_sphere``: the search of
-    ``sharp._maximize`` for an objective given as a callable."""
+    ``sharp._maximize`` for an objective given as callables."""
     seeds = sharp.sphere_lattice(dim, settings.seeds_per_dim * dim)
     z0 = seeds[int(np.argmax([objective(s) for s in seeds]))]
-    (z,), value, _ = sharp._polish_on_sphere(objective, gradient, (z0,), settings)
+    (z,), value, _ = sharp._polish_on_sphere(objective, gradient, hessian, (z0,), settings)
     return z, value
 
 
 def test_sphere_max_spectral_example():
+    # f = |B v|: gradient B^T B v / f, Hessian B^T B / f - (B^T B v)(B^T B v)^T / f^3
     b = np.diag([3.0, 4.0])
+    gram = b.T @ b
+
+    def hessian(v):
+        f, g = np.linalg.norm(b @ v), gram @ v
+        return gram / f - np.outer(g, g) / f**3
+
     z, value = _lattice_search(
         lambda v: float(np.linalg.norm(b @ v)),
-        lambda v: (b.T @ b @ v / np.linalg.norm(b @ v),),
+        lambda v: (gram @ v / np.linalg.norm(b @ v),),
+        hessian,
         2,
     )
     assert value == pytest.approx(4.0, rel=1e-14)
@@ -264,7 +272,8 @@ def test_sphere_max_spectral_example():
 
 def test_sphere_max_three_dimensions():
     m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 2.5]])
-    z, value = _lattice_search(lambda v: float(v @ m @ v), lambda v: (2.0 * m @ v,), 3)
+    z, value = _lattice_search(lambda v: float(v @ m @ v), lambda v: (2.0 * m @ v,),
+                               lambda v: 2.0 * m, 3)
     w, vecs = np.linalg.eigh(m)
     assert value == pytest.approx(w[-1], rel=1e-14)
     assert abs(abs(np.dot(z, vecs[:, -1])) - 1.0) < 1e-9
@@ -276,9 +285,8 @@ def test_gram_route_matches_direct_search():
     cs = sp.coefficient_set(n=1, m=3, T=1.0, C=c)
     tables = sharp._window_tables(cs, 1.0, 2.0, with_gradient=False, nodes=31)
     (z_gram,), gram_value, _ = sharp._maximize(tables.weights, (tables.exps,), 2.0, None)
-    objective, gradient = sharp._objective(tables.weights, (tables.exps,), 2.0)
     z_search, search_value = _lattice_search(
-        objective, gradient, 3, sp.SphereSettings(rel_tol=1e-12)
+        *sharp._objective(tables.weights, (tables.exps,), 2.0), 3, sp.SphereSettings(rel_tol=1e-12)
     )
     assert search_value == pytest.approx(gram_value, rel=1e-8)
     assert min(
@@ -314,26 +322,62 @@ def test_polish_on_product_of_spheres_reaches_top_singular_value():
     def objective(ell, z):
         return float(ell @ m @ z) ** 2
 
-    asked = []
+    steps = []
 
     def gradient(ell, z, block=None):
-        asked.append(block)
+        steps.append(block)
         inner = float(ell @ m @ z)
         blocks = 2.0 * inner * (m @ z), 2.0 * inner * (m.T @ ell)
         return blocks if block is None else blocks[block:block + 1]
 
+    def hessian(ell, z):
+        inner, a, b = float(ell @ m @ z), m @ z, m.T @ ell
+        return 2.0 * np.block([[np.outer(a, a), np.outer(a, b) + inner * m],
+                               [np.outer(b, a) + inner * m.T, np.outer(b, b)]])
+
     start = (np.array([1.0, 0.2]), np.array([0.3, 1.0]))
     (ell, z), value, residual = sharp._polish_on_sphere(
-        objective, gradient, start, settings
+        objective, gradient, hessian, start, settings
     )
-    # each step takes the full gradient, then only the block of z, which
-    # is the one that sees ell's step
-    assert asked[::2] == [None] * len(asked[::2]) and set(asked[1::2]) == {1}
+    # each step asks for the full gradient once (a power step also for the
+    # block of z), and so does the stop test: Newton steps converge in a few
+    assert steps.count(None) - 1 <= 6
     sigma_max = np.linalg.svd(m, compute_uv=False)[0]
     assert value == pytest.approx(sigma_max**2, rel=1e-12)
     assert residual <= settings.rel_tol
     assert np.linalg.norm(ell) == pytest.approx(1.0, abs=1e-15)
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("start", [0, 1], ids=["minimizer", "saddle"])
+def test_polish_next_to_a_critical_point_that_is_no_maximum_climbs_to_the_maximum(start):
+    # f = v^T M v on S^2: next to the eigenvector of the least (or middle)
+    # eigenvalue the tangent Hessian 2 (M - lam I) is not negative definite,
+    # and a Newton step would go back to that critical point
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    m = q @ np.diag([1.0, 2.0, 3.5]) @ q.T
+    lams, vecs = np.linalg.eigh(m)
+    settings = sp.SphereSettings()
+    seen = []
+
+    def objective(v):
+        return float(v @ m @ v)
+
+    def gradient(v):
+        seen.append(objective(v))
+        return (2.0 * m @ v,)
+
+    z0 = vecs[:, start] + 1e-4 * vecs.sum(axis=1)
+    unit = z0 / np.linalg.norm(z0)
+    g0 = 2.0 * m @ unit
+    assert sharp._newton_point([unit], [g0], [sharp._tangent_gradient(g0, unit)], 2.0 * m) is None
+    (z,), value, residual = sharp._polish_on_sphere(
+        objective, gradient, lambda v: 2.0 * m, (z0,), settings
+    )
+    assert value == pytest.approx(lams[2], rel=1e-14)
+    assert abs(abs(np.dot(z, vecs[:, 2])) - 1.0) < 1e-9
+    assert residual <= settings.rel_tol
+    assert all(b >= a for a, b in zip(seen, seen[1:]))  # no step lowers f
 
 
 def _searched_sets():
@@ -360,11 +404,13 @@ def _searched_sets():
     return tabulated, constant
 
 
-@pytest.mark.parametrize("p", [INF, 8.0, 5.5])
+@pytest.mark.parametrize("p", [INF, 8.0, 5.5, pytest.param(None, id="threshold+1e-3")])
 def test_searched_source_constants_meet_the_search_tolerance(p):
+    # at p = threshold + 1e-3 the window integrand is at its most singular
     rel_tol = sp.SphereSettings().rel_tol
     for cs in _searched_sets():
-        for result in (sp.sharp_N(cs, p, 1.0), sp.sharp_C(cs, p, 1.0)):
+        for constant, threshold in ((sp.sharp_N, (cs.n + 2) / 2), (sp.sharp_C, cs.n + 2)):
+            result = constant(cs, threshold + 1e-3 if p is None else p, 1.0)
             assert result.convergent
             assert result.diagnostics.search_residual <= rel_tol
 
