@@ -142,8 +142,10 @@ def closed_form_value(case):  # bench/tracer.py times it by this name
 
 
 def _oracle_spec(case):
-    # the |.|^(p'-1) kink of the gradient kinds converges at O(spacing^2)
-    resolution = 513 if case.cs.n == 1 else 257
+    # the |.|^(p'-1) kink of the gradient kinds converges at O(spacing^2);
+    # the oracle's h^2 extrapolation of its fine/coarse pair removes that
+    # term (p = 1 sups are not extrapolated), so n >= 2 needs only 129 cells
+    resolution = 513 if case.cs.n == 1 else 129
     return IntegralOperatorSpec(
         kind=case.kind, cs=case.cs, x=np.zeros(case.cs.n), t=case.t, p=case.p,
         ell=case.ell, grid_resolution=resolution,

@@ -434,6 +434,30 @@ def test_default_slices_on_a_non_integer_time_exponent():
     assert opnorm_bruteforce(spec).value == pytest.approx(want, rel=1e-4)
 
 
+@pytest.mark.parametrize("res", [17, 19])
+@pytest.mark.parametrize("kind, p", [("H", 2.0), ("K", 3.0), ("K", INF), ("N", 2.0), ("C", INF)])
+def test_the_estimate_bounds_the_error_on_the_smallest_grids(res, kind, p):
+    # the coarse pass used to be clamped to 17 cells: at 17 it was the fine
+    # pass (estimate 0), at 19 its spacing was only 19/17 the fine one
+    ell = np.array([1.0]) if kind in ("K", "C") else None
+    spec = hspec(kind, p, ell=ell, res=res, slices=16)
+    result = opnorm_bruteforce(spec)
+    assert result.error_estimate > 0.0
+    assert abs(result.value - oracle.sharp_value(spec)) <= result.error_estimate
+
+
+def test_the_estimate_bounds_the_error_of_every_verify_row():
+    # the value is extrapolated from the fine and coarse passes, and their
+    # distance is the estimate; the check matrices hold it to that
+    cases = verification.cases_for("all")
+    for family_cases in verification.families(cases):
+        specs = [verification._oracle_spec(case) for case in family_cases]
+        for case, result in zip(family_cases, opnorm_family(specs)):
+            closed = verification.closed_form_value(case)
+            error = abs(result.value - closed)
+            assert error <= result.error_estimate + 1e-13 * abs(closed), case.name
+
+
 def test_family_rejects_specs_that_do_not_share_their_slices():
     cs = heat()
     base = hspec("H", 2.0, cs=cs)
